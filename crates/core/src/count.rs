@@ -785,7 +785,7 @@ impl CountRequest {
                     sanitizer: report.sanitizer,
                     verifier: report.verifier,
                     gpu: None,
-                    profile: None,
+                    profile: self.profile.then_some(report.profile),
                 })
             }
             Backend::Cluster {

@@ -22,11 +22,11 @@
 //! `n1 = t1`, `n2 = t2 − (p−1)·t1`, `n3 = t3 − (p−2)·n2 − C(p−1,2)·n1`.
 
 use tc_graph::{Edge, EdgeArray};
-use tc_simt::{SanitizerReport, VerifierReport};
+use tc_simt::{ProfileReport, SanitizerReport, VerifierReport};
 
 use crate::count::GpuOptions;
 use crate::error::CoreError;
-use crate::gpu::pipeline::run_gpu_pipeline;
+use crate::gpu::pipeline::run_gpu_pipeline_profiled;
 
 /// Outcome of a split run.
 #[derive(Clone, Debug)]
@@ -45,6 +45,9 @@ pub struct SplitReport {
     /// Merged static launch-verifier reports across every executed
     /// subproblem, in execution order (`None` when the verifier was off).
     pub verifier: Option<VerifierReport>,
+    /// Per-phase profiles of every executed subproblem, merged in
+    /// execution order: counters sum across subproblems.
+    pub profile: ProfileReport,
 }
 
 /// Partition id: contiguous ranges keep the induced-subgraph extraction a
@@ -79,7 +82,7 @@ pub fn count_split(
     assert!(parts >= 1);
     let n = g.num_nodes();
     if parts == 1 || n == 0 {
-        let r = run_gpu_pipeline(g, opts)?;
+        let (r, trace) = run_gpu_pipeline_profiled(g, opts)?;
         return Ok(SplitReport {
             triangles: r.triangles,
             total_s: r.total_s,
@@ -87,6 +90,7 @@ pub fn count_split(
             max_subproblem_arcs: g.num_arcs(),
             sanitizer: r.sanitizer,
             verifier: r.verifier,
+            profile: trace.profile,
         });
     }
 
@@ -95,6 +99,7 @@ pub fn count_split(
     let mut max_arcs = 0usize;
     let mut sub_reports: Vec<SanitizerReport> = Vec::new();
     let mut sub_verifier: Vec<VerifierReport> = Vec::new();
+    let mut sub_profiles: Vec<ProfileReport> = Vec::new();
     let mut run = |keep: &[usize]| -> Result<u64, CoreError> {
         let sub = induced(g, n, parts, keep);
         max_arcs = max_arcs.max(sub.num_arcs());
@@ -102,10 +107,11 @@ pub fn count_split(
         if sub.is_empty() {
             return Ok(0);
         }
-        let r = run_gpu_pipeline(&sub, opts)?;
+        let (r, trace) = run_gpu_pipeline_profiled(&sub, opts)?;
         total_s += r.total_s;
         sub_reports.extend(r.sanitizer);
         sub_verifier.extend(r.verifier);
+        sub_profiles.push(trace.profile);
         Ok(r.triangles)
     };
 
@@ -153,6 +159,7 @@ pub fn count_split(
         max_subproblem_arcs: max_arcs,
         sanitizer,
         verifier,
+        profile: ProfileReport::merged(&sub_profiles),
     })
 }
 
@@ -160,6 +167,7 @@ pub fn count_split(
 mod tests {
     use super::*;
     use crate::cpu::count_forward;
+    use crate::gpu::pipeline::run_gpu_pipeline;
     use tc_simt::DeviceConfig;
 
     fn messy_graph() -> EdgeArray {
@@ -220,6 +228,36 @@ mod tests {
         );
         let r = count_split(&g, &opts, 6).unwrap();
         assert_eq!(r.triangles, want);
+    }
+
+    #[test]
+    fn split_profile_merges_every_subproblem() {
+        let g = messy_graph();
+        let opts = GpuOptions::new(DeviceConfig::gtx_980().with_unlimited_memory());
+        let r = count_split(&g, &opts, 3).unwrap();
+        // Re-run each subproblem in the split's execution order.
+        let subsets: [&[usize]; 7] = [&[0], &[1], &[2], &[0, 1], &[0, 2], &[1, 2], &[0, 1, 2]];
+        let mut lane_steps = 0;
+        for keep in subsets {
+            let (_, trace) =
+                run_gpu_pipeline_profiled(&induced(&g, g.num_nodes(), 3, keep), &opts).unwrap();
+            lane_steps += trace.profile.totals.lane_steps;
+        }
+        assert!(lane_steps > 0);
+        assert_eq!(r.profile.totals.lane_steps, lane_steps);
+        assert!(r.profile.span("count/count-kernel").is_some());
+
+        // `--profile` on a `/split:k` backend attaches the merged profile.
+        let backend = crate::count::Backend::GpuSplit {
+            options: opts,
+            parts: 3,
+        };
+        let counted = crate::count::CountRequest::new(backend)
+            .profile(true)
+            .run(&g)
+            .unwrap();
+        let profile = counted.profile.expect("split runs carry a profile");
+        assert_eq!(profile.totals.lane_steps, lane_steps);
     }
 
     #[test]

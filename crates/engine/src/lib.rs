@@ -54,7 +54,7 @@ pub mod queue;
 
 use std::collections::HashMap;
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Mutex, MutexGuard};
 use std::time::Instant;
 
 use tc_core::gpu::prepared::PreparedGraph;
@@ -783,7 +783,7 @@ impl Engine {
         );
         // The slot lock serializes jobs for the same session; jobs for
         // *different* sessions proceed in parallel on other workers.
-        let mut entry = slot.lock().unwrap();
+        let mut entry = lock_slot(&slot);
         if entry.is_none() {
             // On a prepare error nothing is cached (for single-device
             // sessions the pool ticket drops here, freeing the slot);
@@ -971,7 +971,7 @@ impl Engine {
     pub fn clear_cache(&self) {
         let mut cache = self.cache.lock().unwrap();
         for (_, slot) in cache.drain() {
-            if let Some(entry) = slot.lock().unwrap().take() {
+            if let Some(entry) = lock_slot(&slot).take() {
                 match entry {
                     CacheEntry::Single { prepared, ticket } => {
                         if let Ok(device) = prepared.release() {
@@ -988,6 +988,19 @@ impl Engine {
         }
         self.admitted.lock().unwrap().clear();
     }
+}
+
+/// Lock a session slot. A job that panicked while holding the lock (a panic
+/// inside `count()`, say) poisons it and leaves the session in an unknown
+/// state, so the entry is dropped — its pool ticket frees the device slot —
+/// and the next job for the key prepares afresh.
+fn lock_slot(slot: &Mutex<Option<CacheEntry>>) -> MutexGuard<'_, Option<CacheEntry>> {
+    slot.lock().unwrap_or_else(|poisoned| {
+        let mut entry = poisoned.into_inner();
+        *entry = None;
+        slot.clear_poison();
+        entry
+    })
 }
 
 impl Drop for Engine {
@@ -1075,6 +1088,37 @@ mod tests {
         let report2 = engine.run_batch(vec![Job::new("late", g, gpu())]);
         assert_eq!(report2.cache_hits, 1);
         assert_eq!(engine.cached_sessions(), 1);
+    }
+
+    #[test]
+    fn a_poisoned_session_slot_is_dropped_and_re_prepared() {
+        let engine = Engine::new(small_config());
+        let g = diamond();
+        engine.run_batch(vec![Job::new("warm", Arc::clone(&g), gpu())]);
+        let poison = || {
+            let key: CacheKey = (g.digest(), gpu().to_string());
+            let slot = Arc::clone(&engine.cache.lock().unwrap()[&key]);
+            let panicked = std::thread::spawn(move || {
+                let _held = slot.lock().unwrap();
+                panic!("count() panicked mid-session");
+            })
+            .join();
+            assert!(panicked.is_err());
+        };
+
+        poison();
+        let report = engine.run_batch(vec![Job::new("after", Arc::clone(&g), gpu())]);
+        let r = report.jobs[0].result.as_ref().expect("slot recovered");
+        assert_eq!(r.triangles, 2);
+        assert!(r.cache_hit, "the plan still counts the key as resident");
+        let again = engine.run_batch(vec![Job::new("again", Arc::clone(&g), gpu())]);
+        assert_eq!(again.jobs[0].result.as_ref().unwrap().triangles, 2);
+
+        poison();
+        engine.clear_cache();
+        assert_eq!(engine.cached_sessions(), 0);
+        let fresh = engine.run_batch(vec![Job::new("fresh", g, gpu())]);
+        assert_eq!(fresh.jobs[0].result.as_ref().unwrap().triangles, 2);
     }
 
     #[test]

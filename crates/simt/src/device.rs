@@ -11,7 +11,7 @@
 use crate::arena::{Arena, DeviceBuffer, DeviceScalar};
 use crate::config::DeviceConfig;
 use crate::error::SimtError;
-use crate::executor::{simulate, simulate_traced, KernelStats, LaunchConfig};
+use crate::executor::{simulate, simulate_observed, KernelStats, LaunchConfig};
 use crate::kernel::Kernel;
 use crate::profiler::{Counters, OpenSpan, ProfileReport, Span};
 use crate::sanitizer::{check_launch, Finding, Lint, SanitizerMode, SanitizerReport};
@@ -428,10 +428,10 @@ impl Device {
 
     /// Launch a kernel under cycle simulation; commits its stores and
     /// advances the clock by the simulated kernel time. With the sanitizer
-    /// on, the launch's lane accesses are recorded and checked (memcheck,
-    /// initcheck, racecheck, access-pattern lints) before the stores
-    /// commit; stores the shadow rejects are skipped so the run survives
-    /// to report them.
+    /// on, the launch's lane accesses are checked (memcheck and initcheck
+    /// inline as the SMs step them, then racecheck and access-pattern
+    /// lints) before the stores commit; stores the shadow rejects are
+    /// skipped so the run survives to report them.
     pub fn launch<K: Kernel>(
         &mut self,
         label: &str,
@@ -467,35 +467,46 @@ impl Device {
                 self.launches_proven += 1;
             }
         }
-        if self.arena.sanitizer_mode().is_on() {
-            let (stats, writes, accesses) =
-                simulate_traced(&self.cfg, &self.arena, lc, kernel, true)?;
-            let phase = self.current_phase();
+        let mode = self.arena.sanitizer_mode();
+        if mode.is_on() {
             // A statically proven launch needs no dynamic race sweep in
-            // Check mode; Paranoid still sweeps (and cross-validates the
-            // contract against the observed trace below).
-            let skip_racecheck =
-                proven_race_free && self.arena.sanitizer_mode() == SanitizerMode::Check;
-            if skip_racecheck {
+            // Check mode; Paranoid still sweeps and cross-validates the
+            // contract against the observed trace. The access log is kept
+            // only when one of those two reads it — memcheck and initcheck
+            // run inline in the executor either way.
+            let racecheck = !(proven_race_free && mode == SanitizerMode::Check);
+            if !racecheck {
                 self.racechecks_skipped += 1;
             }
-            let (findings, lints) = check_launch(
-                self.arena.shadow().expect("sanitizer is on"),
-                &accesses,
-                &stats,
-                label,
-                &phase,
-                skip_racecheck,
-            );
+            // `contract` is only set when the verifier is on.
+            let containment = contract
+                .as_ref()
+                .filter(|_| mode >= SanitizerMode::Paranoid);
+            let shadow = self.arena.shadow().expect("sanitizer is on");
+            let settled = shadow.settled();
+            let view = shadow.launch_view(&settled);
+            let (stats, writes, observed) = simulate_observed(
+                &self.cfg,
+                &self.arena,
+                lc,
+                kernel,
+                Some(view),
+                racecheck || containment.is_some(),
+            )?;
+            let phase = self.current_phase();
+            let (findings, lints) = check_launch(view, &observed, racecheck, &stats, label, &phase);
             self.findings.extend(findings);
             self.lints.extend(lints);
-            if self.verifier && self.arena.sanitizer_mode() >= SanitizerMode::Paranoid {
-                if let Some(c) = contract.as_ref() {
-                    let total = lc.active_threads(self.cfg.warp_size);
-                    self.vfindings.extend(verifier::check_trace_containment(
-                        c, &accesses, lc, total, label, &phase,
-                    ));
-                }
+            if let Some(c) = containment {
+                let total = lc.active_threads(self.cfg.warp_size);
+                self.vfindings.extend(verifier::check_trace_containment(
+                    c,
+                    &observed.accesses,
+                    lc,
+                    total,
+                    label,
+                    &phase,
+                ));
             }
             for w in writes {
                 self.arena.commit_store(w.addr, w.bytes, w.value);

@@ -28,6 +28,7 @@ use crate::coalesce::coalesce_into;
 use crate::config::DeviceConfig;
 use crate::error::SimtError;
 use crate::kernel::{Effect, Kernel, Lane, MemView};
+use crate::sanitizer::{LaneChecker, RawViolation, ShadowView};
 use crate::verifier::Access;
 
 /// Grid dimensions for a launch, in the paper's terms (§III-C): number of
@@ -147,22 +148,67 @@ pub fn simulate<K: Kernel>(
     lc: LaunchConfig,
     kernel: &K,
 ) -> Result<(KernelStats, Vec<PendingWrite>), SimtError> {
-    let (stats, writes, _) = simulate_traced(cfg, arena, lc, kernel, false)?;
+    let (stats, writes, _) = simulate_observed(cfg, arena, lc, kernel, None, false)?;
     Ok((stats, writes))
 }
 
-/// [`simulate`], optionally recording every lane memory access for the
-/// sanitizer. The access log is deterministic: per-SM streams are merged
-/// in SM index order, and each SM's stream follows its (deterministic)
-/// warp schedule. With `trace` off, no accesses are recorded and the
-/// returned log is empty.
-pub(crate) fn simulate_traced<K: Kernel>(
+/// What the sanitizer saw of one launch's lane memory accesses.
+#[derive(Debug, Default)]
+pub(crate) struct Observed {
+    /// memcheck/initcheck violations, classified inline against the
+    /// pre-launch shadow, in access-log order.
+    pub(crate) violations: Vec<RawViolation>,
+    /// The lane access log (empty unless recording was asked for).
+    pub(crate) accesses: Vec<Access>,
+    /// Non-scratch load effects (the coalescing lint's denominator).
+    pub(crate) global_reads: u64,
+    /// Non-scratch store effects.
+    pub(crate) global_writes: u64,
+}
+
+impl Observed {
+    /// Count one lane access, classify it when checking, and log it when
+    /// tracing.
+    #[inline]
+    fn record(&mut self, a: Access, checker: Option<&mut LaneChecker<'_>>, trace: bool) {
+        if !a.scratch {
+            if a.write {
+                self.global_writes += 1;
+            } else {
+                self.global_reads += 1;
+            }
+        }
+        if let Some(c) = checker {
+            c.check_access(&a, &mut self.violations);
+        }
+        if trace {
+            self.accesses.push(a);
+        }
+    }
+
+    /// Append a later SM's observations (merge in SM index order).
+    fn extend(&mut self, other: Observed) {
+        self.violations.extend(other.violations);
+        self.accesses.extend(other.accesses);
+        self.global_reads += other.global_reads;
+        self.global_writes += other.global_writes;
+    }
+}
+
+/// [`simulate`], optionally observing every lane memory access for the
+/// sanitizer. With `check`, each SM classifies its accesses (memcheck +
+/// initcheck) against the view as it steps them; with `trace`, it also
+/// records them. Both are deterministic: per-SM streams are merged in SM
+/// index order, and each SM's stream follows its (deterministic) warp
+/// schedule. With neither, nothing is observed.
+pub(crate) fn simulate_observed<K: Kernel>(
     cfg: &DeviceConfig,
     arena: &Arena,
     lc: LaunchConfig,
     kernel: &K,
+    check: Option<ShadowView<'_>>,
     trace: bool,
-) -> Result<(KernelStats, Vec<PendingWrite>, Vec<Access>), SimtError> {
+) -> Result<(KernelStats, Vec<PendingWrite>, Observed), SimtError> {
     lc.validate(cfg)?;
     let warps_per_block = lc.threads_per_block / cfg.warp_size;
     let lanes_per_warp = (cfg.warp_size / lc.warp_split) as usize;
@@ -187,13 +233,14 @@ pub(crate) fn simulate_traced<K: Kernel>(
             lanes_per_warp,
             total_active,
             resident_blocks as usize,
+            check,
             trace,
         )
     });
 
     let mut stats = KernelStats::default();
     let mut writes = Vec::new();
-    let mut accesses = Vec::new();
+    let mut observed = Observed::default();
     for r in results {
         stats.sm_cycles = stats.sm_cycles.max(r.end_cycle);
         stats.lane_steps += r.lane_steps;
@@ -211,7 +258,7 @@ pub(crate) fn simulate_traced<K: Kernel>(
         stats.tex.merge(r.tex);
         stats.l2.merge(r.l2);
         writes.extend(r.writes);
-        accesses.extend(r.accesses);
+        observed.extend(r.observed);
     }
     stats.dram_bytes = stats.dram_read_bytes + stats.dram_write_bytes;
     // Achieved occupancy of the resident set: blocks actually co-resident
@@ -223,7 +270,7 @@ pub(crate) fn simulate_traced<K: Kernel>(
     let dram_time = stats.dram_bytes as f64 / (cfg.dram_bandwidth_gbs * 1e9);
     stats.time_s = pipeline_time.max(dram_time) + cfg.launch_overhead_us * 1e-6;
     stats.achieved_bandwidth_gbs = stats.dram_bytes as f64 / stats.time_s / 1e9;
-    Ok((stats, writes, accesses))
+    Ok((stats, writes, observed))
 }
 
 struct SmResult {
@@ -241,8 +288,7 @@ struct SmResult {
     tex: CacheStats,
     l2: CacheStats,
     writes: Vec<PendingWrite>,
-    /// Lane-attributed access log (empty unless tracing).
-    accesses: Vec<Access>,
+    observed: Observed,
 }
 
 struct WarpSim<L> {
@@ -265,6 +311,7 @@ fn simulate_sm<K: Kernel>(
     lanes_per_warp: usize,
     total_active: usize,
     resident_blocks: usize,
+    check: Option<ShadowView<'_>>,
     trace: bool,
 ) -> SmResult {
     let mut tex = Cache::new(cfg.tex_cache_bytes, cfg.tex_cache_ways, cfg.line_bytes);
@@ -315,7 +362,9 @@ fn simulate_sm<K: Kernel>(
     let mut shared_accesses = 0u64;
     let mut shared_conflict_cycles = 0f64;
     let mut writes: Vec<PendingWrite> = Vec::new();
-    let mut accesses: Vec<Access> = Vec::new();
+    let mut observed = Observed::default();
+    let mut checker = check.map(LaneChecker::new);
+    let observing = checker.is_some() || trace;
 
     let mut effects: Vec<Effect> = Vec::with_capacity(lanes_per_warp);
     let mut reads_cached: Vec<(u64, u32)> = Vec::with_capacity(lanes_per_warp);
@@ -357,22 +406,17 @@ fn simulate_sm<K: Kernel>(
                 let eff = w.lanes[li].step(&mem);
                 lane_steps += 1;
                 kinds_seen[eff.kind() as usize] = true;
+                if observing {
+                    if let Some(a) = lane_access(&eff, (w.tid_base + li) as u32) {
+                        observed.record(a, checker.as_mut(), trace);
+                    }
+                }
                 match eff {
                     Effect::Read {
                         addr,
                         bytes,
                         cached,
                     } => {
-                        if trace {
-                            accesses.push(Access {
-                                lane: (w.tid_base + li) as u32,
-                                addr,
-                                bytes,
-                                write: false,
-                                scratch: false,
-                                spilled: false,
-                            });
-                        }
                         if cached {
                             reads_cached.push((addr, bytes));
                         } else {
@@ -380,16 +424,6 @@ fn simulate_sm<K: Kernel>(
                         }
                     }
                     Effect::Write { addr, bytes, value } => {
-                        if trace {
-                            accesses.push(Access {
-                                lane: (w.tid_base + li) as u32,
-                                addr,
-                                bytes,
-                                write: true,
-                                scratch: false,
-                                spilled: false,
-                            });
-                        }
                         writes.push(PendingWrite { addr, bytes, value });
                         write_txns += 1;
                         dram_write_bytes += bytes as u64; // write-through
@@ -399,16 +433,6 @@ fn simulate_sm<K: Kernel>(
                         bytes,
                         spilled,
                     } => {
-                        if trace {
-                            accesses.push(Access {
-                                lane: (w.tid_base + li) as u32,
-                                addr,
-                                bytes,
-                                write: false,
-                                scratch: true,
-                                spilled,
-                            });
-                        }
                         if spilled {
                             // Table overflowed shared memory: the chain walk
                             // reads global scratch through L2/DRAM.
@@ -424,16 +448,6 @@ fn simulate_sm<K: Kernel>(
                         value,
                         spilled,
                     } => {
-                        if trace {
-                            accesses.push(Access {
-                                lane: (w.tid_base + li) as u32,
-                                addr,
-                                bytes,
-                                write: true,
-                                scratch: true,
-                                spilled,
-                            });
-                        }
                         writes.push(PendingWrite { addr, bytes, value });
                         if spilled {
                             write_txns += 1;
@@ -542,8 +556,37 @@ fn simulate_sm<K: Kernel>(
         tex: tex.stats(),
         l2: l2.stats(),
         writes,
-        accesses,
+        observed,
     }
+}
+
+/// The sanitizer's record of a memory effect issued by global thread
+/// `lane`; `None` for compute steps and retirement.
+fn lane_access(eff: &Effect, lane: u32) -> Option<Access> {
+    let (addr, bytes, write, scratch, spilled) = match *eff {
+        Effect::Read { addr, bytes, .. } => (addr, bytes, false, false, false),
+        Effect::Write { addr, bytes, .. } => (addr, bytes, true, false, false),
+        Effect::SharedRead {
+            addr,
+            bytes,
+            spilled,
+        } => (addr, bytes, false, true, spilled),
+        Effect::SharedWrite {
+            addr,
+            bytes,
+            spilled,
+            ..
+        } => (addr, bytes, true, true, spilled),
+        Effect::Compute { .. } | Effect::Done => return None,
+    };
+    Some(Access {
+        lane,
+        addr,
+        bytes,
+        write,
+        scratch,
+        spilled,
+    })
 }
 
 /// Expand one shared access into the 4-byte words it touches. A multi-word
@@ -924,6 +967,134 @@ mod tests {
             conflicted.sm_cycles,
             clean.sm_cycles
         );
+    }
+
+    #[test]
+    fn inline_checks_match_a_replay_of_the_logged_trace() {
+        use crate::sanitizer::{FindingKind, SanitizerMode};
+
+        /// Each lane loads, stores and probes scratch once, at tid-indexed
+        /// addresses, so the upper lanes run past every buffer: guard
+        /// window and out-of-bounds reads, out-of-bounds stores, reads of
+        /// never-written bytes, and spilled and on-chip scratch traffic.
+        struct MixedKernel {
+            input: DeviceBuffer<u32>,
+            half_init: DeviceBuffer<u32>,
+            output: DeviceBuffer<u32>,
+            table: DeviceBuffer<u32>,
+        }
+        struct MixedLane {
+            tid: u64,
+            step: u32,
+            k: (u64, u64, u64, u64),
+        }
+        impl Lane for MixedLane {
+            fn step(&mut self, _mem: &MemView<'_>) -> Effect {
+                let (input, half_init, output, table) = self.k;
+                let t = self.tid;
+                self.step += 1;
+                match self.step {
+                    1 => Effect::Read {
+                        addr: input + 4 * t,
+                        bytes: 4,
+                        cached: true,
+                    },
+                    2 => Effect::Read {
+                        addr: half_init + 4 * (t % 64),
+                        bytes: 4,
+                        cached: false,
+                    },
+                    3 => Effect::SharedWrite {
+                        addr: table + 4 * (t % 100),
+                        bytes: 4,
+                        value: t,
+                        spilled: t.is_multiple_of(3),
+                    },
+                    4 => Effect::SharedRead {
+                        addr: table + 4 * t,
+                        bytes: 8,
+                        spilled: t.is_multiple_of(5),
+                    },
+                    5 => Effect::Write {
+                        addr: output + 4 * t,
+                        bytes: 4,
+                        value: t,
+                    },
+                    6 => Effect::Compute { cycles: 4 },
+                    _ => Effect::Done,
+                }
+            }
+        }
+        impl Kernel for MixedKernel {
+            type Lane = MixedLane;
+            fn spawn(&self, tid: usize, _total: usize) -> MixedLane {
+                MixedLane {
+                    tid: tid as u64,
+                    step: 0,
+                    k: (
+                        self.input.addr(),
+                        self.half_init.addr(),
+                        self.output.addr(),
+                        self.table.addr(),
+                    ),
+                }
+            }
+        }
+
+        let cfg = DeviceConfig::gtx_980().with_unlimited_memory();
+        let mut arena = Arena::new(u64::MAX);
+        arena.set_sanitizer(SanitizerMode::Check);
+        let mut buf =
+            |len: usize| DeviceBuffer::<u32>::new(arena.alloc(len as u64 * 4).unwrap(), len);
+        let (input, half_init, output, table) = (buf(200), buf(64), buf(250), buf(100));
+        arena.write_slice(&input, &[1u32; 200]);
+        arena.write_slice(&half_init.slice(0, 32), &[2u32; 32]);
+        let kernel = MixedKernel {
+            input,
+            half_init,
+            output,
+            table,
+        };
+        let lc = LaunchConfig::new(4, 64);
+        let shadow = arena.shadow().unwrap();
+        let settled = shadow.settled();
+        let view = shadow.launch_view(&settled);
+
+        let (s_inline, w_inline, inline) =
+            simulate_observed(&cfg, &arena, lc, &kernel, Some(view), false).unwrap();
+        let (s_logged, w_logged, logged) =
+            simulate_observed(&cfg, &arena, lc, &kernel, None, true).unwrap();
+        assert!(inline.accesses.is_empty(), "no log unless asked for");
+        assert!(logged.violations.is_empty(), "no checks unless asked for");
+        assert_eq!(logged.accesses.len(), 256 * 5);
+        assert_eq!((inline.global_reads, inline.global_writes), (512, 256));
+        assert_eq!(
+            (inline.global_reads, inline.global_writes),
+            (logged.global_reads, logged.global_writes)
+        );
+
+        let mut replayed = Vec::new();
+        for a in &logged.accesses {
+            LaneChecker::new(shadow.view()).check_access(a, &mut replayed);
+        }
+        assert_eq!(inline.violations, replayed);
+        for kind in [
+            FindingKind::OobRead,
+            FindingKind::OobWrite,
+            FindingKind::UninitRead,
+        ] {
+            assert!(
+                inline.violations.iter().any(|v| v.kind == kind),
+                "{kind} missing"
+            );
+        }
+
+        // Observation never perturbs the simulation.
+        let (s_plain, w_plain) = simulate(&cfg, &arena, lc, &kernel).unwrap();
+        assert_eq!(s_inline, s_plain);
+        assert_eq!(s_logged, s_plain);
+        assert_eq!(w_inline, w_plain);
+        assert_eq!(w_logged, w_plain);
     }
 
     #[test]

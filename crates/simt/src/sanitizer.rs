@@ -8,17 +8,21 @@
 //!
 //! * **memcheck** — a shadow allocation map over the arena classifies every
 //!   access (host `read_at`/`write_at`/`read_slice`/`write_slice`, kernel
-//!   `MemView` reads, and every [`crate::executor::PendingWrite`] commit) as
-//!   in-bounds, one-past-the-end (the guard window faithful merge kernels
-//!   use), out-of-bounds, or use-after-free;
+//!   lane loads and stores — classified inline by each simulated SM — and
+//!   every [`crate::executor::PendingWrite`] commit) as in-bounds,
+//!   one-past-the-end (the guard window faithful merge kernels use),
+//!   out-of-bounds, or use-after-free;
 //! * **initcheck** — a per-byte init bitmap flags reads of device bytes no
 //!   host copy or committed store ever wrote. Kernel stores are buffered
 //!   until the launch retires, so kernel reads are checked against the
 //!   *pre-launch* bitmap — the memory they actually observe;
 //! * **racecheck** — the executor's per-launch access log is swept for
 //!   overlapping same-launch accesses from different lanes (write-write and
-//!   read-write, with no intervening kernel boundary);
-//! * **lints** — a static pass over the recorded access stream flags
+//!   read-write, with no intervening kernel boundary). The log is recorded
+//!   only for launches that sweep it (or that Paranoid cross-validates
+//!   against their contract); a launch the static verifier proved
+//!   race-free under Check keeps none;
+//! * **lints** — the launch's load/store counts and kernel stats flag
 //!   uncoalesced hot loops and divergence-heavy launches. Lints are
 //!   advisories, not findings: the paper's own merge kernel is legitimately
 //!   divergence-prone, so lints never fail a clean-suite gate.
@@ -35,7 +39,7 @@ use std::cell::RefCell;
 use std::collections::BTreeMap;
 use std::fmt;
 
-use crate::executor::KernelStats;
+use crate::executor::{KernelStats, Observed};
 use crate::profiler::json_string;
 
 /// Bytes past an allocation's logical end that a read may touch without a
@@ -84,8 +88,8 @@ impl fmt::Display for SanitizerMode {
 }
 
 /// The shared access record lives in [`crate::verifier`]: the sanitizer's
-/// dynamic checks and the verifier's static-containment check consume the
-/// same executor-recorded stream.
+/// dynamic checks and the verifier's trace-containment check consume the
+/// same executor-produced stream.
 pub use crate::verifier::Access;
 
 /// The kind of a sanitizer finding.
@@ -338,9 +342,10 @@ struct ShadowAlloc {
 
 /// Shadow memory over an [`crate::arena::Arena`]: the allocation map plus
 /// the per-byte init bitmap, and a queue of raw violations produced by
-/// host-side ops (kernel launches are checked in bulk by
-/// [`check_launch`]). The queue sits behind a `RefCell` because reads
-/// (`read_slice`/`read_at`) take `&Arena`.
+/// host-side ops (kernel lane accesses are classified inside the executor
+/// through a [`ShadowView`]). The queue sits behind a `RefCell` because
+/// reads (`read_slice`/`read_at`) take `&Arena` — which is also why
+/// `Shadow` is not `Sync` and the executor's SM threads get a view instead.
 #[derive(Debug)]
 pub(crate) struct Shadow {
     mode: SanitizerMode,
@@ -363,6 +368,40 @@ impl Shadow {
     #[inline]
     pub(crate) fn mode(&self) -> SanitizerMode {
         self.mode
+    }
+
+    /// A read-only view of the current allocation map and init bitmap.
+    #[inline]
+    pub(crate) fn view(&self) -> ShadowView<'_> {
+        ShadowView {
+            mode: self.mode,
+            allocs: &self.allocs,
+            init: &self.init,
+            settled: &[],
+        }
+    }
+
+    /// Base addresses, ascending, of the live allocations whose logical
+    /// bytes are all initialized. A kernel launch computes this once
+    /// before any lane runs and hands it to [`Shadow::launch_view`]: lanes
+    /// observe the pre-launch memory, so a read inside a settled
+    /// allocation can never be an uninitialized read and needs no bitmap
+    /// probe.
+    pub(crate) fn settled(&self) -> Vec<u64> {
+        self.allocs
+            .values()
+            .filter(|a| a.live && all_bits_set(&self.init, a.addr, a.addr + a.bytes))
+            .map(|a| a.addr)
+            .collect()
+    }
+
+    /// [`Shadow::view`] for a kernel launch, with the allocations
+    /// [`Shadow::settled`] found fully initialized.
+    pub(crate) fn launch_view<'a>(&'a self, settled: &'a [u64]) -> ShadowView<'a> {
+        ShadowView {
+            settled,
+            ..self.view()
+        }
     }
 
     /// Record a fresh allocation spanning `[addr, addr + span)` with
@@ -422,7 +461,7 @@ impl Shadow {
     /// `write_at` / poke).
     pub(crate) fn host_write(&mut self, addr: u64, bytes: u64) {
         let mut out = Vec::new();
-        self.check_write_into(addr, bytes, None, &mut out);
+        self.view().check_write_into(addr, bytes, None, &mut out);
         self.pending.get_mut().extend(out);
         self.mark_init(addr, bytes);
     }
@@ -431,7 +470,7 @@ impl Shadow {
     /// `read_at` / peek).
     pub(crate) fn host_read(&self, addr: u64, bytes: u64) {
         let mut out = Vec::new();
-        self.check_read_into(addr, bytes, None, &mut out);
+        self.view().check_read_into(addr, bytes, None, &mut out);
         if !out.is_empty() {
             self.pending.borrow_mut().extend(out);
         }
@@ -450,7 +489,7 @@ impl Shadow {
     /// Whether a store of `bytes` at `addr` lies fully within the logical
     /// bytes of a live allocation (commit admission).
     pub(crate) fn write_allowed(&self, addr: u64, bytes: u64) -> bool {
-        match self.locate(addr) {
+        match self.view().locate(addr) {
             Some(a) if a.live => addr + bytes <= a.addr + a.bytes,
             _ => false,
         }
@@ -469,14 +508,30 @@ impl Shadow {
             self.init.resize(words, 0);
         }
     }
+}
 
+/// A read-only, `Sync` view of a [`Shadow`]: the allocation map, the init
+/// bitmap and the mode. It holds the one access classifier — host ops and
+/// kernel lanes (through [`LaneChecker`]) both go through
+/// [`ShadowView::classify`].
+#[derive(Clone, Copy, Debug)]
+pub(crate) struct ShadowView<'a> {
+    mode: SanitizerMode,
+    allocs: &'a BTreeMap<u64, ShadowAlloc>,
+    init: &'a [u64],
+    /// Allocations known to be fully initialized (see [`Shadow::settled`];
+    /// empty outside kernel launches).
+    settled: &'a [u64],
+}
+
+impl<'a> ShadowView<'a> {
     /// The allocation record containing or nearest below `addr`.
-    fn locate(&self, addr: u64) -> Option<&ShadowAlloc> {
+    fn locate(&self, addr: u64) -> Option<&'a ShadowAlloc> {
         self.allocs.range(..=addr).next_back().map(|(_, a)| a)
     }
 
     fn any_uninit(&self, from: u64, to: u64) -> bool {
-        !all_bits_set(&self.init, from, to)
+        !all_bits_set(self.init, from, to)
     }
 
     /// Classify a read of `bytes` at `addr` and append any violations.
@@ -487,85 +542,10 @@ impl Shadow {
         lane: Option<u32>,
         out: &mut Vec<RawViolation>,
     ) {
-        if bytes == 0 {
-            return;
-        }
-        let end = addr + bytes;
-        let mk = |kind, buffer| RawViolation {
-            kind,
-            addr,
-            bytes: bytes as u32,
-            buffer,
-            lane,
-        };
-        match self.locate(addr) {
-            None => out.push(mk(FindingKind::OobRead, None)),
-            Some(a) if !a.live => out.push(mk(FindingKind::UseAfterFreeRead, Some(a.addr))),
-            Some(a) => {
-                let logical_end = a.addr + a.bytes;
-                if end <= logical_end {
-                    if self.any_uninit(addr, end) {
-                        out.push(mk(FindingKind::UninitRead, Some(a.addr)));
-                    }
-                } else if end <= logical_end + GUARD_BYTES {
-                    // The benign one-past-the-end pattern: tolerated under
-                    // Check (initcheck still covers the in-bounds prefix),
-                    // reported under Paranoid.
-                    if addr < logical_end && self.any_uninit(addr, logical_end) {
-                        out.push(mk(FindingKind::UninitRead, Some(a.addr)));
-                    }
-                    if self.mode >= SanitizerMode::Paranoid {
-                        out.push(mk(FindingKind::GuardRead, Some(a.addr)));
-                    }
-                } else {
-                    out.push(mk(FindingKind::OobRead, Some(a.addr)));
-                }
-            }
-        }
-    }
-
-    /// Bounds-only read classification for scratch (shared-memory-modeled)
-    /// accesses: memcheck and use-after-free apply, initcheck does not —
-    /// hash kernels initialize their tables in-launch, which the pre-launch
-    /// init bitmap cannot see.
-    pub(crate) fn check_read_bounds_into(
-        &self,
-        addr: u64,
-        bytes: u64,
-        lane: Option<u32>,
-        out: &mut Vec<RawViolation>,
-    ) {
-        if bytes == 0 {
-            return;
-        }
-        let end = addr + bytes;
-        let mk = |kind, buffer| RawViolation {
-            kind,
-            addr,
-            bytes: bytes as u32,
-            buffer,
-            lane,
-        };
-        match self.locate(addr) {
-            None => out.push(mk(FindingKind::OobRead, None)),
-            Some(a) if !a.live => out.push(mk(FindingKind::UseAfterFreeRead, Some(a.addr))),
-            Some(a) => {
-                let logical_end = a.addr + a.bytes;
-                if end <= logical_end {
-                    // In bounds: clean (no init requirement).
-                } else if end <= logical_end + GUARD_BYTES {
-                    if self.mode >= SanitizerMode::Paranoid {
-                        out.push(mk(FindingKind::GuardRead, Some(a.addr)));
-                    }
-                } else {
-                    out.push(mk(FindingKind::OobRead, Some(a.addr)));
-                }
-            }
-        }
+        self.classify(self.locate(addr), addr, bytes, false, true, lane, out);
     }
 
     /// Classify a store of `bytes` at `addr` and append any violations.
-    /// Stores get no guard window: every byte must be logically owned.
     pub(crate) fn check_write_into(
         &self,
         addr: u64,
@@ -573,9 +553,31 @@ impl Shadow {
         lane: Option<u32>,
         out: &mut Vec<RawViolation>,
     ) {
+        self.classify(self.locate(addr), addr, bytes, true, false, lane, out);
+    }
+
+    /// Classify an access of `bytes` at `addr`, given `found` — the record
+    /// [`ShadowView::locate`] returns for `addr` — and append any
+    /// violations. Stores get no guard window: every byte must be
+    /// logically owned. Reads may touch the guard window (tolerated under
+    /// Check, reported under Paranoid); `initcheck` additionally flags
+    /// in-bounds bytes nothing ever wrote. Pass `initcheck = false` for a
+    /// read of a settled allocation: it has no such bytes.
+    #[allow(clippy::too_many_arguments)]
+    fn classify(
+        &self,
+        found: Option<&ShadowAlloc>,
+        addr: u64,
+        bytes: u64,
+        write: bool,
+        initcheck: bool,
+        lane: Option<u32>,
+        out: &mut Vec<RawViolation>,
+    ) {
         if bytes == 0 {
             return;
         }
+        let end = addr + bytes;
         let mk = |kind, buffer| RawViolation {
             kind,
             addr,
@@ -583,15 +585,85 @@ impl Shadow {
             buffer,
             lane,
         };
-        match self.locate(addr) {
-            None => out.push(mk(FindingKind::OobWrite, None)),
-            Some(a) if !a.live => out.push(mk(FindingKind::UseAfterFreeWrite, Some(a.addr))),
+        let (oob, use_after_free) = if write {
+            (FindingKind::OobWrite, FindingKind::UseAfterFreeWrite)
+        } else {
+            (FindingKind::OobRead, FindingKind::UseAfterFreeRead)
+        };
+        match found {
+            None => out.push(mk(oob, None)),
+            Some(a) if !a.live => out.push(mk(use_after_free, Some(a.addr))),
             Some(a) => {
-                if addr + bytes > a.addr + a.bytes {
-                    out.push(mk(FindingKind::OobWrite, Some(a.addr)));
+                let logical_end = a.addr + a.bytes;
+                if end <= logical_end {
+                    if initcheck && self.any_uninit(addr, end) {
+                        out.push(mk(FindingKind::UninitRead, Some(a.addr)));
+                    }
+                } else if !write && end <= logical_end + GUARD_BYTES {
+                    // The benign one-past-the-end pattern: tolerated under
+                    // Check (initcheck still covers the in-bounds prefix),
+                    // reported under Paranoid.
+                    if initcheck && addr < logical_end && self.any_uninit(addr, logical_end) {
+                        out.push(mk(FindingKind::UninitRead, Some(a.addr)));
+                    }
+                    if self.mode >= SanitizerMode::Paranoid {
+                        out.push(mk(FindingKind::GuardRead, Some(a.addr)));
+                    }
+                } else {
+                    out.push(mk(oob, Some(a.addr)));
                 }
             }
         }
+    }
+}
+
+/// Classifies one SM's kernel lane accesses against the pre-launch
+/// [`ShadowView`], inline as the executor steps them. A memo of the last
+/// live allocation found sits in front of the map lookup: allocations are
+/// disjoint and addresses are never reused within a session, so an access
+/// starting inside the memo's logical bytes resolves to the memo. Guard
+/// window and out-of-bounds accesses fall back to the full lookup. Reads
+/// of a settled allocation skip the init bitmap probe.
+#[derive(Debug)]
+pub(crate) struct LaneChecker<'a> {
+    view: ShadowView<'a>,
+    /// The memoized allocation, and whether it is settled.
+    memo: Option<(&'a ShadowAlloc, bool)>,
+}
+
+impl<'a> LaneChecker<'a> {
+    pub(crate) fn new(view: ShadowView<'a>) -> Self {
+        LaneChecker { view, memo: None }
+    }
+
+    /// memcheck + initcheck one lane access. Scratch
+    /// (shared-memory-modeled) accesses get bounds checks only: hash
+    /// kernels initialize their tables in-launch, which the pre-launch
+    /// init bitmap cannot see.
+    pub(crate) fn check_access(&mut self, a: &Access, out: &mut Vec<RawViolation>) {
+        let (found, settled) = match self.memo {
+            Some((m, settled)) if m.addr <= a.addr && a.addr < m.addr + m.bytes => {
+                (Some(m), settled)
+            }
+            _ => match self.view.locate(a.addr) {
+                Some(f) if f.live => {
+                    let settled = self.view.settled.binary_search(&f.addr).is_ok();
+                    self.memo = Some((f, settled));
+                    (Some(f), settled)
+                }
+                found => (found, false),
+            },
+        };
+        let initcheck = !a.write && !a.scratch && !settled;
+        self.view.classify(
+            found,
+            a.addr,
+            a.bytes as u64,
+            a.write,
+            initcheck,
+            Some(a.lane),
+            out,
+        );
     }
 }
 
@@ -661,60 +733,42 @@ fn all_bits_set(bits: &[u64], from: u64, to: u64) -> bool {
 /// overlap window.
 const MAX_ACCESS_BYTES: u64 = 64;
 
-/// Check one retired launch: memcheck + initcheck every recorded access
-/// against the pre-launch shadow, racecheck the access log, and compute
+/// Finish one retired launch: attribute the memcheck/initcheck violations
+/// the executor classified inline, racecheck the access log, and compute
 /// the access-pattern lints. Returns attributed findings and lints. The
 /// caller commits the buffered stores afterwards (via
 /// [`crate::arena::Arena::commit_store`], which marks init and skips
-/// stores the shadow rejects). `skip_racecheck` elides *only* the WW/RW
-/// race sweeps — the static verifier sets it for launches whose contract
-/// already proves race-freedom; memcheck, initcheck, and the lints still
-/// run, so findings on clean launches are byte-identical either way.
+/// stores the shadow rejects). `racecheck` runs the WW/RW race sweeps over
+/// `observed.accesses`, which the executor records only when a sweep or a
+/// containment check will read it. The static verifier clears it for
+/// launches whose contract already proves race-freedom. memcheck,
+/// initcheck and the lints run either way, so findings on clean launches
+/// are byte-identical.
 pub(crate) fn check_launch(
-    shadow: &Shadow,
-    accesses: &[Access],
+    shadow: ShadowView<'_>,
+    observed: &Observed,
+    racecheck: bool,
     stats: &KernelStats,
     label: &str,
     phase: &str,
-    skip_racecheck: bool,
 ) -> (Vec<Finding>, Vec<Lint>) {
-    let mut raw: Vec<RawViolation> = Vec::new();
-    let mut reads: Vec<&Access> = Vec::new();
-    let mut writes: Vec<&Access> = Vec::new();
-    for a in accesses {
-        if a.scratch {
-            // Shared-memory-modeled scratch accesses: memcheck bounds only.
-            // They stay out of the racecheck interval lists and the lint
-            // denominators — the kernel synchronizes its table accesses
-            // (build barrier + warp-synchronous probes), and the coalescing
-            // lint's transaction arithmetic only describes global traffic.
-            if a.write {
-                shadow.check_write_into(a.addr, a.bytes as u64, Some(a.lane), &mut raw);
-            } else {
-                shadow.check_read_bounds_into(a.addr, a.bytes as u64, Some(a.lane), &mut raw);
-            }
-        } else if a.write {
-            shadow.check_write_into(a.addr, a.bytes as u64, Some(a.lane), &mut raw);
-            writes.push(a);
-        } else {
-            shadow.check_read_into(a.addr, a.bytes as u64, Some(a.lane), &mut raw);
-            reads.push(a);
-        }
-    }
+    let mut raw = observed.violations.clone();
+    let log: &[Access] = if racecheck { &observed.accesses } else { &[] };
+    // Scratch (shared-memory-modeled) accesses stay out of the racecheck
+    // interval lists: the kernel synchronizes its table accesses (build
+    // barrier + warp-synchronous probes).
+    let global = |write: bool| {
+        log.iter()
+            .filter(move |a| !a.scratch && a.write == write)
+            .map(|a| (a.addr, a.addr + a.bytes as u64, a.lane))
+    };
 
     // --- racecheck: write-write ---
     // Sort the store intervals and sweep maximal overlapping runs; a run
     // touched by more than one lane is one conflict (the paper's kernels
     // write only lane-private slots, so any overlap is a bug). Skipped
     // wholesale when the static verifier already proved race-freedom.
-    let mut ws: Vec<(u64, u64, u32)> = if skip_racecheck {
-        Vec::new()
-    } else {
-        writes
-            .iter()
-            .map(|a| (a.addr, a.addr + a.bytes as u64, a.lane))
-            .collect()
-    };
+    let mut ws: Vec<(u64, u64, u32)> = global(true).collect();
     ws.sort_unstable();
     let mut i = 0;
     while i < ws.len() {
@@ -748,10 +802,7 @@ pub(crate) fn check_launch(
     let mut rs: Vec<(u64, u64, u32)> = if ws.is_empty() {
         Vec::new()
     } else {
-        reads
-            .iter()
-            .map(|a| (a.addr, a.addr + a.bytes as u64, a.lane))
-            .collect()
+        global(false).collect()
     };
     rs.sort_unstable();
     for &(waddr, wend, wlane) in &ws {
@@ -780,9 +831,11 @@ pub(crate) fn check_launch(
         .collect();
 
     // --- access-pattern lints (advisories, not findings) ---
+    // The coalescing lint's transaction arithmetic only describes global
+    // traffic, so scratch accesses stay out of its denominators too.
     let mut lints = Vec::new();
-    let read_count = reads.len() as u64;
-    let read_txns = stats.transactions.saturating_sub(writes.len() as u64);
+    let read_count = observed.global_reads;
+    let read_txns = stats.transactions.saturating_sub(observed.global_writes);
     if read_count >= 2048 && read_txns * 2 > read_count {
         lints.push(Lint {
             kind: LintKind::Uncoalesced,
@@ -1024,6 +1077,23 @@ pub mod selftest {
 mod tests {
     use super::*;
 
+    /// Classify a hand-written access log the way the executor does
+    /// inline, then finish the launch with a full racecheck.
+    fn replay(
+        sh: &Shadow,
+        accesses: &[Access],
+        stats: &KernelStats,
+        phase: &str,
+    ) -> (Vec<Finding>, Vec<Lint>) {
+        let mut checker = LaneChecker::new(sh.view());
+        let mut observed = Observed::default();
+        for a in accesses {
+            checker.check_access(a, &mut observed.violations);
+        }
+        observed.accesses = accesses.to_vec();
+        check_launch(sh.view(), &observed, true, stats, "k", phase)
+    }
+
     #[test]
     fn bit_range_ops_cover_word_boundaries() {
         let mut bits = vec![0u64; 4];
@@ -1048,24 +1118,24 @@ mod tests {
         sh.mark_init(0, 64);
         let mut out = Vec::new();
         // In-bounds initialized: clean.
-        sh.check_read_into(0, 4, None, &mut out);
+        sh.view().check_read_into(0, 4, None, &mut out);
         assert!(out.is_empty());
         // One-past-the-end within the guard window: clean under Check.
-        sh.check_read_into(64, 4, None, &mut out);
+        sh.view().check_read_into(64, 4, None, &mut out);
         assert!(out.is_empty());
         // Past the guard window: OOB.
-        sh.check_read_into(128, 4, None, &mut out);
+        sh.view().check_read_into(128, 4, None, &mut out);
         assert_eq!(out.len(), 1);
         assert_eq!(out[0].kind, FindingKind::OobRead);
         assert_eq!(out[0].buffer, Some(0));
         // Uninitialized second buffer.
         out.clear();
-        sh.check_read_into(256, 8, None, &mut out);
+        sh.view().check_read_into(256, 8, None, &mut out);
         assert_eq!(out[0].kind, FindingKind::UninitRead);
         // Use-after-free.
         sh.on_free(0);
         out.clear();
-        sh.check_read_into(16, 4, None, &mut out);
+        sh.view().check_read_into(16, 4, None, &mut out);
         assert_eq!(out[0].kind, FindingKind::UseAfterFreeRead);
     }
 
@@ -1075,7 +1145,7 @@ mod tests {
         sh.on_alloc(0, 64, 256);
         sh.mark_init(0, 64);
         let mut out = Vec::new();
-        sh.check_read_into(64, 4, None, &mut out);
+        sh.view().check_read_into(64, 4, None, &mut out);
         assert_eq!(out.len(), 1);
         assert_eq!(out[0].kind, FindingKind::GuardRead);
     }
@@ -1085,13 +1155,71 @@ mod tests {
         let mut sh = Shadow::new(SanitizerMode::Check);
         sh.on_alloc(0, 64, 256);
         let mut out = Vec::new();
-        sh.check_write_into(60, 4, Some(3), &mut out);
+        sh.view().check_write_into(60, 4, Some(3), &mut out);
         assert!(out.is_empty());
-        sh.check_write_into(64, 4, Some(3), &mut out);
+        sh.view().check_write_into(64, 4, Some(3), &mut out);
         assert_eq!(out[0].kind, FindingKind::OobWrite);
         assert_eq!(out[0].lane, Some(3));
         assert!(sh.write_allowed(60, 4));
         assert!(!sh.write_allowed(64, 4));
+    }
+
+    /// Neither the memo nor the settled-allocation shortcut may change a
+    /// verdict: a memoized launch checker must agree with a fresh,
+    /// bitmap-probing classification of every access.
+    #[test]
+    fn the_memo_never_changes_a_classification() {
+        let mut sh = Shadow::new(SanitizerMode::Paranoid);
+        sh.on_alloc(0, 64, 256);
+        sh.on_alloc(256, 100, 256);
+        sh.on_alloc(512, 8, 256);
+        sh.mark_init(0, 64);
+        sh.mark_init(256, 50);
+        sh.on_free(512);
+        // Hop between buffers, their guard windows, their padding, a freed
+        // buffer and the space past the last allocation, so the memo is
+        // hit, missed and replaced.
+        let addrs = [
+            0, 60, 64, 68, 70, 128, 256, 300, 348, 356, 360, 0, 516, 40, 300, 900, 62, 352,
+        ];
+        let accesses: Vec<Access> = addrs
+            .iter()
+            .enumerate()
+            .flat_map(|(i, &addr)| {
+                [(false, false), (true, false), (false, true), (true, true)].map(
+                    |(write, scratch)| Access {
+                        lane: i as u32,
+                        addr,
+                        bytes: 4,
+                        write,
+                        scratch,
+                        spilled: false,
+                    },
+                )
+            })
+            .collect();
+        let settled = sh.settled();
+        assert_eq!(settled, vec![0], "only the first buffer is fully written");
+        let mut memoized = Vec::new();
+        let mut checker = LaneChecker::new(sh.launch_view(&settled));
+        for a in &accesses {
+            checker.check_access(a, &mut memoized);
+        }
+        let mut fresh = Vec::new();
+        for a in &accesses {
+            LaneChecker::new(sh.view()).check_access(a, &mut fresh);
+        }
+        assert_eq!(memoized, fresh);
+        for kind in [
+            FindingKind::OobRead,
+            FindingKind::OobWrite,
+            FindingKind::UninitRead,
+            FindingKind::GuardRead,
+            FindingKind::UseAfterFreeRead,
+            FindingKind::UseAfterFreeWrite,
+        ] {
+            assert!(memoized.iter().any(|v| v.kind == kind), "{kind} missing");
+        }
     }
 
     #[test]
@@ -1110,7 +1238,7 @@ mod tests {
             })
             .collect();
         let stats = KernelStats::default();
-        let (findings, _) = check_launch(&sh, &accesses, &stats, "k", "p", false);
+        let (findings, _) = replay(&sh, &accesses, &stats, "p");
         let races: Vec<&Finding> = findings
             .iter()
             .filter(|f| f.kind == FindingKind::WriteWriteRace)
@@ -1151,7 +1279,7 @@ mod tests {
                 ]
             })
             .collect();
-        let (findings, _) = check_launch(&sh, &private, &stats, "k", "", false);
+        let (findings, _) = replay(&sh, &private, &stats, "");
         assert!(findings.is_empty(), "{findings:?}");
         // Lane 1 reads what lane 0 writes: read-write race.
         let racy = vec![
@@ -1172,7 +1300,7 @@ mod tests {
                 spilled: false,
             },
         ];
-        let (findings, _) = check_launch(&sh, &racy, &stats, "k", "", false);
+        let (findings, _) = replay(&sh, &racy, &stats, "");
         assert_eq!(findings.len(), 1);
         assert_eq!(findings[0].kind, FindingKind::ReadWriteRace);
         assert_eq!(findings[0].lane, Some(1));
@@ -1203,7 +1331,7 @@ mod tests {
                 spilled: false,
             },
         ];
-        let (findings, _) = check_launch(&sh, &synced, &stats, "k", "", false);
+        let (findings, _) = replay(&sh, &synced, &stats, "");
         assert!(findings.is_empty(), "{findings:?}");
         // But bounds still apply: a probe past the scratch window is OOB.
         let oob = vec![Access {
@@ -1214,7 +1342,7 @@ mod tests {
             scratch: true,
             spilled: false,
         }];
-        let (findings, _) = check_launch(&sh, &oob, &stats, "k", "", false);
+        let (findings, _) = replay(&sh, &oob, &stats, "");
         assert_eq!(findings.len(), 1);
         assert_eq!(findings[0].kind, FindingKind::OobRead);
         assert_eq!(findings[0].lane, Some(2));

@@ -41,11 +41,13 @@ use crate::executor::LaunchConfig;
 use crate::profiler::json_string;
 use crate::sanitizer::GUARD_BYTES;
 
-/// One recorded kernel memory access (read or write), with the issuing
-/// lane's global thread id. The executor records these per launch when the
-/// sanitizer is on; the stream is deterministic (SM-index merge order).
-/// This is the *shared* access record: the sanitizer's dynamic checks and
-/// the verifier's containment check both consume it.
+/// One kernel memory access (read or write), with the issuing lane's
+/// global thread id. With the sanitizer on, the executor classifies each
+/// one inline and records them per launch when a racecheck sweep or a
+/// containment check will read the log; the stream is deterministic
+/// (SM-index merge order). This is the *shared* access record: the
+/// sanitizer's dynamic checks and the verifier's containment check both
+/// consume it.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct Access {
     /// Global thread id of the issuing lane.

@@ -158,6 +158,9 @@ echo "==> sanitized smoke gate"
 # degrades balanced+hash to the plain balanced plan (graceful degradation);
 # the sanitizer integration test covers an actually-engaged hash bin.
 ./target/release/tcount suite:citeseer --backend gtx980/balanced+hash/reorder/sanitize > /dev/null
+# Check mode on statically proven launches: memcheck and initcheck stream
+# through the executor and no access log is kept (racecheck is skipped).
+./target/release/tcount suite:kronecker-8 --backend gtx980/balanced/sanitize/verify > /dev/null
 
 echo "==> sanitizer seeded-bug self-test"
 # The gate above proves the sanitizer stays quiet on clean runs; this one
@@ -178,5 +181,10 @@ echo "==> verifier seeded-lie self-test"
 # too narrow, false disjointness claim, understated shared budget,
 # out-of-bounds footprint) must each be caught.
 ./target/release/tcount verify-selftest > /dev/null
+
+echo "==> benchmark self-test"
+# The benchmark is a package of its own, outside the workspace, so the
+# workspace test run above does not reach it.
+cargo test --release -q --manifest-path examples/benchmark/Cargo.toml
 
 echo "==> ci OK"

@@ -135,20 +135,23 @@ fn usage() -> ExitCode {
     eprintln!(
         "usage: tcount <path> [--format text|binary|metis] [--backend NAME]\n\
          \x20             [--clustering] [--validate] [--trace FILE] [--profile [FILE]]\n\
-         \x20             [--sanitize [paranoid]]\n\
+         \x20             [--sanitize [paranoid]] [--verify]\n\
          \x20      tcount batch <jobfile> [--scale smoke|bench|large] [--workers N]\n\
          \x20                             [--json FILE] [--metrics [FILE]] [--prom FILE]\n\
          \x20                             [--trace FILE] [--shed]\n\
          \x20      tcount sanitize-selftest\n\
+         \x20      tcount verify-selftest\n\
          <path> may be suite:<name> to generate a smoke-scale suite graph\n\
          backends: forward | edge-iterator | node-iterator | hashed | parallel |\n\
          \x20         hybrid[:<tau>] | gtx980 | c2050 | nvs5200m | <n>x<device> |\n\
          \x20         <device>/split:<parts> | cluster:<n>x<m>[:2d]/<device>\n\
-         \x20         GPU backends accept /balanced[:<t>x<w>] or /balanced+hash\n\
-         \x20         for the workload-balanced kernel scheduler, /reorder for\n\
-         \x20         degree-descending relabeling, and /sanitize[:paranoid]\n\
-         \x20         for the compute-sanitizer layer; cluster:<n>x<m> shards\n\
-         \x20         the graph across n nodes x m devices (\":2d\" = 2D grid)"
+         \x20         GPU backends accept, in this order, /balanced[:<t>x<w>] or\n\
+         \x20         /balanced+hash for the workload-balanced kernel scheduler,\n\
+         \x20         /reorder for degree-descending relabeling,\n\
+         \x20         /sanitize[:paranoid] for the compute-sanitizer layer, and\n\
+         \x20         /verify for the static launch verifier (same as --verify);\n\
+         \x20         cluster:<n>x<m> shards the graph across n nodes x m devices\n\
+         \x20         (\":2d\" = 2D grid)"
     );
     ExitCode::from(2)
 }
@@ -312,6 +315,20 @@ fn run_gpu_observed(graph: &EdgeArray, args: &Args) -> Result<TriangleCount, Str
                 gpu: None,
             })
         }
+        // Split subproblems run one after another on fresh devices, so
+        // they merge into one profile but have no single device timeline.
+        Backend::GpuSplit { .. } if args.trace.is_none() => {
+            let result = CountRequest::new(args.backend.clone())
+                .profile(true)
+                .graph_name(&args.path)
+                .run(graph)
+                .map_err(|e| format!("counting: {e}"))?;
+            if let (Some(profile), Some(file)) = (&result.profile, &args.profile) {
+                emit_profile(profile, file)?;
+            }
+            Ok(result)
+        }
+        Backend::GpuSplit { .. } => Err("--trace is not available on split backends".into()),
         _ => Err("--trace/--profile require a simulated-GPU backend".into()),
     }
 }

@@ -10,6 +10,8 @@
 //! TC_BLESS=1 cargo test --release --test modeled_perf_golden
 //! ```
 
+mod common;
+
 use std::fmt::Write as _;
 
 use triangles::core::count::GpuOptions;
@@ -87,25 +89,5 @@ fn snapshot() -> String {
 
 #[test]
 fn modeled_perf_matches_the_golden_snapshot() {
-    let got = snapshot();
-    if std::env::var_os("TC_BLESS").is_some() {
-        std::fs::write(GOLDEN_PATH, &got).expect("write golden snapshot");
-        eprintln!("blessed {GOLDEN_PATH}");
-        return;
-    }
-    let want = std::fs::read_to_string(GOLDEN_PATH)
-        .unwrap_or_else(|e| panic!("{GOLDEN_PATH}: {e} (run with TC_BLESS=1 to create it)"));
-    if got != want {
-        let diff: Vec<String> = want
-            .lines()
-            .zip(got.lines())
-            .filter(|(w, g)| w != g)
-            .map(|(w, g)| format!("  -{w}\n  +{g}"))
-            .collect();
-        panic!(
-            "modeled perf drifted from {GOLDEN_PATH} — if intentional, rerun \
-             with TC_BLESS=1 and commit the new snapshot.\n{}",
-            diff.join("\n")
-        );
-    }
+    common::assert_golden(GOLDEN_PATH, &snapshot());
 }

@@ -5,6 +5,8 @@
 //! byte-identical run to run), and a **pure observer** (Check mode changes
 //! no modeled quantity, and Off leaves the golden numbers untouched).
 
+mod common;
+
 use triangles::core::count::{Backend, CountRequest};
 use triangles::core::cpu::count_forward;
 use triangles::gen::suite::{full_suite, Scale};
@@ -107,6 +109,8 @@ fn hash_strategy_runs_clean_under_the_sanitizer() {
     }
 }
 
+/// The seeded-bug reports are pinned as a golden file, so a change to any
+/// finding (kind, address, buffer, lane, attribution, order) fails here.
 #[test]
 fn seeded_bugs_are_detected_with_byte_identical_reports() {
     let first = selftest::run();
@@ -120,6 +124,10 @@ fn seeded_bugs_are_detected_with_byte_identical_reports() {
         selftest::to_json(&first),
         selftest::to_json(&second),
         "seeded-bug reports must be deterministic"
+    );
+    common::assert_golden(
+        "tests/golden/sanitize_selftest.json",
+        &selftest::to_json(&first),
     );
 }
 

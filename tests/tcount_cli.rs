@@ -193,6 +193,50 @@ fn profile_flag_prints_phase_table_and_writes_json() {
 }
 
 #[test]
+fn split_backends_profile_but_do_not_trace() {
+    let (path, expected) = fixture_file();
+    let out = Command::new(tcount_bin())
+        .arg(&path)
+        .args(["--backend", "gtx980/split:3", "--profile"])
+        .output()
+        .unwrap();
+    assert!(
+        out.status.success(),
+        "stderr: {}",
+        String::from_utf8_lossy(&out.stderr)
+    );
+    let stdout = String::from_utf8_lossy(&out.stdout);
+    assert!(stdout.contains(&format!("triangles: {expected}")));
+    assert!(stdout.contains("count-kernel"), "{stdout}");
+
+    let trace = std::env::temp_dir()
+        .join("tcount_cli_test")
+        .join("split-trace.json");
+    let out = Command::new(tcount_bin())
+        .arg(&path)
+        .args(["--backend", "gtx980/split:3", "--trace"])
+        .arg(&trace)
+        .output()
+        .unwrap();
+    assert_eq!(out.status.code(), Some(1));
+}
+
+#[test]
+fn usage_lists_every_subcommand_and_the_verifier() {
+    let out = Command::new(tcount_bin()).arg("--help").output().unwrap();
+    assert_eq!(out.status.code(), Some(2));
+    let usage = String::from_utf8_lossy(&out.stderr);
+    for item in [
+        "--verify",
+        "/verify",
+        "verify-selftest",
+        "sanitize-selftest",
+    ] {
+        assert!(usage.contains(item), "usage lacks {item}:\n{usage}");
+    }
+}
+
+#[test]
 fn bad_usage_fails_cleanly() {
     let out = Command::new(tcount_bin()).output().unwrap();
     assert_eq!(out.status.code(), Some(2));

@@ -8,6 +8,8 @@
 //! racecheck changes neither the sanitizer findings nor the modeled
 //! numbers).
 
+mod common;
+
 use triangles::core::count::{Backend, CountRequest};
 use triangles::core::cpu::count_forward;
 use triangles::gen::suite::{full_suite, Scale};
@@ -187,7 +189,7 @@ fn multi_device_backends_merge_clean_reports() {
 /// Dishonest contracts must be caught, and caught deterministically: the
 /// seeded-lie suite (narrow footprints, false disjointness claims,
 /// understated shared budgets, undeclared writes) produces byte-identical
-/// reports run to run, with every lie detected.
+/// reports run to run, with every lie detected, pinned as a golden file.
 #[test]
 fn seeded_lies_are_detected_with_byte_identical_reports() {
     let first = selftest::run();
@@ -202,4 +204,138 @@ fn seeded_lies_are_detected_with_byte_identical_reports() {
         selftest::to_json(&second),
         "seeded-lie reports must be deterministic"
     );
+    common::assert_golden(
+        "tests/golden/verify_selftest.json",
+        &selftest::to_json(&first),
+    );
+}
+
+/// A kernel whose contract the verifier proves — so Check mode skips the
+/// racecheck sweep and keeps no access log — but which at run time reads
+/// past its input (beyond the guard window) and reads a buffer nothing
+/// wrote. Streamed memcheck and initcheck must still report every such
+/// access, attributed and ordered exactly as a replay of the full access
+/// log does.
+#[test]
+fn proven_launches_stream_memcheck_and_initcheck_without_a_log() {
+    use triangles::simt::{
+        AccessContract, AffineFootprint, Device, DeviceBuffer, DeviceConfig, Effect, FindingKind,
+        Interval, Kernel, Lane, LaunchConfig, MemView, SanitizerMode,
+    };
+
+    const N: usize = 200;
+    const M: usize = 64;
+
+    /// Lane `tid` loads `src[tid % N]`, then — on sparse lane subsets —
+    /// `src[N + 3]` (past the guard window) and `blank[tid % M]` (never
+    /// written), then stores `out[tid]`.
+    struct LyingKernel {
+        src: DeviceBuffer<u32>,
+        blank: DeviceBuffer<u32>,
+        out: DeviceBuffer<u32>,
+    }
+    struct LyingLane {
+        tid: usize,
+        step: u32,
+        src: DeviceBuffer<u32>,
+        blank: DeviceBuffer<u32>,
+        out: DeviceBuffer<u32>,
+    }
+    impl Lane for LyingLane {
+        fn step(&mut self, _mem: &MemView<'_>) -> Effect {
+            self.step += 1;
+            let read = |addr| Effect::Read {
+                addr,
+                bytes: 4,
+                cached: true,
+            };
+            match self.step {
+                1 => read(self.src.addr_of(self.tid % N)),
+                2 if self.tid % 397 == 5 => read(self.src.addr() + 4 * (N as u64 + 3)),
+                2 => Effect::Compute { cycles: 2 },
+                3 if self.tid % 611 == 7 => read(self.blank.addr_of(self.tid % M)),
+                3 => Effect::Compute { cycles: 2 },
+                4 => Effect::Write {
+                    addr: self.out.addr_of(self.tid),
+                    bytes: 4,
+                    value: self.tid as u64,
+                },
+                _ => Effect::Done,
+            }
+        }
+    }
+    impl Kernel for LyingKernel {
+        type Lane = LyingLane;
+        fn spawn(&self, tid: usize, _total: usize) -> LyingLane {
+            LyingLane {
+                tid,
+                step: 0,
+                src: self.src,
+                blank: self.blank,
+                out: self.out,
+            }
+        }
+        fn contract(&self, _lc: LaunchConfig, total: usize) -> Option<AccessContract> {
+            Some(AccessContract {
+                reads: vec![
+                    Interval::bytes(self.src.addr(), self.src.byte_len()),
+                    Interval::bytes(self.blank.addr(), self.blank.byte_len()),
+                ],
+                writes: vec![AffineFootprint::per_lane(self.out.addr(), 4, total as u64)],
+                ..AccessContract::default()
+            })
+        }
+    }
+
+    let cfg = DeviceConfig::gtx_980()
+        .with_unlimited_memory()
+        .with_sanitizer(SanitizerMode::Check)
+        .with_verifier(true);
+    let mut dev = Device::new(cfg);
+    let src = dev.htod_copy(&[5u32; N]).unwrap();
+    let blank = dev.alloc::<u32>(M).unwrap();
+    let lc = LaunchConfig::new(40, 64);
+    let out = dev.alloc::<u32>(lc.active_threads(32)).unwrap();
+    let kernel = LyingKernel { src, blank, out };
+    dev.with_phase("lying", |d| d.launch("LyingKernel", lc, &kernel))
+        .unwrap();
+
+    let vr = dev.verifier_report().unwrap();
+    assert!(vr.is_clean(), "{}", vr.to_json());
+    assert_eq!((vr.launches_proven, vr.racechecks_skipped), (1, 1));
+
+    let report = dev.sanitizer_report().unwrap();
+    let got: Vec<(FindingKind, u64, Option<u64>, Option<u32>)> = report
+        .findings
+        .iter()
+        .map(|f| (f.kind, f.addr, f.buffer, f.lane))
+        .collect();
+    // What a replay of the full access log reports: memcheck/initcheck
+    // findings in access-log order, which merges the SMs' streams in SM
+    // index order (blocks go round-robin to the 16 SMs, so lane ids are
+    // not monotonic).
+    let (oob, uninit) = (FindingKind::OobRead, FindingKind::UninitRead);
+    let (s, b) = (Some(src.addr()), Some(blank.addr()));
+    let past = src.addr() + 4 * (N as u64 + 3);
+    let want = vec![
+        (oob, past, s, Some(5)),
+        (uninit, blank.addr_of(7), b, Some(7)),
+        (oob, past, s, Some(1196)),
+        (uninit, blank.addr_of(1229 % M), b, Some(1229)),
+        (oob, past, s, Some(2387)),
+        (uninit, blank.addr_of(2451 % M), b, Some(2451)),
+        (oob, past, s, Some(402)),
+        (oob, past, s, Some(1593)),
+        (uninit, blank.addr_of(618 % M), b, Some(618)),
+        (oob, past, s, Some(799)),
+        (uninit, blank.addr_of(1840 % M), b, Some(1840)),
+        (oob, past, s, Some(1990)),
+    ];
+    assert_eq!(got, want, "{}", report.to_json());
+    for f in &report.findings {
+        assert_eq!(
+            (f.kernel.as_str(), f.phase.as_str(), f.bytes),
+            ("LyingKernel", "lying", 4)
+        );
+    }
 }
