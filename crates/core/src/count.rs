@@ -6,15 +6,14 @@ use std::time::Instant;
 
 use tc_graph::EdgeArray;
 use tc_simt::profiler::ProfileReport;
-use tc_simt::{
-    ClusterTopology, DeviceConfig, LaunchConfig, SanitizerMode, SanitizerReport, VerifierReport,
-};
+use tc_simt::{DeviceConfig, LaunchConfig, SanitizerMode, SanitizerReport, VerifierReport};
 
 use crate::cpu;
 use crate::error::{CoreError, ErrorContext};
-use crate::gpu::cluster::{run_cluster, run_cluster_profiled, ClusterPartition};
-use crate::gpu::multi::{merged_profile, run_multi_gpu, run_multi_gpu_profiled};
-use crate::gpu::pipeline::{run_gpu_pipeline, run_gpu_pipeline_profiled, GpuReport};
+use crate::gpu::cluster::{cluster_topology, run_cluster_profiled, ClusterPartition};
+use crate::gpu::multi::run_multi_gpu_profiled;
+use crate::gpu::pipeline::{run_gpu_pipeline_profiled, GpuReport, RunTrace};
+use crate::gpu::split::count_split;
 use crate::gpu::{EdgeLayout, KernelSchedule, LoopVariant};
 
 /// Configuration of a simulated-GPU run: the device preset plus every
@@ -87,6 +86,18 @@ impl GpuOptions {
         let mut o = GpuOptions::new(device);
         o.schedule = KernelSchedule::BalancedHash;
         o
+    }
+
+    /// The counting launch geometry on `device`: the override or the
+    /// paper's tuned launch, with §III-D5's reduced-warp trick multiplying
+    /// the blocks so the active lane count stays constant.
+    pub(crate) fn launch_config(&self, device: &DeviceConfig) -> LaunchConfig {
+        let lc = self.launch.unwrap_or_else(|| device.paper_launch());
+        LaunchConfig {
+            blocks: lc.blocks * self.warp_split,
+            threads_per_block: lc.threads_per_block,
+            warp_split: self.warp_split,
+        }
     }
 }
 
@@ -176,8 +187,20 @@ impl Backend {
         }
     }
 
-    /// Short label for reports.
+    /// Short label for reports. Every GPU form ends in the same option
+    /// suffix (schedule, reorder); the sanitizer and verifier change what
+    /// is checked, not what is counted, so labels omit them.
     pub fn label(&self) -> String {
+        let opts = |o: &GpuOptions| {
+            let mut suffix = String::new();
+            if !o.schedule.is_default() {
+                suffix += &format!(", {}", o.schedule);
+            }
+            if o.reorder {
+                suffix += ", reorder";
+            }
+            suffix
+        };
         match self {
             Backend::CpuForward => "cpu-forward".into(),
             Backend::CpuEdgeIterator => "cpu-edge-iterator".into(),
@@ -186,46 +209,47 @@ impl Backend {
             Backend::CpuParallel => "cpu-parallel".into(),
             Backend::CpuHybrid { threshold: Some(t) } => format!("cpu-hybrid(tau={t})"),
             Backend::CpuHybrid { threshold: None } => "cpu-hybrid(auto)".into(),
-            Backend::Gpu(o) => {
-                let reorder = if o.reorder { ", reorder" } else { "" };
-                match o.schedule {
-                    KernelSchedule::ThreadPerEdge => {
-                        format!("gpu-sim({}{reorder})", o.device.name)
-                    }
-                    s => format!("gpu-sim({}, {s}{reorder})", o.device.name),
-                }
-            }
-            Backend::MultiGpu { options, devices } => {
-                let reorder = if options.reorder { ", reorder" } else { "" };
-                match options.schedule {
-                    KernelSchedule::ThreadPerEdge => {
-                        format!("{}x-gpu-sim({}{reorder})", devices, options.device.name)
-                    }
-                    s => format!(
-                        "{}x-gpu-sim({}, {s}{reorder})",
-                        devices, options.device.name
-                    ),
-                }
-            }
-            Backend::GpuSplit { options, parts } => {
-                format!("gpu-split({}, {} parts)", options.device.name, parts)
+            Backend::Gpu(o) => format!("gpu-sim({}{})", o.device.name, opts(o)),
+            Backend::MultiGpu {
+                options: o,
+                devices,
+            } => format!("{devices}x-gpu-sim({}{})", o.device.name, opts(o)),
+            Backend::GpuSplit { options: o, parts } => {
+                format!("gpu-split({}, {parts} parts{})", o.device.name, opts(o))
             }
             Backend::Cluster {
-                options,
+                options: o,
                 nodes,
                 devices_per_node,
                 partition,
-            } => {
-                let reorder = if options.reorder { ", reorder" } else { "" };
-                let sched = match options.schedule {
-                    KernelSchedule::ThreadPerEdge => String::new(),
-                    s => format!(", {s}"),
-                };
-                format!(
-                    "cluster-sim({nodes}x{devices_per_node}, {}, {partition}{sched}{reorder})",
-                    options.device.name
-                )
-            }
+            } => format!(
+                "cluster-sim({nodes}x{devices_per_node}, {}, {partition}{})",
+                o.device.name,
+                opts(o)
+            ),
+        }
+    }
+
+    /// The simulated-GPU options of any GPU topology (`None` for CPU
+    /// backends) — the one place every per-run knob is read.
+    pub(crate) fn gpu_options(&self) -> Option<&GpuOptions> {
+        match self {
+            Backend::Gpu(o)
+            | Backend::MultiGpu { options: o, .. }
+            | Backend::GpuSplit { options: o, .. }
+            | Backend::Cluster { options: o, .. } => Some(o),
+            _ => None,
+        }
+    }
+
+    /// Mutable access to the simulated-GPU options, for setting knobs.
+    pub(crate) fn gpu_options_mut(&mut self) -> Option<&mut GpuOptions> {
+        match self {
+            Backend::Gpu(o)
+            | Backend::MultiGpu { options: o, .. }
+            | Backend::GpuSplit { options: o, .. }
+            | Backend::Cluster { options: o, .. } => Some(o),
+            _ => None,
         }
     }
 
@@ -234,122 +258,31 @@ impl Backend {
     /// host wall time. Telemetry classes modeled timings as deterministic
     /// metrics; host-measured CPU timings go in the advisory section.
     pub fn is_modeled(&self) -> bool {
-        matches!(
-            self,
-            Backend::Gpu(_)
-                | Backend::MultiGpu { .. }
-                | Backend::GpuSplit { .. }
-                | Backend::Cluster { .. }
-        )
-    }
-
-    /// The scheduling knob of the backend's GPU options, if it has one.
-    fn schedule_mut(&mut self) -> Option<&mut KernelSchedule> {
-        match self {
-            Backend::Gpu(o) => Some(&mut o.schedule),
-            Backend::MultiGpu { options, .. }
-            | Backend::GpuSplit { options, .. }
-            | Backend::Cluster { options, .. } => Some(&mut options.schedule),
-            _ => None,
-        }
-    }
-
-    /// The reorder knob of the backend's GPU options, if it has one.
-    fn reorder_mut(&mut self) -> Option<&mut bool> {
-        match self {
-            Backend::Gpu(o) => Some(&mut o.reorder),
-            Backend::MultiGpu { options, .. }
-            | Backend::GpuSplit { options, .. }
-            | Backend::Cluster { options, .. } => Some(&mut options.reorder),
-            _ => None,
-        }
-    }
-
-    /// The sanitizer knob of the backend's GPU options, if it has one.
-    fn sanitizer_mut(&mut self) -> Option<&mut SanitizerMode> {
-        match self {
-            Backend::Gpu(o) => Some(&mut o.sanitizer),
-            Backend::MultiGpu { options, .. }
-            | Backend::GpuSplit { options, .. }
-            | Backend::Cluster { options, .. } => Some(&mut options.sanitizer),
-            _ => None,
-        }
+        self.gpu_options().is_some()
     }
 
     /// Set the sanitizer mode on a GPU backend. Returns whether the
     /// backend has a sanitizer knob (CPU backends do not).
     pub fn set_sanitizer(&mut self, mode: SanitizerMode) -> bool {
-        match self.sanitizer_mut() {
-            Some(slot) => {
-                *slot = mode;
-                true
-            }
-            None => false,
-        }
+        self.gpu_options_mut().map(|o| o.sanitizer = mode).is_some()
     }
 
     /// The backend's sanitizer mode (`Off` for CPU backends).
     pub fn sanitizer(&self) -> SanitizerMode {
-        match self {
-            Backend::Gpu(o) => o.sanitizer,
-            Backend::MultiGpu { options, .. }
-            | Backend::GpuSplit { options, .. }
-            | Backend::Cluster { options, .. } => options.sanitizer,
-            _ => SanitizerMode::Off,
-        }
-    }
-
-    /// The verifier knob of the backend's GPU options, if it has one.
-    fn verify_mut(&mut self) -> Option<&mut bool> {
-        match self {
-            Backend::Gpu(o) => Some(&mut o.verify),
-            Backend::MultiGpu { options, .. }
-            | Backend::GpuSplit { options, .. }
-            | Backend::Cluster { options, .. } => Some(&mut options.verify),
-            _ => None,
-        }
+        self.gpu_options()
+            .map_or(SanitizerMode::Off, |o| o.sanitizer)
     }
 
     /// Toggle the static launch verifier on a GPU backend. Returns whether
     /// the backend has a verifier knob (CPU backends do not).
     pub fn set_verify(&mut self, on: bool) -> bool {
-        match self.verify_mut() {
-            Some(slot) => {
-                *slot = on;
-                true
-            }
-            None => false,
-        }
+        self.gpu_options_mut().map(|o| o.verify = on).is_some()
     }
 
     /// Whether the backend runs the static launch verifier (`false` for
     /// CPU backends).
     pub fn verify(&self) -> bool {
-        match self {
-            Backend::Gpu(o) => o.verify,
-            Backend::MultiGpu { options, .. }
-            | Backend::GpuSplit { options, .. }
-            | Backend::Cluster { options, .. } => options.verify,
-            _ => false,
-        }
-    }
-}
-
-/// The `/reorder` token suffix for the relabeling toggle.
-fn reorder_suffix(on: bool) -> &'static str {
-    if on {
-        "/reorder"
-    } else {
-        ""
-    }
-}
-
-/// The `/sanitize[:paranoid]` token suffix for a sanitizer mode.
-fn sanitize_suffix(mode: SanitizerMode) -> &'static str {
-    match mode {
-        SanitizerMode::Off => "",
-        SanitizerMode::Check => "/sanitize",
-        SanitizerMode::Paranoid => "/sanitize:paranoid",
+        self.gpu_options().is_some_and(|o| o.verify)
     }
 }
 
@@ -359,15 +292,6 @@ fn parse_sanitize_clause(clause: &str) -> Option<SanitizerMode> {
         "sanitize" => Some(SanitizerMode::Check),
         "sanitize:paranoid" => Some(SanitizerMode::Paranoid),
         _ => None,
-    }
-}
-
-/// The `/verify` token suffix for the static launch verifier toggle.
-fn verify_suffix(on: bool) -> &'static str {
-    if on {
-        "/verify"
-    } else {
-        ""
     }
 }
 
@@ -397,6 +321,21 @@ impl fmt::Display for Backend {
     /// round-trips; a GPU backend on a non-preset device renders as
     /// `gpu:<name>`, which is informational only.
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        let dev = |o: &GpuOptions| match device_token(o.device.name) {
+            Some(tok) => tok.to_string(),
+            None => format!("gpu:{}", o.device.name),
+        };
+        // Every GPU form ends in the same option clauses, in grammar order.
+        let opts = |o: &GpuOptions| {
+            let sanitize = match o.sanitizer {
+                SanitizerMode::Off => "",
+                SanitizerMode::Check => "/sanitize",
+                SanitizerMode::Paranoid => "/sanitize:paranoid",
+            };
+            let reorder = if o.reorder { "/reorder" } else { "" };
+            let verify = if o.verify { "/verify" } else { "" };
+            format!("{}{reorder}{sanitize}{verify}", o.schedule.token_suffix())
+        };
         match self {
             Backend::CpuForward => f.write_str("forward"),
             Backend::CpuEdgeIterator => f.write_str("edge-iterator"),
@@ -405,56 +344,26 @@ impl fmt::Display for Backend {
             Backend::CpuParallel => f.write_str("parallel"),
             Backend::CpuHybrid { threshold: None } => f.write_str("hybrid"),
             Backend::CpuHybrid { threshold: Some(t) } => write!(f, "hybrid:{t}"),
-            Backend::Gpu(o) => {
-                match device_token(o.device.name) {
-                    Some(tok) => f.write_str(tok)?,
-                    None => write!(f, "gpu:{}", o.device.name)?,
-                }
-                f.write_str(&o.schedule.token_suffix())?;
-                f.write_str(reorder_suffix(o.reorder))?;
-                f.write_str(sanitize_suffix(o.sanitizer))?;
-                f.write_str(verify_suffix(o.verify))
-            }
-            Backend::MultiGpu { options, devices } => {
-                match device_token(options.device.name) {
-                    Some(tok) => write!(f, "{devices}x{tok}")?,
-                    None => write!(f, "{devices}xgpu:{}", options.device.name)?,
-                }
-                f.write_str(&options.schedule.token_suffix())?;
-                f.write_str(reorder_suffix(options.reorder))?;
-                f.write_str(sanitize_suffix(options.sanitizer))?;
-                f.write_str(verify_suffix(options.verify))
-            }
-            Backend::GpuSplit { options, parts } => {
-                match device_token(options.device.name) {
-                    Some(tok) => write!(f, "{tok}/split:{parts}")?,
-                    None => write!(f, "gpu:{}/split:{parts}", options.device.name)?,
-                }
-                f.write_str(&options.schedule.token_suffix())?;
-                f.write_str(reorder_suffix(options.reorder))?;
-                f.write_str(sanitize_suffix(options.sanitizer))?;
-                f.write_str(verify_suffix(options.verify))
+            Backend::Gpu(o) => write!(f, "{}{}", dev(o), opts(o)),
+            Backend::MultiGpu {
+                options: o,
+                devices,
+            } => write!(f, "{devices}x{}{}", dev(o), opts(o)),
+            Backend::GpuSplit { options: o, parts } => {
+                write!(f, "{}/split:{parts}{}", dev(o), opts(o))
             }
             Backend::Cluster {
-                options,
+                options: o,
                 nodes,
                 devices_per_node,
                 partition,
-            } => {
-                write!(
-                    f,
-                    "cluster:{nodes}x{devices_per_node}{}",
-                    partition.token_suffix()
-                )?;
-                match device_token(options.device.name) {
-                    Some(tok) => write!(f, "/{tok}")?,
-                    None => write!(f, "/gpu:{}", options.device.name)?,
-                }
-                f.write_str(&options.schedule.token_suffix())?;
-                f.write_str(reorder_suffix(options.reorder))?;
-                f.write_str(sanitize_suffix(options.sanitizer))?;
-                f.write_str(verify_suffix(options.verify))
-            }
+            } => write!(
+                f,
+                "cluster:{nodes}x{devices_per_node}{}/{}{}",
+                partition.token_suffix(),
+                dev(o),
+                opts(o)
+            ),
         }
     }
 }
@@ -547,7 +456,7 @@ impl FromStr for Backend {
                 return Err(err());
             }
             let mut backend: Backend = s[..pos].parse().map_err(|_| err())?;
-            *backend.verify_mut().ok_or_else(err)? = true;
+            backend.gpu_options_mut().ok_or_else(err)?.verify = true;
             return Ok(backend);
         }
         // Then the sanitizer suffix — last before `/verify` in every
@@ -556,7 +465,7 @@ impl FromStr for Backend {
         if let Some(pos) = s.find("/sanitize") {
             let mode = parse_sanitize_clause(&s[pos + 1..]).ok_or_else(err)?;
             let mut backend: Backend = s[..pos].parse().map_err(|_| err())?;
-            *backend.sanitizer_mut().ok_or_else(err)? = mode;
+            backend.gpu_options_mut().ok_or_else(err)?.sanitizer = mode;
             return Ok(backend);
         }
         // Then `/reorder`, which canonically sits between the scheduling
@@ -568,7 +477,7 @@ impl FromStr for Backend {
                 return Err(err());
             }
             let mut backend: Backend = s[..pos].parse().map_err(|_| err())?;
-            *backend.reorder_mut().ok_or_else(err)? = true;
+            backend.gpu_options_mut().ok_or_else(err)?.reorder = true;
             return Ok(backend);
         }
         // Then the scheduling suffix: it composes with every GPU form
@@ -576,7 +485,7 @@ impl FromStr for Backend {
         if let Some(pos) = s.find("/balanced") {
             let schedule = KernelSchedule::parse_clause(&s[pos + 1..]).ok_or_else(err)?;
             let mut backend: Backend = s[..pos].parse().map_err(|_| err())?;
-            *backend.schedule_mut().ok_or_else(err)? = schedule;
+            backend.gpu_options_mut().ok_or_else(err)?.schedule = schedule;
             return Ok(backend);
         }
         match s {
@@ -661,6 +570,11 @@ pub struct TriangleCount {
     /// Static launch-verifier report, when a GPU backend ran with the
     /// verifier on (`None` otherwise).
     pub verifier: Option<VerifierReport>,
+    /// One trace per simulated device (leaf ops, phase spans, profile),
+    /// when the request asked for a profile. Empty otherwise, and for
+    /// split backends, whose subproblems run one after another on fresh
+    /// devices and so have no single device timeline.
+    pub traces: Vec<RunTrace>,
 }
 
 /// A triangle-count request: the backend plus per-request options, built
@@ -732,61 +646,40 @@ impl CountRequest {
 
     fn dispatch(&self, g: &EdgeArray) -> Result<TriangleCount, CoreError> {
         let label = self.backend.label();
-        match &self.backend {
-            Backend::CpuForward => timed_cpu(label, || cpu::count_forward(g)),
-            Backend::CpuEdgeIterator => timed_cpu(label, || cpu::count_edge_iterator(g)),
-            Backend::CpuNodeIterator => timed_cpu(label, || cpu::count_node_iterator(g)),
-            Backend::CpuForwardHashed => timed_cpu(label, || cpu::count_forward_hashed(g)),
-            Backend::CpuParallel => timed_cpu(label, || cpu::count_forward_parallel(g)),
-            Backend::CpuHybrid { threshold } => timed_cpu(label, || match threshold {
-                Some(t) => cpu::count_hybrid(g, *t),
-                None => cpu::count_hybrid_auto(g),
-            }),
-            Backend::Gpu(opts) => {
-                let (report, profile) = if self.profile {
-                    let (report, trace) = run_gpu_pipeline_profiled(g, opts)?;
-                    (report, Some(trace.profile))
-                } else {
-                    (run_gpu_pipeline(g, opts)?, None)
-                };
-                Ok(TriangleCount {
-                    triangles: report.triangles,
-                    backend: label,
-                    seconds: report.total_s,
-                    sanitizer: report.sanitizer.clone(),
-                    verifier: report.verifier.clone(),
-                    gpu: Some(report),
-                    profile,
+        // Every GPU topology runs its profiled entry point; the request
+        // keeps the profile and the per-device traces only when asked.
+        let (mut count, profile, traces) = match &self.backend {
+            Backend::CpuForward => return timed_cpu(label, || cpu::count_forward(g)),
+            Backend::CpuEdgeIterator => return timed_cpu(label, || cpu::count_edge_iterator(g)),
+            Backend::CpuNodeIterator => return timed_cpu(label, || cpu::count_node_iterator(g)),
+            Backend::CpuForwardHashed => return timed_cpu(label, || cpu::count_forward_hashed(g)),
+            Backend::CpuParallel => return timed_cpu(label, || cpu::count_forward_parallel(g)),
+            Backend::CpuHybrid { threshold } => {
+                return timed_cpu(label, || match threshold {
+                    Some(t) => cpu::count_hybrid(g, *t),
+                    None => cpu::count_hybrid_auto(g),
                 })
+            }
+            Backend::Gpu(opts) => {
+                let (r, trace) = run_gpu_pipeline_profiled(g, opts)?;
+                let profile = self.profile.then(|| trace.profile.clone());
+                let mut count = counted(label, r.triangles, r.total_s);
+                count.sanitizer = r.sanitizer.clone();
+                count.verifier = r.verifier.clone();
+                count.gpu = Some(r);
+                (count, profile, vec![trace])
             }
             Backend::MultiGpu { options, devices } => {
-                let (report, profile) = if self.profile {
-                    let (report, traces) = run_multi_gpu_profiled(g, options, *devices)?;
-                    (report, Some(merged_profile(&traces)))
-                } else {
-                    (run_multi_gpu(g, options, *devices)?, None)
-                };
-                Ok(TriangleCount {
-                    triangles: report.triangles,
-                    backend: label,
-                    seconds: report.total_s,
-                    sanitizer: report.sanitizer,
-                    verifier: report.verifier,
-                    gpu: None,
-                    profile,
-                })
+                let (r, traces) = run_multi_gpu_profiled(g, options, *devices)?;
+                let mut count = counted(label, r.triangles, r.total_s);
+                (count.sanitizer, count.verifier) = (r.sanitizer, r.verifier);
+                (count, self.profile.then(|| merged_profile(&traces)), traces)
             }
             Backend::GpuSplit { options, parts } => {
-                let report = crate::gpu::split::count_split(g, options, *parts)?;
-                Ok(TriangleCount {
-                    triangles: report.triangles,
-                    backend: label,
-                    seconds: report.total_s,
-                    sanitizer: report.sanitizer,
-                    verifier: report.verifier,
-                    gpu: None,
-                    profile: self.profile.then_some(report.profile),
-                })
+                let r = count_split(g, options, *parts)?;
+                let mut count = counted(label, r.triangles, r.total_s);
+                (count.sanitizer, count.verifier) = (r.sanitizer, r.verifier);
+                (count, self.profile.then_some(r.profile), Vec::new())
             }
             Backend::Cluster {
                 options,
@@ -794,26 +687,39 @@ impl CountRequest {
                 devices_per_node,
                 partition,
             } => {
-                let topology = ClusterTopology::new(*nodes, *devices_per_node);
-                let (report, profile) = if self.profile {
-                    let (report, traces) = run_cluster_profiled(g, options, topology, *partition)?;
-                    (report, Some(merged_profile(&traces)))
-                } else {
-                    (run_cluster(g, options, topology, *partition)?, None)
-                };
-                Ok(TriangleCount {
-                    triangles: report.triangles,
-                    backend: label,
-                    seconds: report.total_s,
-                    sanitizer: report.sanitizer,
-                    verifier: report.verifier,
-                    gpu: None,
-                    profile,
-                })
-            } // `Backend` is non_exhaustive for downstream crates; within
-              // this crate the match stays exhaustive so a new variant is a
-              // compile error here, not a runtime surprise.
+                let topology = cluster_topology(*nodes, *devices_per_node)?;
+                let (r, traces) = run_cluster_profiled(g, options, topology, *partition)?;
+                let mut count = counted(label, r.triangles, r.total_s);
+                (count.sanitizer, count.verifier) = (r.sanitizer, r.verifier);
+                (count, self.profile.then(|| merged_profile(&traces)), traces)
+            }
+        };
+        count.profile = profile;
+        if self.profile {
+            count.traces = traces;
         }
+        Ok(count)
+    }
+}
+
+/// The whole-run profile of a multi-device run: per-device profiles
+/// merged (counters sum, spans group by path).
+fn merged_profile(traces: &[RunTrace]) -> ProfileReport {
+    let profiles: Vec<ProfileReport> = traces.iter().map(|t| t.profile.clone()).collect();
+    ProfileReport::merged(&profiles)
+}
+
+/// A bare count: no device report, profile, findings or traces.
+fn counted(backend: String, triangles: u64, seconds: f64) -> TriangleCount {
+    TriangleCount {
+        triangles,
+        backend,
+        seconds,
+        gpu: None,
+        profile: None,
+        sanitizer: None,
+        verifier: None,
+        traces: Vec::new(),
     }
 }
 
@@ -823,15 +729,7 @@ where
 {
     let start = Instant::now();
     let triangles = f()?;
-    Ok(TriangleCount {
-        triangles,
-        backend: label,
-        seconds: start.elapsed().as_secs_f64(),
-        gpu: None,
-        profile: None,
-        sanitizer: None,
-        verifier: None,
-    })
+    Ok(counted(label, triangles, start.elapsed().as_secs_f64()))
 }
 
 #[cfg(test)]
@@ -899,6 +797,78 @@ mod tests {
     }
 
     #[test]
+    fn gpu_labels_are_distinct_within_each_topology() {
+        // Labels omit the sanitizer and verifier (they change what is
+        // checked, not what is counted), so strip those clauses; every
+        // remaining GPU token must label distinctly within its topology.
+        let mut stripped: Vec<Backend> = Vec::new();
+        for tok in CANONICAL {
+            let mut b: Backend = tok.parse().unwrap();
+            if !b.set_sanitizer(SanitizerMode::Off) {
+                continue;
+            }
+            b.set_verify(false);
+            if !stripped.iter().any(|s| s.to_string() == b.to_string()) {
+                stripped.push(b);
+            }
+        }
+        for (i, a) in stripped.iter().enumerate() {
+            for b in &stripped[i + 1..] {
+                if std::mem::discriminant(a) == std::mem::discriminant(b) {
+                    assert_ne!(a.label(), b.label(), "{a} and {b} share a label");
+                }
+            }
+        }
+        // The split form carries the options its siblings carry.
+        let split: Backend = "gtx980/split:3/balanced+hash/reorder".parse().unwrap();
+        assert_eq!(
+            split.label(),
+            "gpu-split(GTX 980, 3 parts, balanced+hash, reorder)"
+        );
+    }
+
+    #[test]
+    fn impossible_backends_are_typed_errors() {
+        let g = fixture();
+        let opts = || GpuOptions::new(DeviceConfig::gtx_980().with_unlimited_memory());
+        let mut aos = opts();
+        aos.layout = EdgeLayout::AoS;
+        let cluster = |options, nodes, devices_per_node| Backend::Cluster {
+            options,
+            nodes,
+            devices_per_node,
+            partition: ClusterPartition::OneD,
+        };
+        for backend in [
+            Backend::MultiGpu {
+                options: opts(),
+                devices: 0,
+            },
+            Backend::GpuSplit {
+                options: opts(),
+                parts: 0,
+            },
+            cluster(opts(), 0, 2),
+            cluster(opts(), 2, 0),
+            Backend::MultiGpu {
+                options: aos.clone(),
+                devices: 2,
+            },
+            cluster(aos, 2, 2),
+        ] {
+            let err = CountRequest::new(backend.clone())
+                .graph_name("fixture")
+                .run(&g)
+                .unwrap_err();
+            assert!(
+                matches!(err.root(), CoreError::InvalidBackend(_)),
+                "{backend}: {err}"
+            );
+            assert!(err.to_string().contains("graph fixture"), "{err}");
+        }
+    }
+
+    #[test]
     fn labels_are_informative() {
         assert_eq!(Backend::CpuForward.label(), "cpu-forward");
         assert!(Backend::gpu_gtx980().label().contains("GTX 980"));
@@ -944,71 +914,74 @@ mod tests {
         ));
     }
 
+    /// Every canonical backend token: each must round-trip through
+    /// `from_str` / `Display`.
+    const CANONICAL: [&str; 60] = [
+        "forward",
+        "edge-iterator",
+        "node-iterator",
+        "hashed",
+        "parallel",
+        "hybrid",
+        "hybrid:32",
+        "gtx980",
+        "c2050",
+        "nvs5200m",
+        "4xc2050",
+        "2xgtx980",
+        "gtx980/split:3",
+        "gtx980/balanced",
+        "c2050/balanced:16x8",
+        "nvs5200m/balanced:0x32",
+        "4xc2050/balanced",
+        "2xgtx980/balanced:100x4",
+        "gtx980/split:3/balanced",
+        "gtx980/balanced+hash",
+        "4xc2050/balanced+hash",
+        "gtx980/split:3/balanced+hash",
+        "gtx980/reorder",
+        "2xgtx980/reorder",
+        "gtx980/split:3/reorder",
+        "gtx980/balanced/reorder",
+        "gtx980/balanced+hash/reorder",
+        "c2050/balanced:16x8/reorder",
+        "gtx980/sanitize",
+        "nvs5200m/sanitize:paranoid",
+        "4xc2050/sanitize",
+        "gtx980/balanced/sanitize",
+        "c2050/balanced:16x8/sanitize:paranoid",
+        "gtx980/split:3/sanitize",
+        "gtx980/split:3/balanced/sanitize",
+        "gtx980/reorder/sanitize",
+        "gtx980/balanced+hash/reorder/sanitize:paranoid",
+        "cluster:1x1/gtx980",
+        "cluster:2x2/gtx980",
+        "cluster:4x2/c2050",
+        "cluster:2x2:2d/gtx980",
+        "cluster:2x2/gtx980/balanced",
+        "cluster:2x2/gtx980/balanced+hash",
+        "cluster:2x2:2d/c2050/balanced:16x8",
+        "cluster:2x2/gtx980/reorder",
+        "cluster:2x2/gtx980/sanitize",
+        "cluster:2x2:2d/gtx980/balanced/reorder/sanitize:paranoid",
+        "gtx980/verify",
+        "nvs5200m/verify",
+        "4xc2050/verify",
+        "gtx980/split:3/verify",
+        "gtx980/balanced/verify",
+        "gtx980/balanced+hash/verify",
+        "gtx980/reorder/verify",
+        "gtx980/sanitize/verify",
+        "gtx980/sanitize:paranoid/verify",
+        "gtx980/balanced+hash/reorder/sanitize/verify",
+        "c2050/balanced:16x8/reorder/sanitize:paranoid/verify",
+        "cluster:2x2/gtx980/verify",
+        "cluster:2x2:2d/gtx980/balanced/reorder/sanitize:paranoid/verify",
+    ];
+
     #[test]
     fn backend_tokens_round_trip() {
-        let canonical = [
-            "forward",
-            "edge-iterator",
-            "node-iterator",
-            "hashed",
-            "parallel",
-            "hybrid",
-            "hybrid:32",
-            "gtx980",
-            "c2050",
-            "nvs5200m",
-            "4xc2050",
-            "2xgtx980",
-            "gtx980/split:3",
-            "gtx980/balanced",
-            "c2050/balanced:16x8",
-            "nvs5200m/balanced:0x32",
-            "4xc2050/balanced",
-            "2xgtx980/balanced:100x4",
-            "gtx980/split:3/balanced",
-            "gtx980/balanced+hash",
-            "4xc2050/balanced+hash",
-            "gtx980/split:3/balanced+hash",
-            "gtx980/reorder",
-            "2xgtx980/reorder",
-            "gtx980/split:3/reorder",
-            "gtx980/balanced/reorder",
-            "gtx980/balanced+hash/reorder",
-            "c2050/balanced:16x8/reorder",
-            "gtx980/sanitize",
-            "nvs5200m/sanitize:paranoid",
-            "4xc2050/sanitize",
-            "gtx980/balanced/sanitize",
-            "c2050/balanced:16x8/sanitize:paranoid",
-            "gtx980/split:3/sanitize",
-            "gtx980/split:3/balanced/sanitize",
-            "gtx980/reorder/sanitize",
-            "gtx980/balanced+hash/reorder/sanitize:paranoid",
-            "cluster:1x1/gtx980",
-            "cluster:2x2/gtx980",
-            "cluster:4x2/c2050",
-            "cluster:2x2:2d/gtx980",
-            "cluster:2x2/gtx980/balanced",
-            "cluster:2x2/gtx980/balanced+hash",
-            "cluster:2x2:2d/c2050/balanced:16x8",
-            "cluster:2x2/gtx980/reorder",
-            "cluster:2x2/gtx980/sanitize",
-            "cluster:2x2:2d/gtx980/balanced/reorder/sanitize:paranoid",
-            "gtx980/verify",
-            "nvs5200m/verify",
-            "4xc2050/verify",
-            "gtx980/split:3/verify",
-            "gtx980/balanced/verify",
-            "gtx980/balanced+hash/verify",
-            "gtx980/reorder/verify",
-            "gtx980/sanitize/verify",
-            "gtx980/sanitize:paranoid/verify",
-            "gtx980/balanced+hash/reorder/sanitize/verify",
-            "c2050/balanced:16x8/reorder/sanitize:paranoid/verify",
-            "cluster:2x2/gtx980/verify",
-            "cluster:2x2:2d/gtx980/balanced/reorder/sanitize:paranoid/verify",
-        ];
-        for tok in canonical {
+        for tok in CANONICAL {
             let b: Backend = tok.parse().unwrap_or_else(|e| panic!("{tok}: {e}"));
             assert_eq!(b.to_string(), tok);
         }

@@ -19,6 +19,15 @@ pub struct ErrorContext {
 }
 
 impl ErrorContext {
+    /// The context of a failure on `device` during `phase`.
+    pub(crate) fn at(device: impl Into<String>, phase: &str) -> ErrorContext {
+        ErrorContext {
+            device: Some(device.into()),
+            phase: Some(phase.into()),
+            ..Default::default()
+        }
+    }
+
     pub fn is_empty(&self) -> bool {
         self.graph.is_none() && self.device.is_none() && self.phase.is_none()
     }
@@ -56,6 +65,10 @@ pub enum CoreError {
         required_bytes: u64,
         capacity_bytes: u64,
     },
+    /// The backend has a shape no run can take — zero devices, split
+    /// parts or cluster nodes, or a layout its topology cannot serve. The
+    /// token parser rejects these; API-built backends can still hold them.
+    InvalidBackend(String),
     /// An underlying error annotated with where it happened.
     Context {
         context: ErrorContext,
@@ -118,6 +131,7 @@ impl fmt::Display for CoreError {
                 "graph needs {required_bytes} device bytes even with CPU preprocessing; \
                  device has {capacity_bytes}"
             ),
+            CoreError::InvalidBackend(detail) => write!(f, "invalid backend: {detail}"),
             CoreError::Context { context, source } => {
                 if context.is_empty() {
                     write!(f, "{source}")

@@ -37,20 +37,21 @@
 use std::fmt;
 
 use tc_graph::{Csr, EdgeArray, Orientation};
-use tc_simt::primitives::{charge_transform_pass, reduce_sum_u64, sort_u64};
 use tc_simt::profiler::{relative_spans, ProfileReport, RelSpan};
 use tc_simt::{
-    Cluster, ClusterTopology, DeviceBuffer, Interconnect, KernelStats, LaunchConfig,
+    Cluster, ClusterTopology, Device, DeviceBuffer, Interconnect, KernelStats, LaunchConfig,
     SanitizerReport, VerifierReport,
 };
 
 use crate::count::GpuOptions;
 use crate::error::{CoreError, ErrorContext};
-use crate::gpu::count_kernel::{CountKernel, KernelArrays};
+use crate::gpu::count_kernel::KernelArrays;
+use crate::gpu::merge_reports;
 use crate::gpu::pipeline::RunTrace;
-use crate::gpu::schedule::{bin_specs, Bin, BinPlan};
-use crate::gpu::warp_centric::{
-    hash_scratch_len, hash_shared_slots, IntersectStrategy, WarpCentricKernel,
+use crate::gpu::prepared::{CountMark, PreparedCount};
+use crate::gpu::schedule::{
+    alloc_hash_scratch, build_plan_from_host, dispatch_bins, free_plan, BinPlan, Bins, DispatchCtx,
+    Stripe,
 };
 use crate::gpu::EdgeLayout;
 
@@ -253,7 +254,6 @@ pub struct PreparedCluster {
     opts: GpuOptions,
     partition: ClusterPartition,
     lc: LaunchConfig,
-    total_threads: usize,
     shards: Vec<ShardOnDevice>,
     per_shard_arcs: Vec<usize>,
     imbalance: f64,
@@ -263,23 +263,19 @@ pub struct PreparedCluster {
     counts_served: u64,
 }
 
-/// One count served from a [`PreparedCluster`]: the per-shard kernel
-/// phases plus the internode merge.
-#[derive(Clone, Debug)]
-pub struct ClusterCount {
-    pub triangles: u64,
-    /// Modeled seconds of this count: the slowest shard's kernel + reduce
-    /// + merge-message window (shards run in parallel).
-    pub count_s: f64,
-    /// Per-shard modeled seconds, flat device order.
-    pub per_shard_s: Vec<f64>,
-    /// The slowest kernel launch across every shard and bin.
-    pub kernel: KernelStats,
-    /// Merged per-shard profile of exactly this count's ops.
-    pub profile: ProfileReport,
-    /// Per-shard spans on a clock-base-free relative timeline, flat device
-    /// order (paths `shard-count/...`, `internode-merge`).
-    pub trace: Vec<RelSpan>,
+/// The topology of a `nodes` × `devices_per_node` cluster backend. The
+/// token parser rejects an empty grid, but an API-built backend can hold
+/// one: that is a typed [`CoreError::InvalidBackend`], not a panic.
+pub fn cluster_topology(
+    nodes: usize,
+    devices_per_node: usize,
+) -> Result<ClusterTopology, CoreError> {
+    if nodes == 0 || devices_per_node == 0 {
+        return Err(CoreError::InvalidBackend(format!(
+            "a {nodes}x{devices_per_node} cluster has no devices"
+        )));
+    }
+    Ok(ClusterTopology::new(nodes, devices_per_node))
 }
 
 impl PreparedCluster {
@@ -293,10 +289,11 @@ impl PreparedCluster {
         topology: ClusterTopology,
         partition: ClusterPartition,
     ) -> Result<PreparedCluster, CoreError> {
-        assert!(
-            opts.layout == EdgeLayout::SoA,
-            "the cluster path dispatches gathered endpoint arrays (SoA only)"
-        );
+        if opts.layout != EdgeLayout::SoA {
+            return Err(CoreError::InvalidBackend(
+                "the cluster path dispatches gathered endpoint arrays (SoA only)".into(),
+            ));
+        }
         // The per-run sanitizer request folds into the device preset so
         // every shard device installs its shadow map at construction.
         let mut cfg = opts.device.clone();
@@ -308,14 +305,7 @@ impl PreparedCluster {
         }
         cluster.reset_clocks();
 
-        let lc = opts
-            .launch
-            .unwrap_or_else(|| cluster.device(0).config().paper_launch());
-        let lc = LaunchConfig {
-            blocks: lc.blocks * opts.warp_split,
-            threads_per_block: lc.threads_per_block,
-            warp_split: opts.warp_split,
-        };
+        let lc = opts.launch_config(cluster.device(0).config());
         let total_threads = lc.active_threads(cluster.device(0).config().warp_size);
 
         // ---- global orientation on the host ----
@@ -373,7 +363,6 @@ impl PreparedCluster {
             opts: opts.clone(),
             partition,
             lc,
-            total_threads,
             shards,
             per_shard_arcs,
             imbalance,
@@ -386,34 +375,22 @@ impl PreparedCluster {
 
     /// Run the counting phase: every shard dispatches its kernels (bin
     /// plan or single gathered launch), reduces, and sends its partial to
-    /// the merge in flat device-index order.
-    pub fn count(&mut self) -> Result<ClusterCount, CoreError> {
+    /// the merge in flat device-index order. The count's trace holds each
+    /// shard's `shard-count/...` and `internode-merge` spans, flat device
+    /// order.
+    pub fn count(&mut self) -> Result<PreparedCount, CoreError> {
         let s = self.shards.len();
-        let span_marks: Vec<usize> = (0..s)
-            .map(|i| self.cluster.device(i).spans().len())
-            .collect();
-        let log_marks: Vec<usize> = (0..s)
-            .map(|i| self.cluster.device(i).time_log().len())
-            .collect();
-        let counters0: Vec<_> = (0..s).map(|i| *self.cluster.device(i).counters()).collect();
+        let marks: Vec<CountMark> = self.cluster.iter().map(CountMark::of).collect();
 
         let mut triangles = 0u64;
         let mut slowest: Option<KernelStats> = None;
         for i in 0..s {
             self.cluster.device_mut(i).push_phase("shard-count");
             let counted = self.count_shard(i);
-            let (t, stats) = match counted {
-                Ok(pair) => pair,
-                Err(e) => {
-                    self.cluster.device_mut(i).pop_phase();
-                    return Err(e.with_context(ErrorContext {
-                        device: Some(self.cluster.device(i).config().name.to_string()),
-                        phase: Some("shard-count".into()),
-                        ..Default::default()
-                    }));
-                }
-            };
             self.cluster.device_mut(i).pop_phase();
+            let name = self.cluster.device(i).config().name;
+            let (t, stats) =
+                counted.map_err(|e| e.with_context(ErrorContext::at(name, "shard-count")))?;
             // Deterministic merge: partials sum in flat device-index order
             // (u64 addition is associative, but the fixed order keeps the
             // *protocol* — and so every charged message — identical across
@@ -435,37 +412,18 @@ impl PreparedCluster {
         }
         self.counts_served += 1;
 
-        // Per-shard modeled seconds: sum of this count's op durations —
-        // clock-base-free, like the single-device path.
-        let per_shard_s: Vec<f64> = (0..s)
-            .map(|i| {
-                self.cluster.device(i).time_log()[log_marks[i]..]
-                    .iter()
-                    .map(|op| op.seconds)
-                    .sum()
-            })
-            .collect();
+        // Per-shard windows, clock-base-free like the single-device path.
+        let mut per_shard_s = Vec::with_capacity(s);
+        let mut profiles = Vec::with_capacity(s);
+        let mut trace = Vec::new();
+        for (dev, mark) in self.cluster.iter().zip(marks) {
+            let (seconds, profile, spans) = mark.window(dev);
+            per_shard_s.push(seconds);
+            profiles.push(profile);
+            trace.extend(spans);
+        }
         let count_s = per_shard_s.iter().copied().fold(0.0, f64::max);
-        let profiles: Vec<ProfileReport> = (0..s)
-            .map(|i| {
-                let dev = self.cluster.device(i);
-                ProfileReport {
-                    device: dev.config().name.to_string(),
-                    peak_bandwidth_gbs: dev.config().dram_bandwidth_gbs,
-                    devices: 1,
-                    total_s: per_shard_s[i],
-                    totals: dev.counters().delta(&counters0[i]),
-                    spans: dev.spans()[span_marks[i]..].to_vec(),
-                }
-            })
-            .collect();
-        let trace: Vec<RelSpan> = (0..s)
-            .flat_map(|i| {
-                let dev = self.cluster.device(i);
-                relative_spans(dev.spans(), dev.time_log(), span_marks[i], log_marks[i])
-            })
-            .collect();
-        Ok(ClusterCount {
+        Ok(PreparedCount {
             triangles,
             count_s,
             per_shard_s,
@@ -479,96 +437,30 @@ impl PreparedCluster {
     /// slowest launch (if any ran — empty shards launch nothing).
     fn count_shard(&mut self, i: usize) -> Result<(u64, Option<KernelStats>), CoreError> {
         let shard = &self.shards[i];
-        let (m, eu, ev, node, nbr, result) = (
-            shard.m,
-            shard.eu,
-            shard.ev,
-            shard.node,
-            shard.nbr,
-            shard.result,
-        );
-        let (plan, hash_scratch) = (shard.plan.clone(), shard.hash_scratch);
-        let lc = self.lc;
-        let total_threads = self.total_threads;
-        let dev = self.cluster.device_mut(i);
-        if m == 0 {
+        if shard.m == 0 {
             return Ok((0, None));
         }
-        let mut triangles = 0u64;
-        let mut slowest: Option<KernelStats> = None;
-        let dispatch = |dev: &mut tc_simt::Device,
-                        eu: DeviceBuffer<u32>,
-                        ev: DeviceBuffer<u32>,
-                        bin: Bin|
-         -> Result<KernelStats, CoreError> {
-            dev.poke(&result, &vec![0u64; total_threads]);
-            if bin.width == 1 {
-                let kernel = CountKernel {
-                    arrays: KernelArrays::Gathered { eu, ev, adj: nbr },
-                    node,
-                    result,
-                    offset: bin.start,
-                    count: bin.len,
-                    variant: self.opts.kernel,
-                    use_texture_cache: self.opts.use_texture_cache,
-                };
-                Ok(dev.with_phase("count-kernel", |d| {
-                    d.launch("CountTriangles(shard)", lc, &kernel)
-                })?)
-            } else {
-                let kernel = WarpCentricKernel {
-                    adj: nbr,
-                    edge_u: eu,
-                    edge_v: ev,
-                    node,
-                    result,
-                    offset: bin.start,
-                    count: bin.len,
-                    virtual_warp: bin.width,
-                    use_texture_cache: self.opts.use_texture_cache,
-                    strategy: if bin.hash {
-                        IntersectStrategy::Hash
-                    } else {
-                        IntersectStrategy::ChunkScan
-                    },
-                    scratch: if bin.hash { hash_scratch } else { None },
-                    shared_slots: if bin.hash {
-                        hash_shared_slots(dev.config(), lc.threads_per_block, bin.width)
-                    } else {
-                        0
-                    },
-                };
-                let label = if bin.hash {
-                    "CountTrianglesWarpHash(shard)"
-                } else {
-                    "CountTrianglesWarp(shard)"
-                };
-                Ok(dev.with_phase("count-kernel", |d| d.launch(label, lc, &kernel))?)
-            }
+        // The shard's plan, or one whole-shard merge bin over its own
+        // local endpoint arrays.
+        let (eu, ev, bins) = match &shard.plan {
+            Some(plan) => (plan.eu, plan.ev, Bins::Plan(&plan.bins)),
+            None => (shard.eu, shard.ev, Bins::Whole(shard.m)),
         };
-        match plan {
-            Some(plan) => {
-                for bin in plan.occupied() {
-                    let stats = dispatch(dev, plan.eu, plan.ev, *bin)?;
-                    triangles += dev.with_phase("reduce", |d| reduce_sum_u64(d, &result));
-                    if slowest.as_ref().is_none_or(|s| stats.time_s > s.time_s) {
-                        slowest = Some(stats);
-                    }
-                }
-            }
-            None => {
-                let whole = Bin {
-                    start: 0,
-                    len: m,
-                    width: 1,
-                    hash: false,
-                };
-                let stats = dispatch(dev, eu, ev, whole)?;
-                triangles += dev.with_phase("reduce", |d| reduce_sum_u64(d, &result));
-                slowest = Some(stats);
-            }
-        }
-        Ok((triangles, slowest))
+        let arrays = KernelArrays::Gathered {
+            eu,
+            ev,
+            adj: shard.nbr,
+        };
+        let ctx = DispatchCtx {
+            opts: &self.opts,
+            lc: self.lc,
+            node: shard.node,
+            result: shard.result,
+            hash_scratch: shard.hash_scratch,
+            tag: "shard",
+        };
+        let dev = self.cluster.device_mut(i);
+        dispatch_bins(dev, arrays, bins, Stripe::WHOLE, &ctx)
     }
 
     /// Free every device buffer on every shard. The cluster's devices are
@@ -583,8 +475,7 @@ impl PreparedCluster {
                 (shard.eu, shard.ev, shard.node, shard.nbr, shard.result);
             let dev = self.cluster.device_mut(i);
             if let Some(plan) = plan {
-                dev.free(plan.eu)?;
-                dev.free(plan.ev)?;
+                free_plan(dev, &plan)?;
             }
             if let Some(scratch) = scratch {
                 dev.free(scratch)?;
@@ -669,45 +560,30 @@ impl PreparedCluster {
     /// Merged sanitizer findings across every shard device, flat device
     /// order (`None` when the sanitizer is off).
     pub fn sanitizer_report(&self) -> Option<SanitizerReport> {
-        let reports: Vec<SanitizerReport> = self
-            .cluster
-            .iter()
-            .filter_map(|d| d.sanitizer_report())
-            .collect();
-        if reports.is_empty() {
-            None
-        } else {
-            Some(SanitizerReport::merged(&reports))
-        }
+        merge_reports(
+            self.cluster.iter().map(Device::sanitizer_report),
+            SanitizerReport::merged,
+        )
     }
 
     /// Merged static launch-verifier reports across every shard device,
     /// flat device order (`None` when the verifier is off).
     pub fn verifier_report(&self) -> Option<VerifierReport> {
-        let reports: Vec<VerifierReport> = self
-            .cluster
-            .iter()
-            .filter_map(|d| d.verifier_report())
-            .collect();
-        if reports.is_empty() {
-            None
-        } else {
-            Some(VerifierReport::merged(&reports))
-        }
+        merge_reports(
+            self.cluster.iter().map(Device::verifier_report),
+            VerifierReport::merged,
+        )
     }
 
     /// Per-device traces (for `--trace` / `--profile` on cluster runs).
     pub fn run_traces(&self) -> Vec<RunTrace> {
-        (0..self.shards.len())
-            .map(|i| {
-                let dev = self.cluster.device(i);
-                let node = self.cluster.topology().node_of(i);
-                RunTrace {
-                    device_name: format!("node{node}/gpu{i} ({})", dev.config().name),
-                    log: dev.time_log().to_vec(),
-                    spans: dev.spans().to_vec(),
-                    profile: dev.profile(),
-                }
+        let topology = self.cluster.topology();
+        self.cluster
+            .iter()
+            .enumerate()
+            .map(|(i, dev)| {
+                let node = topology.node_of(i);
+                RunTrace::of(dev, format!("node{node}/gpu{i} ({})", dev.config().name))
             })
             .collect()
     }
@@ -760,22 +636,11 @@ fn upload_shard_inner(
     let nbr = cluster.htod_scatter(i, &hs.nbr)?;
 
     // Per-shard bin plan: the same static tuner and the same charged
-    // binning passes as `schedule::build_plan`, over the shard's arrays.
-    let plan = build_shard_plan(cluster.device_mut(i), &hs.eu, &hs.ev, &hs.work, opts)?;
-
+    // binning passes as the single-device plan, over the shard's arrays.
     let dev = cluster.device_mut(i);
+    let plan = build_plan_from_host(dev, &hs.eu, &hs.ev, &hs.work, opts.schedule)?;
     let result = dev.alloc::<u64>(total_threads)?;
-    let scratch_len = plan.as_ref().and_then(|p| {
-        p.bins
-            .iter()
-            .filter(|b| b.hash && b.len > 0)
-            .map(|b| hash_scratch_len(total_threads, b.width))
-            .max()
-    });
-    let hash_scratch = match scratch_len {
-        Some(len) => Some(dev.alloc::<u32>(len)?),
-        None => None,
-    };
+    let hash_scratch = alloc_hash_scratch(dev, plan.as_ref(), total_threads)?;
     Ok(ShardOnDevice {
         m,
         eu,
@@ -786,84 +651,6 @@ fn upload_shard_inner(
         plan,
         hash_scratch,
     })
-}
-
-/// The shard-local analog of [`crate::gpu::schedule::build_plan`]: same
-/// tuner, same charged passes (work-estimate keys, radix sort, gather),
-/// over the shard's local endpoint arrays.
-fn build_shard_plan(
-    dev: &mut tc_simt::Device,
-    eu: &[u32],
-    ev: &[u32],
-    work: &[u32],
-    opts: &GpuOptions,
-) -> Result<Option<BinPlan>, CoreError> {
-    let m = work.len();
-    let Some(specs) = bin_specs(opts.schedule, work) else {
-        return Ok(None);
-    };
-    for spec in &specs {
-        assert!(
-            spec.width == 1 || dev.config().warp_size.is_multiple_of(spec.width),
-            "virtual-warp width {} must divide the warp size {}",
-            spec.width,
-            dev.config().warp_size
-        );
-    }
-    let mb = m as u64;
-    let keys = dev.alloc::<u64>(m)?;
-    let mut host_keys: Vec<u64> = work
-        .iter()
-        .enumerate()
-        .map(|(i, &w)| ((w as u64) << 32) | i as u64)
-        .collect();
-    dev.poke(&keys, &host_keys);
-    dev.with_phase("bin-sort", |d| {
-        charge_transform_pass(d, "schedule: work-estimate keys", mb * 24, mb * 8)
-    });
-    dev.with_phase("bin-sort", |d| sort_u64(d, &keys, m))?;
-    host_keys.sort_unstable();
-
-    let gathered_eu = dev.alloc::<u32>(m)?;
-    let gathered_ev = dev.alloc::<u32>(m)?;
-    let gathered_u: Vec<u32> = host_keys
-        .iter()
-        .map(|&k| eu[(k & 0xffff_ffff) as usize])
-        .collect();
-    let gathered_v: Vec<u32> = host_keys
-        .iter()
-        .map(|&k| ev[(k & 0xffff_ffff) as usize])
-        .collect();
-    dev.poke(&gathered_eu, &gathered_u);
-    dev.poke(&gathered_ev, &gathered_v);
-    dev.with_phase("bin-gather", |d| {
-        charge_transform_pass(d, "schedule: bin gather", mb * 16, mb * 8)
-    });
-    dev.free(keys)?;
-
-    let sorted_work: Vec<u32> = host_keys.iter().map(|&k| (k >> 32) as u32).collect();
-    let mut bins = Vec::with_capacity(specs.len());
-    let mut start = 0usize;
-    for (i, spec) in specs.iter().enumerate() {
-        let end = if i + 1 == specs.len() {
-            m
-        } else {
-            sorted_work.partition_point(|&w| w < spec.max_work)
-        };
-        bins.push(Bin {
-            start,
-            len: end - start,
-            width: spec.width,
-            hash: spec.hash,
-        });
-        start = end;
-    }
-    debug_assert_eq!(start, m, "bins must cover every shard arc");
-    Ok(Some(BinPlan {
-        eu: gathered_eu,
-        ev: gathered_ev,
-        bins,
-    }))
 }
 
 /// Results of a one-shot cluster run.

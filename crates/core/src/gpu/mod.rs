@@ -21,6 +21,16 @@ pub mod warp_centric;
 
 pub use schedule::KernelSchedule;
 
+/// Merge per-device (or per-subproblem) reports in order with `merge`;
+/// `None` when none was produced (the sanitizer or verifier was off).
+pub(crate) fn merge_reports<R>(
+    reports: impl IntoIterator<Item = Option<R>>,
+    merge: fn(&[R]) -> R,
+) -> Option<R> {
+    let reports: Vec<R> = reports.into_iter().flatten().collect();
+    (!reports.is_empty()).then(|| merge(&reports))
+}
+
 /// Which merge loop the kernel runs (§III-D3).
 #[derive(Clone, Copy, PartialEq, Eq, Debug, Default)]
 #[non_exhaustive]

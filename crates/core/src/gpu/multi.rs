@@ -7,18 +7,16 @@
 //! exposes exactly the quantities needed to check that.
 
 use tc_graph::EdgeArray;
-use tc_simt::primitives::reduce_sum_u64;
-use tc_simt::profiler::ProfileReport;
-use tc_simt::{DeviceGroup, KernelStats, LaunchConfig, SanitizerReport, VerifierReport};
+use tc_simt::{Device, DeviceGroup, KernelStats, SanitizerReport, VerifierReport};
 
 use crate::count::GpuOptions;
 use crate::error::CoreError;
-use crate::gpu::count_kernel::{CountKernel, KernelArrays};
+use crate::gpu::count_kernel::KernelArrays;
+use crate::gpu::merge_reports;
 use crate::gpu::pipeline::RunTrace;
 use crate::gpu::preprocess::preprocess_auto;
-use crate::gpu::schedule::build_plan;
-use crate::gpu::warp_centric::{
-    hash_scratch_len, hash_shared_slots, IntersectStrategy, WarpCentricKernel,
+use crate::gpu::schedule::{
+    alloc_hash_scratch, build_plan, dispatch_bins, Bins, DispatchCtx, Stripe,
 };
 use crate::gpu::EdgeLayout;
 
@@ -58,17 +56,22 @@ pub fn run_multi_gpu(
 
 /// Like [`run_multi_gpu`] but also returns one [`RunTrace`] per device
 /// (trace thread `gpu0`, `gpu1`, …). Merge the per-device profiles with
-/// [`ProfileReport::merged`] for the whole-run view.
+/// [`tc_simt::ProfileReport::merged`] for the whole-run view.
 pub fn run_multi_gpu_profiled(
     g: &EdgeArray,
     opts: &GpuOptions,
     devices: usize,
 ) -> Result<(MultiGpuReport, Vec<RunTrace>), CoreError> {
-    assert!(devices >= 1);
-    assert!(
-        opts.layout == EdgeLayout::SoA,
-        "the multi-GPU scheme broadcasts the production SoA layout"
-    );
+    if devices == 0 {
+        return Err(CoreError::InvalidBackend(
+            "a multi-GPU run needs at least one device".into(),
+        ));
+    }
+    if opts.layout != EdgeLayout::SoA {
+        return Err(CoreError::InvalidBackend(
+            "the multi-GPU scheme broadcasts the production SoA layout".into(),
+        ));
+    }
     // Fold the per-run sanitizer request into the device preset so every
     // striped device installs its shadow map at construction.
     let mut cfg = opts.device.clone();
@@ -81,19 +84,16 @@ pub fn run_multi_gpu_profiled(
     group.reset_clocks();
 
     // Preprocess on device 0 only, reserving room for its result array.
-    let reserve = {
-        let dev0 = group.device(0);
-        let lc = opts.launch.unwrap_or_else(|| dev0.config().paper_launch());
-        LaunchConfig {
-            blocks: lc.blocks * opts.warp_split,
-            threads_per_block: lc.threads_per_block,
-            warp_split: opts.warp_split,
-        }
-        .active_threads(dev0.config().warp_size) as u64
-            * 8
-    };
+    let lc = opts.launch_config(group.device(0).config());
+    let total_threads = lc.active_threads(group.device(0).config().warp_size);
     group.device_mut(0).push_phase("preprocess");
-    let pre = preprocess_auto(group.device_mut(0), g, false, reserve, opts.reorder);
+    let pre = preprocess_auto(
+        group.device_mut(0),
+        g,
+        false,
+        total_threads as u64 * 8,
+        opts.reorder,
+    );
     group.device_mut(0).pop_phase();
     let pre = pre?;
 
@@ -107,7 +107,7 @@ pub fn run_multi_gpu_profiled(
 
     // Broadcast the shared arrays (plus the gathered bin-ordered edge
     // copies under a balanced plan). Target clocks start accumulating here.
-    let t_before: Vec<f64> = (0..devices).map(|i| group.device(i).elapsed()).collect();
+    let t_before: Vec<f64> = group.iter().map(Device::elapsed).collect();
     for i in 0..devices {
         group.device_mut(i).push_phase("broadcast");
     }
@@ -126,121 +126,47 @@ pub fn run_multi_gpu_profiled(
     // paper's scheme, of every occupied bin under a balanced plan (so each
     // device sees the same light/heavy mix and the stripes stay even).
     let mut triangles = 0u64;
-    let mut kernel_stats: Option<KernelStats> = None;
+    let mut kernel = KernelStats::default();
     for i in 0..devices {
         let dev = group.device_mut(i);
-        let lc = opts.launch.unwrap_or_else(|| dev.config().paper_launch());
-        let lc = LaunchConfig {
-            blocks: lc.blocks * opts.warp_split,
-            threads_per_block: lc.threads_per_block,
-            warp_split: opts.warp_split,
-        };
-        let total_threads = lc.active_threads(dev.config().warp_size);
         dev.push_phase("count");
         let result = dev.alloc::<u64>(total_threads)?;
-        // Hash bins need per-device table scratch (each device runs its
-        // own stripe of every bin with the full launch geometry).
-        let scratch_len = plan.as_ref().and_then(|p| {
-            p.bins
-                .iter()
-                .filter(|b| b.hash && b.len > 0)
-                .map(|b| hash_scratch_len(total_threads, b.width))
-                .max()
-        });
-        let hash_scratch = match scratch_len {
-            Some(len) => Some(dev.alloc::<u32>(len)?),
-            None => None,
-        };
-        match (&plan, &gathered) {
+        // Each device runs its own stripe of every bin with the full
+        // launch geometry, so each needs its own hash-table scratch.
+        let hash_scratch = alloc_hash_scratch(dev, plan.as_ref(), total_threads)?;
+        let (arrays, bins, tag) = match (&plan, &gathered) {
             (Some(plan), Some((eu, ev))) => {
-                let mut slowest: Option<KernelStats> = None;
-                for bin in plan.occupied() {
-                    dev.poke(&result, &vec![0u64; total_threads]);
-                    let offset = bin.start + bin.len * i / devices;
-                    let count = bin.start + bin.len * (i + 1) / devices - offset;
-                    if count == 0 {
-                        continue;
-                    }
-                    let stats = if bin.width == 1 {
-                        let kernel = CountKernel {
-                            arrays: KernelArrays::Gathered {
-                                eu: eu[i],
-                                ev: ev[i],
-                                adj: nbr[i],
-                            },
-                            node: node[i],
-                            result,
-                            offset,
-                            count,
-                            variant: opts.kernel,
-                            use_texture_cache: opts.use_texture_cache,
-                        };
-                        dev.with_phase("count-kernel", |d| {
-                            d.launch("CountTriangles(bin stripe)", lc, &kernel)
-                        })?
-                    } else {
-                        let kernel = WarpCentricKernel {
-                            adj: nbr[i],
-                            edge_u: eu[i],
-                            edge_v: ev[i],
-                            node: node[i],
-                            result,
-                            offset,
-                            count,
-                            virtual_warp: bin.width,
-                            use_texture_cache: opts.use_texture_cache,
-                            strategy: if bin.hash {
-                                IntersectStrategy::Hash
-                            } else {
-                                IntersectStrategy::ChunkScan
-                            },
-                            scratch: if bin.hash { hash_scratch } else { None },
-                            shared_slots: if bin.hash {
-                                hash_shared_slots(dev.config(), lc.threads_per_block, bin.width)
-                            } else {
-                                0
-                            },
-                        };
-                        let label = if bin.hash {
-                            "CountTrianglesWarpHash(bin stripe)"
-                        } else {
-                            "CountTrianglesWarp(bin stripe)"
-                        };
-                        dev.with_phase("count-kernel", |d| d.launch(label, lc, &kernel))?
-                    };
-                    if slowest.as_ref().is_none_or(|s| stats.time_s > s.time_s) {
-                        slowest = Some(stats);
-                    }
-                    triangles += dev.with_phase("reduce", |d| reduce_sum_u64(d, &result));
-                }
-                if i == 0 {
-                    kernel_stats = Some(slowest.unwrap_or_default());
-                }
+                let arrays = KernelArrays::Gathered {
+                    eu: eu[i],
+                    ev: ev[i],
+                    adj: nbr[i],
+                };
+                (arrays, Bins::Plan(&plan.bins), "bin stripe")
             }
             _ => {
-                dev.poke(&result, &vec![0u64; total_threads]);
-                let offset = pre.m * i / devices;
-                let count = pre.m * (i + 1) / devices - offset;
-                let kernel = CountKernel {
-                    arrays: KernelArrays::SoA {
-                        nbr: nbr[i],
-                        owner: owner[i],
-                    },
-                    node: node[i],
-                    result,
-                    offset,
-                    count,
-                    variant: opts.kernel,
-                    use_texture_cache: opts.use_texture_cache,
+                let arrays = KernelArrays::SoA {
+                    nbr: nbr[i],
+                    owner: owner[i],
                 };
-                let stats = dev.with_phase("count-kernel", |d| {
-                    d.launch("CountTriangles(stripe)", lc, &kernel)
-                })?;
-                if i == 0 {
-                    kernel_stats = Some(stats);
-                }
-                triangles += dev.with_phase("reduce", |d| reduce_sum_u64(d, &result));
+                (arrays, Bins::Whole(pre.m), "stripe")
             }
+        };
+        let ctx = DispatchCtx {
+            opts,
+            lc,
+            node: node[i],
+            result,
+            hash_scratch,
+            tag,
+        };
+        let stripe = Stripe {
+            index: i,
+            of: devices,
+        };
+        let (partial, slowest) = dispatch_bins(dev, arrays, bins, stripe, &ctx)?;
+        triangles += partial;
+        if i == 0 {
+            kernel = slowest.unwrap_or_default();
         }
         if let Some(scratch) = hash_scratch {
             dev.free(scratch)?;
@@ -249,38 +175,18 @@ pub fn run_multi_gpu_profiled(
         dev.pop_phase();
     }
 
-    let per_device_s: Vec<f64> = (0..devices)
-        .map(|i| group.device(i).elapsed() - t_before[i])
+    let per_device_s: Vec<f64> = group
+        .iter()
+        .zip(&t_before)
+        .map(|(dev, t0)| dev.elapsed() - t0)
         .collect();
     let count_s = per_device_s.iter().copied().fold(0.0, f64::max);
     let total_s = preprocess_s + count_s;
-    let traces: Vec<RunTrace> = (0..devices)
-        .map(|i| {
-            let dev = group.device(i);
-            RunTrace {
-                device_name: format!("gpu{i} ({})", dev.config().name),
-                log: dev.time_log().to_vec(),
-                spans: dev.spans().to_vec(),
-                profile: dev.profile(),
-            }
-        })
+    let traces: Vec<RunTrace> = group
+        .iter()
+        .enumerate()
+        .map(|(i, dev)| RunTrace::of(dev, format!("gpu{i} ({})", dev.config().name)))
         .collect();
-    let per_device_reports: Vec<SanitizerReport> = (0..devices)
-        .filter_map(|i| group.device(i).sanitizer_report())
-        .collect();
-    let sanitizer = if per_device_reports.is_empty() {
-        None
-    } else {
-        Some(SanitizerReport::merged(&per_device_reports))
-    };
-    let verifier_reports: Vec<VerifierReport> = (0..devices)
-        .filter_map(|i| group.device(i).verifier_report())
-        .collect();
-    let verifier = if verifier_reports.is_empty() {
-        None
-    } else {
-        Some(VerifierReport::merged(&verifier_reports))
-    };
     let report = MultiGpuReport {
         triangles,
         total_s,
@@ -289,25 +195,24 @@ pub fn run_multi_gpu_profiled(
         devices,
         used_cpu_fallback: pre.used_cpu_fallback,
         per_device_s,
-        kernel: kernel_stats.expect("at least one device"),
-        sanitizer,
-        verifier,
+        kernel,
+        sanitizer: merge_reports(
+            group.iter().map(Device::sanitizer_report),
+            SanitizerReport::merged,
+        ),
+        verifier: merge_reports(
+            group.iter().map(Device::verifier_report),
+            VerifierReport::merged,
+        ),
     };
     Ok((report, traces))
-}
-
-/// Merge the per-device profiles of a [`run_multi_gpu_profiled`] run into
-/// one whole-run [`ProfileReport`].
-pub fn merged_profile(traces: &[RunTrace]) -> ProfileReport {
-    let profiles: Vec<ProfileReport> = traces.iter().map(|t| t.profile.clone()).collect();
-    ProfileReport::merged(&profiles)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::cpu::count_forward;
-    use tc_simt::DeviceConfig;
+    use tc_simt::{DeviceConfig, LaunchConfig};
 
     fn dense_graph() -> EdgeArray {
         // Large enough that the counting kernel dominates the per-device

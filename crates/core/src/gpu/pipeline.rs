@@ -5,7 +5,7 @@
 
 use tc_graph::EdgeArray;
 use tc_simt::profiler::{ProfileReport, Span};
-use tc_simt::{KernelStats, SanitizerReport, TimedOp, VerifierReport};
+use tc_simt::{Device, KernelStats, SanitizerReport, TimedOp, VerifierReport};
 
 use crate::count::GpuOptions;
 use crate::error::CoreError;
@@ -55,19 +55,21 @@ pub struct RunTrace {
     pub profile: ProfileReport,
 }
 
+impl RunTrace {
+    /// Snapshot everything `dev` recorded, under trace-thread name `name`.
+    pub(crate) fn of(dev: &Device, name: String) -> RunTrace {
+        RunTrace {
+            device_name: name,
+            log: dev.time_log().to_vec(),
+            spans: dev.spans().to_vec(),
+            profile: dev.profile(),
+        }
+    }
+}
+
 /// Run the full pipeline on a fresh simulated device.
 pub fn run_gpu_pipeline(g: &EdgeArray, opts: &GpuOptions) -> Result<GpuReport, CoreError> {
     run_gpu_pipeline_profiled(g, opts).map(|(report, _)| report)
-}
-
-/// Like [`run_gpu_pipeline`] but also returns the device's operation log —
-/// feed it to [`tc_simt::trace::write_chrome_trace`] to inspect the run in
-/// `chrome://tracing` / Perfetto.
-pub fn run_gpu_pipeline_with_log(
-    g: &EdgeArray,
-    opts: &GpuOptions,
-) -> Result<(GpuReport, Vec<tc_simt::TimedOp>), CoreError> {
-    run_gpu_pipeline_profiled(g, opts).map(|(report, trace)| (report, trace.log))
 }
 
 /// Like [`run_gpu_pipeline`] but also returns the full [`RunTrace`]: leaf
@@ -116,12 +118,7 @@ pub fn run_gpu_pipeline_profiled(
         sanitizer,
         verifier,
     };
-    let trace = RunTrace {
-        device_name: dev.config().name.to_string(),
-        log: dev.time_log().to_vec(),
-        spans: dev.spans().to_vec(),
-        profile: dev.profile(),
-    };
+    let trace = RunTrace::of(&dev, dev.config().name.to_string());
     Ok((report, trace))
 }
 
@@ -189,8 +186,9 @@ mod tests {
     fn pipeline_log_covers_every_phase() {
         let g = diamond();
         let opts = GpuOptions::new(DeviceConfig::gtx_980().with_unlimited_memory());
-        let (report, log) = run_gpu_pipeline_with_log(&g, &opts).unwrap();
+        let (report, trace) = run_gpu_pipeline_profiled(&g, &opts).unwrap();
         assert_eq!(report.triangles, 2);
+        let log = &trace.log;
         let labels: Vec<&str> = log.iter().map(|op| op.label.as_str()).collect();
         assert!(labels.iter().any(|l| l.contains("htod")));
         assert!(labels.iter().any(|l| l.contains("thrust::sort")));

@@ -18,17 +18,15 @@
 //! counters.
 
 use tc_graph::EdgeArray;
-use tc_simt::primitives::reduce_sum_u64;
-use tc_simt::profiler::{relative_spans, ProfileReport, RelSpan};
+use tc_simt::profiler::{relative_spans, Counters, ProfileReport, RelSpan};
 use tc_simt::{Device, DeviceBuffer, KernelStats, LaunchConfig};
 
 use crate::count::GpuOptions;
 use crate::error::{CoreError, ErrorContext};
-use crate::gpu::count_kernel::{CountKernel, KernelArrays};
+use crate::gpu::count_kernel::KernelArrays;
 use crate::gpu::preprocess::{free_preprocessed, preprocess_auto, Preprocessed};
-use crate::gpu::schedule::{build_plan, free_plan, BinPlan};
-use crate::gpu::warp_centric::{
-    hash_scratch_len, hash_shared_slots, IntersectStrategy, WarpCentricKernel,
+use crate::gpu::schedule::{
+    alloc_hash_scratch, build_plan, dispatch_bins, free_plan, BinPlan, Bins, DispatchCtx, Stripe,
 };
 use crate::gpu::EdgeLayout;
 
@@ -39,7 +37,6 @@ pub struct PreparedGraph {
     pre: Preprocessed,
     opts: GpuOptions,
     lc: LaunchConfig,
-    total_threads: usize,
     result: DeviceBuffer<u64>,
     /// Balanced-scheduler bin plan (`None` under the default schedule, or
     /// when the auto-tuner found the graph uniform).
@@ -56,22 +53,69 @@ pub struct PreparedGraph {
     counts_served: u64,
 }
 
-/// One count served from a [`PreparedGraph`]: the kernel phases only.
+/// One count served from a prepared session — a [`PreparedGraph`] or a
+/// [`crate::PreparedCluster`]: the kernel phases only.
 #[derive(Clone, Debug)]
 pub struct PreparedCount {
     pub triangles: u64,
-    /// Modeled device seconds of this count (kernel + reduction).
+    /// Modeled device seconds of this count (kernel + reduction, plus the
+    /// merge messages on a cluster): the slowest device's window, since
+    /// devices run in parallel.
     pub count_s: f64,
-    /// Profile of the counting kernel launch.
+    /// Per-device modeled seconds, flat device order (one entry on a
+    /// single device).
+    pub per_shard_s: Vec<f64>,
+    /// The slowest counting launch across devices and bins.
     pub kernel: KernelStats,
     /// Per-count profile: exactly the spans and counter deltas charged by
-    /// this count, for per-job attribution in the engine.
+    /// this count (merged across devices), for per-job attribution in the
+    /// engine.
     pub profile: ProfileReport,
     /// The same spans on a clock-base-free nanosecond timeline (relative
-    /// to the count's first op), byte-identical no matter how many counts
-    /// the session served before — the engine's unified request traces
-    /// embed these under the request's `count` stage.
+    /// to the count's first op, flat device order), byte-identical no
+    /// matter how many counts the session served before — the engine's
+    /// unified request traces embed these under the request's `count`
+    /// stage.
     pub trace: Vec<RelSpan>,
+}
+
+/// Where a device's logs stood when a count began.
+#[derive(Clone, Copy, Debug)]
+pub(crate) struct CountMark {
+    spans: usize,
+    log: usize,
+    counters: Counters,
+}
+
+impl CountMark {
+    pub(crate) fn of(dev: &Device) -> CountMark {
+        CountMark {
+            spans: dev.spans().len(),
+            log: dev.time_log().len(),
+            counters: *dev.counters(),
+        }
+    }
+
+    /// The count's window on `dev` since the mark: its modeled seconds,
+    /// its profile, and its spans on a relative timeline. The seconds sum
+    /// the window's op durations rather than taking an elapsed-clock
+    /// delta: each duration is schedule-independent, but the clock base is
+    /// not (the subtraction rounds differently as the session clock
+    /// grows), and the engine promises bit-identical `count_s` no matter
+    /// how many counts the session served before.
+    pub(crate) fn window(self, dev: &Device) -> (f64, ProfileReport, Vec<RelSpan>) {
+        let count_s: f64 = dev.time_log()[self.log..].iter().map(|op| op.seconds).sum();
+        let profile = ProfileReport {
+            device: dev.config().name.to_string(),
+            peak_bandwidth_gbs: dev.config().dram_bandwidth_gbs,
+            devices: 1,
+            total_s: count_s,
+            totals: dev.counters().delta(&self.counters),
+            spans: dev.spans()[self.spans..].to_vec(),
+        };
+        let trace = relative_spans(dev.spans(), dev.time_log(), self.spans, self.log);
+        (count_s, profile, trace)
+    }
 }
 
 impl PreparedGraph {
@@ -110,15 +154,11 @@ impl PreparedGraph {
 
         // Launch geometry is fixed up front so preprocessing can reserve
         // room for the result array in its capacity plan.
-        let lc = opts.launch.unwrap_or_else(|| dev.config().paper_launch());
-        let lc = LaunchConfig {
-            // §III-D5: the reduced-warp trick doubles the launched threads
-            // so the active lane count stays constant.
-            blocks: lc.blocks * opts.warp_split,
-            threads_per_block: lc.threads_per_block,
-            warp_split: opts.warp_split,
-        };
+        let lc = opts.launch_config(dev.config());
         let total_threads = lc.active_threads(dev.config().warp_size);
+        // Failures carry the device and the phase they happened in.
+        let name = dev.config().name;
+        let at = |phase| move |e: CoreError| e.with_context(ErrorContext::at(name, phase));
 
         // ---- preprocessing phase (steps 1–8, §III-B) ----
         let keep_aos = opts.layout == EdgeLayout::AoS;
@@ -131,58 +171,22 @@ impl PreparedGraph {
             opts.reorder,
         );
         dev.pop_phase();
-        let pre = pre.map_err(|e| {
-            e.with_context(ErrorContext {
-                device: Some(dev.config().name.to_string()),
-                phase: Some("preprocess".into()),
-                ..Default::default()
-            })
-        })?;
+        let pre = pre.map_err(at("preprocess"))?;
 
         // ---- scheduling phase: the balanced bin plan, charged once ----
         dev.push_phase("schedule");
         let plan = build_plan(&mut dev, &pre, opts.schedule);
         dev.pop_phase();
-        let plan = plan.map_err(|e| {
-            e.with_context(ErrorContext {
-                device: Some(dev.config().name.to_string()),
-                phase: Some("schedule".into()),
-                ..Default::default()
-            })
-        })?;
+        let plan = plan.map_err(at("schedule"))?;
 
         // The per-thread result array lives as long as the prepared graph;
         // counts re-zero it instead of reallocating, so repeated counts
         // see identical device addresses (and therefore identical cache
         // statistics).
-        let result = dev.alloc::<u64>(total_threads).map_err(|e| {
-            CoreError::from(e).with_context(ErrorContext {
-                device: Some(dev.config().name.to_string()),
-                phase: Some("prepare".into()),
-                ..Default::default()
-            })
-        })?;
-
-        // Hash bins need their global table scratch (one HASH_TABLE_SLOTS
-        // window per virtual warp); sized for the widest demand across the
-        // plan's hash bins.
-        let scratch_len = plan.as_ref().and_then(|p| {
-            p.bins
-                .iter()
-                .filter(|b| b.hash && b.len > 0)
-                .map(|b| hash_scratch_len(total_threads, b.width))
-                .max()
-        });
-        let hash_scratch = match scratch_len {
-            Some(len) => Some(dev.alloc::<u32>(len).map_err(|e| {
-                CoreError::from(e).with_context(ErrorContext {
-                    device: Some(dev.config().name.to_string()),
-                    phase: Some("prepare".into()),
-                    ..Default::default()
-                })
-            })?),
-            None => None,
-        };
+        let result = dev.alloc::<u64>(total_threads);
+        let result = result.map_err(|e| at("prepare")(e.into()))?;
+        let hash_scratch = alloc_hash_scratch(&mut dev, plan.as_ref(), total_threads);
+        let hash_scratch = hash_scratch.map_err(at("prepare"))?;
 
         let prepare_s = dev.elapsed() + pre.host_seconds;
         // The recycle above zeroed the clock, span list, and op log, so the
@@ -193,7 +197,6 @@ impl PreparedGraph {
             pre,
             opts: opts.clone(),
             lc,
-            total_threads,
             result,
             plan,
             hash_scratch,
@@ -214,154 +217,53 @@ impl PreparedGraph {
     /// ones — and the partial reductions sum. [`PreparedCount::kernel`]
     /// then reports the slowest bin's launch (the representative stripe).
     pub fn count(&mut self) -> Result<PreparedCount, CoreError> {
-        let span_mark = self.dev.spans().len();
-        let log_mark = self.dev.time_log().len();
-        let counters0 = *self.dev.counters();
-
+        let mark = CountMark::of(&self.dev);
         self.dev.push_phase("count");
-        let counted = match self.plan.clone() {
-            None => self.count_thread_per_edge(),
-            Some(plan) => self.count_balanced(&plan),
-        };
-        let (triangles, kernel_stats) = match counted {
-            Ok(pair) => pair,
-            Err(e) => {
-                self.dev.pop_phase();
-                return Err(e.with_context(ErrorContext {
-                    device: Some(self.dev.config().name.to_string()),
-                    phase: Some("count".into()),
-                    ..Default::default()
-                }));
+        let (arrays, bins, tag) = match &self.plan {
+            None => {
+                let arrays = match self.opts.layout {
+                    EdgeLayout::SoA => KernelArrays::SoA {
+                        nbr: self.pre.nbr,
+                        owner: self.pre.owner,
+                    },
+                    EdgeLayout::AoS => KernelArrays::AoS {
+                        arcs: self.pre.arcs_aos.expect("AoS layout retains packed arcs"),
+                    },
+                };
+                (arrays, Bins::Whole(self.pre.m), "")
+            }
+            Some(plan) => {
+                let arrays = KernelArrays::Gathered {
+                    eu: plan.eu,
+                    ev: plan.ev,
+                    adj: self.pre.nbr,
+                };
+                (arrays, Bins::Plan(&plan.bins), "bin")
             }
         };
-        self.dev.pop_phase();
-        self.counts_served += 1;
-
-        // Sum the modeled durations of this count's ops rather than taking
-        // an elapsed-clock delta: each duration is schedule-independent,
-        // but the clock base is not (the subtraction rounds differently as
-        // the session clock grows), and the engine promises bit-identical
-        // `count_s` no matter how many counts the session served before.
-        let count_s: f64 = self.dev.time_log()[log_mark..]
-            .iter()
-            .map(|op| op.seconds)
-            .sum();
-        let profile = ProfileReport {
-            device: self.dev.config().name.to_string(),
-            peak_bandwidth_gbs: self.dev.config().dram_bandwidth_gbs,
-            devices: 1,
-            total_s: count_s,
-            totals: self.dev.counters().delta(&counters0),
-            spans: self.dev.spans()[span_mark..].to_vec(),
+        let ctx = DispatchCtx {
+            opts: &self.opts,
+            lc: self.lc,
+            node: self.pre.node,
+            result: self.result,
+            hash_scratch: self.hash_scratch,
+            tag,
         };
-        let trace = relative_spans(self.dev.spans(), self.dev.time_log(), span_mark, log_mark);
+        let counted = dispatch_bins(&mut self.dev, arrays, bins, Stripe::WHOLE, &ctx);
+        self.dev.pop_phase();
+        let (triangles, slowest) = counted
+            .map_err(|e| e.with_context(ErrorContext::at(self.dev.config().name, "count")))?;
+        self.counts_served += 1;
+        let (count_s, profile, trace) = mark.window(&self.dev);
         Ok(PreparedCount {
             triangles,
             count_s,
-            kernel: kernel_stats,
+            per_shard_s: vec![count_s],
+            // An empty plan (m = 0) still answers: zero triangles, zero stats.
+            kernel: slowest.unwrap_or_default(),
             profile,
             trace,
         })
-    }
-
-    /// The paper's single thread-per-edge launch (§III-C).
-    fn count_thread_per_edge(&mut self) -> Result<(u64, KernelStats), CoreError> {
-        self.dev.poke(&self.result, &vec![0u64; self.total_threads]);
-        let arrays = match self.opts.layout {
-            EdgeLayout::SoA => KernelArrays::SoA {
-                nbr: self.pre.nbr,
-                owner: self.pre.owner,
-            },
-            EdgeLayout::AoS => KernelArrays::AoS {
-                arcs: self.pre.arcs_aos.expect("AoS layout retains packed arcs"),
-            },
-        };
-        let kernel = CountKernel {
-            arrays,
-            node: self.pre.node,
-            result: self.result,
-            offset: 0,
-            count: self.pre.m,
-            variant: self.opts.kernel,
-            use_texture_cache: self.opts.use_texture_cache,
-        };
-        let lc = self.lc;
-        let stats = self
-            .dev
-            .with_phase("count-kernel", |d| d.launch("CountTriangles", lc, &kernel))?;
-        let result = self.result;
-        let triangles = self
-            .dev
-            .with_phase("reduce", |d| reduce_sum_u64(d, &result));
-        Ok((triangles, stats))
-    }
-
-    /// The balanced scheduler's dispatch: one launch + reduction per
-    /// occupied bin, partials summed. Returns the slowest bin's stats.
-    fn count_balanced(&mut self, plan: &BinPlan) -> Result<(u64, KernelStats), CoreError> {
-        let lc = self.lc;
-        let result = self.result;
-        let mut triangles = 0u64;
-        let mut slowest: Option<KernelStats> = None;
-        for bin in plan.occupied() {
-            self.dev.poke(&self.result, &vec![0u64; self.total_threads]);
-            let stats = if bin.width == 1 {
-                let kernel = CountKernel {
-                    arrays: KernelArrays::Gathered {
-                        eu: plan.eu,
-                        ev: plan.ev,
-                        adj: self.pre.nbr,
-                    },
-                    node: self.pre.node,
-                    result,
-                    offset: bin.start,
-                    count: bin.len,
-                    variant: self.opts.kernel,
-                    use_texture_cache: self.opts.use_texture_cache,
-                };
-                self.dev.with_phase("count-kernel", |d| {
-                    d.launch("CountTriangles(bin)", lc, &kernel)
-                })?
-            } else {
-                let kernel = WarpCentricKernel {
-                    adj: self.pre.nbr,
-                    edge_u: plan.eu,
-                    edge_v: plan.ev,
-                    node: self.pre.node,
-                    result,
-                    offset: bin.start,
-                    count: bin.len,
-                    virtual_warp: bin.width,
-                    use_texture_cache: self.opts.use_texture_cache,
-                    strategy: if bin.hash {
-                        IntersectStrategy::Hash
-                    } else {
-                        IntersectStrategy::ChunkScan
-                    },
-                    scratch: if bin.hash { self.hash_scratch } else { None },
-                    shared_slots: if bin.hash {
-                        hash_shared_slots(self.dev.config(), lc.threads_per_block, bin.width)
-                    } else {
-                        0
-                    },
-                };
-                let label = if bin.hash {
-                    "CountTrianglesWarpHash(bin)"
-                } else {
-                    "CountTrianglesWarp(bin)"
-                };
-                self.dev
-                    .with_phase("count-kernel", |d| d.launch(label, lc, &kernel))?
-            };
-            triangles += self
-                .dev
-                .with_phase("reduce", |d| reduce_sum_u64(d, &result));
-            if slowest.as_ref().is_none_or(|s| stats.time_s > s.time_s) {
-                slowest = Some(stats);
-            }
-        }
-        // An empty plan (m = 0) still answers: zero triangles, zero stats.
-        Ok((triangles, slowest.unwrap_or_default()))
     }
 
     /// Free every device buffer this prepared graph holds and hand the

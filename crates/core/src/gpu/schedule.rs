@@ -17,11 +17,15 @@
 //!   preprocessing phase uses, and gathers the bin-ordered endpoint
 //!   arrays `eu`/`ev` (the adjacency array itself is *not* reordered —
 //!   `node` keeps pointing into it);
-//! * light bins run the merge [`CountKernel`](super::count_kernel::CountKernel)
-//!   over the gathered arrays (sorted order alone balances per-lane totals
-//!   and keeps warp-mates on similar-length merges), heavy bins run the
-//!   [`WarpCentricKernel`](super::warp_centric::WarpCentricKernel) with a
-//!   per-bin virtual-warp width so one hub edge is shared by `W` lanes.
+//! * light bins run the merge [`CountKernel`] over the gathered arrays
+//!   (sorted order alone balances per-lane totals and keeps warp-mates on
+//!   similar-length merges), heavy bins run the [`WarpCentricKernel`]
+//!   with a per-bin virtual-warp width so one hub edge is shared by `W`
+//!   lanes.
+//!
+//! `dispatch_bins` is the one launch path of every GPU topology: the
+//! single device, each multi-GPU device's stripe and each cluster shard
+//! count through it.
 //!
 //! The auto-tuner is **static and deterministic**: it reads only the work
 //! histogram (no measurement feedback), so a given graph + schedule always
@@ -37,11 +41,16 @@
 
 use std::fmt;
 
-use tc_simt::primitives::{charge_transform_pass, sort_u64};
-use tc_simt::{Device, DeviceBuffer};
+use tc_simt::primitives::{charge_transform_pass, reduce_sum_u64, sort_u64};
+use tc_simt::{Device, DeviceBuffer, KernelStats, LaunchConfig};
 
+use crate::count::GpuOptions;
 use crate::error::CoreError;
+use crate::gpu::count_kernel::{CountKernel, KernelArrays};
 use crate::gpu::preprocess::Preprocessed;
+use crate::gpu::warp_centric::{
+    hash_scratch_len, hash_shared_slots, IntersectStrategy, WarpCentricKernel,
+};
 
 /// How counting work is mapped onto the grid — the scheduling knob on
 /// [`crate::GpuOptions`].
@@ -163,8 +172,8 @@ pub struct Bin {
     /// Edges in the bin.
     pub len: usize,
     /// Virtual-warp width: 1 = merge
-    /// [`CountKernel`](super::count_kernel::CountKernel), >1 =
-    /// [`WarpCentricKernel`](super::warp_centric::WarpCentricKernel) with
+    /// [`CountKernel`], >1 =
+    /// [`WarpCentricKernel`] with
     /// `width` lanes per edge.
     pub width: u32,
     /// Warp-centric bins only: intersect by shared-memory hash table
@@ -397,7 +406,26 @@ pub(crate) fn bin_specs(schedule: KernelSchedule, work: &[u32]) -> Option<Vec<Bi
 }
 
 /// Build the device-resident [`BinPlan`] for a preprocessed graph, or
-/// `None` when the schedule needs none. Every data movement is charged:
+/// `None` when the schedule needs none: host mirrors of the oriented CSR
+/// feed [`build_plan_from_host`].
+pub(crate) fn build_plan(
+    dev: &mut Device,
+    pre: &Preprocessed,
+    schedule: KernelSchedule,
+) -> Result<Option<BinPlan>, CoreError> {
+    // Free *planning* reads (the tuner is host code, like every
+    // launch-geometry decision); the charged passes do the actual device
+    // data movement.
+    let owner = dev.peek(&pre.owner);
+    let nbr = dev.peek(&pre.nbr);
+    let node = dev.peek(&pre.node);
+    let work = edge_work(&owner, &nbr, &node);
+    build_plan_from_host(dev, &owner, &nbr, &work, schedule)
+}
+
+/// Build a [`BinPlan`] over host copies of the edge endpoints `eu`/`ev`
+/// and their work estimates — the whole oriented CSR of a device, or one
+/// cluster shard's local arrays. Every data movement is charged:
 ///
 /// 1. a work-estimate pass reads the edge endpoints and their four node
 ///    cells and writes packed `(work << 32) | edge` keys;
@@ -409,20 +437,15 @@ pub(crate) fn bin_specs(schedule: KernelSchedule, work: &[u32]) -> Option<Vec<Bi
 /// Bin boundaries are partition points of the sorted work values — the
 /// tuner already knows the work multiset, so no extra device pass is
 /// needed to find them.
-pub(crate) fn build_plan(
+pub(crate) fn build_plan_from_host(
     dev: &mut Device,
-    pre: &Preprocessed,
+    eu: &[u32],
+    ev: &[u32],
+    work: &[u32],
     schedule: KernelSchedule,
 ) -> Result<Option<BinPlan>, CoreError> {
-    let m = pre.m;
-    // Host mirror of the oriented CSR: free *planning* reads (the tuner is
-    // host code, like every launch-geometry decision); the charged passes
-    // below do the actual device data movement.
-    let owner = dev.peek(&pre.owner);
-    let nbr = dev.peek(&pre.nbr);
-    let node = dev.peek(&pre.node);
-    let work = edge_work(&owner, &nbr, &node);
-    let Some(specs) = bin_specs(schedule, &work) else {
+    let m = work.len();
+    let Some(specs) = bin_specs(schedule, work) else {
         return Ok(None);
     };
     for spec in &specs {
@@ -458,18 +481,16 @@ pub(crate) fn build_plan(
 
     // Pass 3: gather the bin-ordered endpoint arrays. Reads the sorted
     // keys (8 B) plus two scattered endpoint loads (8 B), writes 8 B.
-    let eu = dev.alloc::<u32>(m)?;
-    let ev = dev.alloc::<u32>(m)?;
-    let gathered_u: Vec<u32> = host_keys
-        .iter()
-        .map(|&k| owner[(k & 0xffff_ffff) as usize])
-        .collect();
-    let gathered_v: Vec<u32> = host_keys
-        .iter()
-        .map(|&k| nbr[(k & 0xffff_ffff) as usize])
-        .collect();
-    dev.poke(&eu, &gathered_u);
-    dev.poke(&ev, &gathered_v);
+    let gathered_eu = dev.alloc::<u32>(m)?;
+    let gathered_ev = dev.alloc::<u32>(m)?;
+    let gather = |src: &[u32]| -> Vec<u32> {
+        host_keys
+            .iter()
+            .map(|&k| src[(k & 0xffff_ffff) as usize])
+            .collect()
+    };
+    dev.poke(&gathered_eu, &gather(eu));
+    dev.poke(&gathered_ev, &gather(ev));
     dev.with_phase("bin-gather", |d| {
         charge_transform_pass(d, "schedule: bin gather", mb * 16, mb * 8)
     });
@@ -494,7 +515,11 @@ pub(crate) fn build_plan(
         start = end;
     }
     debug_assert_eq!(start, m, "bins must cover every edge");
-    Ok(Some(BinPlan { eu, ev, bins }))
+    Ok(Some(BinPlan {
+        eu: gathered_eu,
+        ev: gathered_ev,
+        bins,
+    }))
 }
 
 /// Free the plan's device buffers.
@@ -502,6 +527,165 @@ pub(crate) fn free_plan(dev: &mut Device, plan: &BinPlan) -> Result<(), CoreErro
     dev.free(plan.eu)?;
     dev.free(plan.ev)?;
     Ok(())
+}
+
+// ---------------------------------------------------------------------------
+// Bin dispatch: the one launch path of every GPU topology.
+// ---------------------------------------------------------------------------
+
+/// The edge ranges one [`dispatch_bins`] call covers.
+#[derive(Clone, Copy, Debug)]
+pub(crate) enum Bins<'a> {
+    /// The paper's thread-per-edge mapping over `[0, m)`: one merge-kernel
+    /// launch, made even when the range (or this device's stripe of it)
+    /// is empty.
+    Whole(usize),
+    /// A bin plan's bins, each served by the kernel its width selects;
+    /// bins whose range (or stripe) is empty launch nothing.
+    Plan(&'a [Bin]),
+}
+
+/// The share of every bin one device counts: device `index` of `of` takes
+/// the contiguous slice `[len·index/of, len·(index+1)/of)`, so under a
+/// plan every device sees the same light/heavy mix (§III-E's stripes).
+#[derive(Clone, Copy, Debug)]
+pub(crate) struct Stripe {
+    pub index: usize,
+    pub of: usize,
+}
+
+impl Stripe {
+    /// One device counting everything.
+    pub const WHOLE: Stripe = Stripe { index: 0, of: 1 };
+
+    /// This stripe's `(offset, count)` of `bin`.
+    fn range(self, bin: &Bin) -> (usize, usize) {
+        let offset = bin.start + bin.len * self.index / self.of;
+        let end = bin.start + bin.len * (self.index + 1) / self.of;
+        (offset, end - offset)
+    }
+}
+
+/// The device-resident state a dispatch launches against.
+#[derive(Clone, Copy, Debug)]
+pub(crate) struct DispatchCtx<'a> {
+    pub opts: &'a GpuOptions,
+    pub lc: LaunchConfig,
+    /// CSR offsets the intersections index.
+    pub node: DeviceBuffer<u32>,
+    /// Per-thread partial counts, re-zeroed before every launch.
+    pub result: DeviceBuffer<u64>,
+    /// Table scratch of the hash bins ([`alloc_hash_scratch`]).
+    pub hash_scratch: Option<DeviceBuffer<u32>>,
+    /// Launch-label tag (`"bin"`, `"stripe"`, `"bin stripe"`, `"shard"`;
+    /// `""` for none). It names the launch in the time log, in Chrome
+    /// traces and in sanitizer findings.
+    pub tag: &'a str,
+}
+
+/// Launch and reduce the counting kernels of `bins`. Width-1 bins run the
+/// merge [`CountKernel`] over `arrays` (SoA, AoS or Gathered); wider bins
+/// run the [`WarpCentricKernel`] — chunk scan, or the shared-memory hash
+/// for hash bins — over the Gathered endpoints. Every launch re-zeroes the
+/// result array and is reduced on its own. Returns the partial count and
+/// the slowest launch (`None` when nothing launched).
+pub(crate) fn dispatch_bins(
+    dev: &mut Device,
+    arrays: KernelArrays,
+    bins: Bins<'_>,
+    stripe: Stripe,
+    ctx: &DispatchCtx<'_>,
+) -> Result<(u64, Option<KernelStats>), CoreError> {
+    let whole;
+    let (bins, launch_empty) = match bins {
+        Bins::Whole(m) => {
+            whole = Bin {
+                start: 0,
+                len: m,
+                width: 1,
+                hash: false,
+            };
+            (std::slice::from_ref(&whole), true)
+        }
+        Bins::Plan(bins) => (bins, false),
+    };
+    let label = |kernel: &str| match ctx.tag {
+        "" => kernel.to_string(),
+        tag => format!("{kernel}({tag})"),
+    };
+    let total_threads = ctx.lc.active_threads(dev.config().warp_size);
+    let mut triangles = 0u64;
+    let mut slowest: Option<KernelStats> = None;
+    for bin in bins {
+        let (offset, count) = stripe.range(bin);
+        if count == 0 && !launch_empty {
+            continue;
+        }
+        dev.poke(&ctx.result, &vec![0u64; total_threads]);
+        let stats = if bin.width == 1 {
+            let kernel = CountKernel {
+                arrays,
+                node: ctx.node,
+                result: ctx.result,
+                offset,
+                count,
+                variant: ctx.opts.kernel,
+                use_texture_cache: ctx.opts.use_texture_cache,
+            };
+            let label = label("CountTriangles");
+            dev.with_phase("count-kernel", |d| d.launch(&label, ctx.lc, &kernel))?
+        } else {
+            let KernelArrays::Gathered { eu, ev, adj } = arrays else {
+                unreachable!("warp-centric bins read bin-ordered gathered endpoints")
+            };
+            let (strategy, scratch, shared_slots, name) = if bin.hash {
+                let slots = hash_shared_slots(dev.config(), ctx.lc.threads_per_block, bin.width);
+                let hash = IntersectStrategy::Hash;
+                (hash, ctx.hash_scratch, slots, "CountTrianglesWarpHash")
+            } else {
+                (IntersectStrategy::ChunkScan, None, 0, "CountTrianglesWarp")
+            };
+            let kernel = WarpCentricKernel {
+                adj,
+                edge_u: eu,
+                edge_v: ev,
+                node: ctx.node,
+                result: ctx.result,
+                offset,
+                count,
+                virtual_warp: bin.width,
+                use_texture_cache: ctx.opts.use_texture_cache,
+                strategy,
+                scratch,
+                shared_slots,
+            };
+            let label = label(name);
+            dev.with_phase("count-kernel", |d| d.launch(&label, ctx.lc, &kernel))?
+        };
+        triangles += dev.with_phase("reduce", |d| reduce_sum_u64(d, &ctx.result));
+        if slowest.as_ref().is_none_or(|s| stats.time_s > s.time_s) {
+            slowest = Some(stats);
+        }
+    }
+    Ok((triangles, slowest))
+}
+
+/// Allocate the global table scratch a plan's hash bins probe (one
+/// `HASH_TABLE_SLOTS` window per virtual warp, sized for the widest
+/// demand); `None` when no occupied bin hashes. Allocated once per
+/// session so repeated counts see identical addresses.
+pub(crate) fn alloc_hash_scratch(
+    dev: &mut Device,
+    plan: Option<&BinPlan>,
+    total_threads: usize,
+) -> Result<Option<DeviceBuffer<u32>>, CoreError> {
+    let len = plan.and_then(|p| {
+        p.occupied()
+            .filter(|b| b.hash)
+            .map(|b| hash_scratch_len(total_threads, b.width))
+            .max()
+    });
+    Ok(len.map(|len| dev.alloc::<u32>(len)).transpose()?)
 }
 
 #[cfg(test)]
@@ -623,6 +807,26 @@ mod tests {
                 width: 1
             })
         );
+    }
+
+    #[test]
+    fn stripes_tile_every_bin_in_device_order() {
+        let bin = Bin {
+            start: 5,
+            len: 7,
+            width: 8,
+            hash: false,
+        };
+        for of in 1..=9 {
+            let mut next = bin.start;
+            for index in 0..of {
+                let (offset, count) = Stripe { index, of }.range(&bin);
+                assert_eq!(offset, next, "stripe {index} of {of}");
+                next += count;
+            }
+            assert_eq!(next, bin.start + bin.len, "{of} stripes cover the bin");
+        }
+        assert_eq!(Stripe::WHOLE.range(&bin), (5, 7));
     }
 
     #[test]

@@ -26,6 +26,7 @@ use tc_simt::{ProfileReport, SanitizerReport, VerifierReport};
 
 use crate::count::GpuOptions;
 use crate::error::CoreError;
+use crate::gpu::merge_reports;
 use crate::gpu::pipeline::run_gpu_pipeline_profiled;
 
 /// Outcome of a split run.
@@ -73,13 +74,18 @@ fn induced(g: &EdgeArray, n: usize, parts: usize, keep: &[usize]) -> EdgeArray {
 
 /// Count triangles by splitting into `parts` vertex ranges and solving the
 /// inclusion system above. `parts >= 3`; with `parts == 1` this degenerates
-/// to the plain pipeline.
+/// to the plain pipeline, and `parts == 0` is a
+/// [`CoreError::InvalidBackend`].
 pub fn count_split(
     g: &EdgeArray,
     opts: &GpuOptions,
     parts: usize,
 ) -> Result<SplitReport, CoreError> {
-    assert!(parts >= 1);
+    if parts == 0 {
+        return Err(CoreError::InvalidBackend(
+            "a split run needs at least one part".into(),
+        ));
+    }
     let n = g.num_nodes();
     if parts == 1 || n == 0 {
         let (r, trace) = run_gpu_pipeline_profiled(g, opts)?;
@@ -97,8 +103,8 @@ pub fn count_split(
     let mut total_s = 0.0;
     let mut subproblems = 0usize;
     let mut max_arcs = 0usize;
-    let mut sub_reports: Vec<SanitizerReport> = Vec::new();
-    let mut sub_verifier: Vec<VerifierReport> = Vec::new();
+    let mut sub_sanitizer: Vec<Option<SanitizerReport>> = Vec::new();
+    let mut sub_verifier: Vec<Option<VerifierReport>> = Vec::new();
     let mut sub_profiles: Vec<ProfileReport> = Vec::new();
     let mut run = |keep: &[usize]| -> Result<u64, CoreError> {
         let sub = induced(g, n, parts, keep);
@@ -109,8 +115,8 @@ pub fn count_split(
         }
         let (r, trace) = run_gpu_pipeline_profiled(&sub, opts)?;
         total_s += r.total_s;
-        sub_reports.extend(r.sanitizer);
-        sub_verifier.extend(r.verifier);
+        sub_sanitizer.push(r.sanitizer);
+        sub_verifier.push(r.verifier);
         sub_profiles.push(trace.profile);
         Ok(r.triangles)
     };
@@ -142,23 +148,13 @@ pub fn count_split(
     } else {
         0
     };
-    let sanitizer = if sub_reports.is_empty() {
-        None
-    } else {
-        Some(SanitizerReport::merged(&sub_reports))
-    };
-    let verifier = if sub_verifier.is_empty() {
-        None
-    } else {
-        Some(VerifierReport::merged(&sub_verifier))
-    };
     Ok(SplitReport {
         triangles: n1 + n2 + n3,
         total_s,
         subproblems,
         max_subproblem_arcs: max_arcs,
-        sanitizer,
-        verifier,
+        sanitizer: merge_reports(sub_sanitizer, SanitizerReport::merged),
+        verifier: merge_reports(sub_verifier, VerifierReport::merged),
         profile: ProfileReport::merged(&sub_profiles),
     })
 }

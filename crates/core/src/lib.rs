@@ -33,7 +33,7 @@ pub mod verify;
 
 pub use count::{Backend, CountRequest, GpuOptions, ParseBackendError, TriangleCount};
 pub use error::{CoreError, ErrorContext};
-pub use gpu::cluster::{ClusterCount, ClusterPartition, ClusterReport, PreparedCluster};
+pub use gpu::cluster::{ClusterPartition, ClusterReport, PreparedCluster};
 pub use gpu::pipeline::GpuReport;
 pub use gpu::prepared::{PreparedCount, PreparedGraph};
 pub use gpu::schedule::KernelSchedule;

@@ -41,9 +41,14 @@ impl EngineError {
     /// the error marker span in request traces. [`EngineError::Count`]
     /// maps the core error's pipeline phase (`preprocess`/`schedule`/
     /// `prepare` → [`Stage::Prepare`]); phases the engine does not know
-    /// default to [`Stage::Count`].
+    /// default to [`Stage::Count`]. A backend no run can take
+    /// ([`CoreError::InvalidBackend`]) is a malformed request, like a bad
+    /// jobfile line: [`Stage::Admission`].
     pub fn stage(&self) -> Stage {
         match self {
+            EngineError::Count(e) if matches!(e.root(), CoreError::InvalidBackend(_)) => {
+                Stage::Admission
+            }
             EngineError::Count(e) => match e.context().and_then(|c| c.phase.as_deref()) {
                 Some("preprocess") | Some("schedule") | Some("prepare") => Stage::Prepare,
                 _ => Stage::Count,

@@ -57,11 +57,12 @@ use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::{Arc, Mutex, MutexGuard};
 use std::time::Instant;
 
+use tc_core::gpu::cluster::cluster_topology;
 use tc_core::gpu::prepared::PreparedGraph;
-use tc_core::{Backend, CountRequest, GpuOptions, PreparedCluster};
+use tc_core::{Backend, CoreError, CountRequest, PreparedCluster, PreparedCount};
 use tc_graph::EdgeArray;
 use tc_simt::profiler::{ProfileReport, RelSpan};
-use tc_simt::{ClusterTopology, DevicePool, PoolTicket};
+use tc_simt::{DevicePool, PoolTicket};
 use tc_telemetry::{
     chrome_trace_json, seconds_to_ns, Determinism, MetricsRegistry, MetricsSnapshot, RequestTrace,
     Stage, TraceSpan,
@@ -404,6 +405,64 @@ enum CacheEntry {
     },
 }
 
+impl CacheEntry {
+    /// Count once; also returns the session's prepare cost and trace.
+    fn count(&mut self) -> Result<(PreparedCount, f64, &[RelSpan]), CoreError> {
+        Ok(match self {
+            CacheEntry::Single { prepared, .. } => (
+                prepared.count()?,
+                prepared.prepare_s(),
+                prepared.prepare_trace(),
+            ),
+            CacheEntry::Cluster { prepared } => (
+                prepared.count()?,
+                prepared.prepare_s(),
+                prepared.prepare_trace(),
+            ),
+        })
+    }
+
+    /// Free the session: a single device goes back to the pool warm; a
+    /// cluster's devices belong to the session and are dropped with it.
+    fn release(self) -> Result<(), CoreError> {
+        match self {
+            CacheEntry::Single { prepared, ticket } => {
+                ticket.restore(prepared.release()?);
+                Ok(())
+            }
+            CacheEntry::Cluster { prepared } => prepared.release(),
+        }
+    }
+}
+
+/// Whether the backend serves counts from a prepared session (and so can
+/// be cached): single-device and cluster GPU backends.
+fn has_session(backend: &Backend) -> bool {
+    matches!(backend, Backend::Gpu(_) | Backend::Cluster { .. })
+}
+
+/// A job's result from one count of a prepared session. `paid_prepare`
+/// is the prepare cost and trace the job is charged, `None` on a cache hit.
+fn job_result(
+    counted: PreparedCount,
+    paid_prepare: Option<(f64, Vec<RelSpan>)>,
+    profile: bool,
+) -> JobResult {
+    let cache_hit = paid_prepare.is_none();
+    let (prepare_s, prepare_trace) = paid_prepare.unwrap_or_default();
+    JobResult {
+        triangles: counted.triangles,
+        seconds: prepare_s + counted.count_s,
+        prepare_s,
+        count_s: counted.count_s,
+        cache_hit,
+        modeled: true,
+        profile: profile.then_some(counted.profile),
+        prepare_trace,
+        kernel_trace: counted.trace,
+    }
+}
+
 /// How the planner routed a job (fixed before execution so reports are
 /// schedule-independent).
 enum Plan {
@@ -709,7 +768,7 @@ impl Engine {
         let mut cache = self.cache.lock().unwrap();
         jobs.iter()
             .map(|job| {
-                if !matches!(&job.backend, Backend::Gpu(_) | Backend::Cluster { .. }) {
+                if !has_session(&job.backend) {
                     return Plan::OneShot;
                 }
                 let key: CacheKey = (job.graph.digest(), job.backend.to_string());
@@ -773,6 +832,35 @@ impl Engine {
         Ok(result)
     }
 
+    /// Prepare a session for a cacheable (single-device or cluster) job.
+    /// Single-device sessions lease a warm device from the pool; on a
+    /// prepare error the ticket drops here, freeing the pool slot.
+    fn prepare_entry(&self, job: &Job) -> Result<CacheEntry, CoreError> {
+        match &job.backend {
+            Backend::Gpu(opts) => {
+                let (device, ticket) = self.pool.acquire(&opts.device).detach();
+                let prepared = PreparedGraph::prepare_on(device, &job.graph, opts)?;
+                Ok(CacheEntry::Single {
+                    prepared: Box::new(prepared),
+                    ticket,
+                })
+            }
+            Backend::Cluster {
+                options,
+                nodes,
+                devices_per_node,
+                partition,
+            } => {
+                let topology = cluster_topology(*nodes, *devices_per_node)?;
+                let prepared = PreparedCluster::prepare(&job.graph, options, topology, *partition)?;
+                Ok(CacheEntry::Cluster {
+                    prepared: Box::new(prepared),
+                })
+            }
+            _ => unreachable!("only GPU and cluster backends have sessions"),
+        }
+    }
+
     fn run_cached(&self, job: &Job, key: &CacheKey, hit: bool) -> Result<JobResult, EngineError> {
         let slot = Arc::clone(
             self.cache
@@ -785,133 +873,25 @@ impl Engine {
         // *different* sessions proceed in parallel on other workers.
         let mut entry = lock_slot(&slot);
         if entry.is_none() {
-            // On a prepare error nothing is cached (for single-device
-            // sessions the pool ticket drops here, freeing the slot);
-            // the next job for this key retries the prepare.
-            *entry = Some(match &job.backend {
-                Backend::Gpu(opts) => {
-                    let lease = self.pool.acquire(&opts.device);
-                    let (device, ticket) = lease.detach();
-                    let prepared = PreparedGraph::prepare_on(device, &job.graph, opts)
-                        .map_err(EngineError::Count)?;
-                    CacheEntry::Single {
-                        prepared: Box::new(prepared),
-                        ticket,
-                    }
-                }
-                Backend::Cluster {
-                    options,
-                    nodes,
-                    devices_per_node,
-                    partition,
-                } => {
-                    let topology = ClusterTopology::new(*nodes, *devices_per_node);
-                    let prepared =
-                        PreparedCluster::prepare(&job.graph, options, topology, *partition)
-                            .map_err(EngineError::Count)?;
-                    CacheEntry::Cluster {
-                        prepared: Box::new(prepared),
-                    }
-                }
-                _ => unreachable!("only GPU and cluster backends are planned as cached"),
-            });
+            // On a prepare error nothing is cached; the next job for this
+            // key retries the prepare.
+            *entry = Some(self.prepare_entry(job)?);
         }
         // The prepare is charged to the first-occurrence job from the
         // plan, not to whichever worker happened to run it first: the
         // modeled prepare cost is deterministic, so the report is too.
-        match entry.as_mut().expect("just prepared") {
-            CacheEntry::Single { prepared, .. } => {
-                let counted = prepared.count().map_err(EngineError::Count)?;
-                let prepare_s = if hit { 0.0 } else { prepared.prepare_s() };
-                let prepare_trace = if hit {
-                    Vec::new()
-                } else {
-                    prepared.prepare_trace().to_vec()
-                };
-                Ok(JobResult {
-                    triangles: counted.triangles,
-                    seconds: prepare_s + counted.count_s,
-                    prepare_s,
-                    count_s: counted.count_s,
-                    cache_hit: hit,
-                    modeled: true,
-                    profile: job.profile.then_some(counted.profile),
-                    prepare_trace,
-                    kernel_trace: counted.trace,
-                })
-            }
-            CacheEntry::Cluster { prepared } => {
-                let counted = prepared.count().map_err(EngineError::Count)?;
-                let prepare_s = if hit { 0.0 } else { prepared.prepare_s() };
-                let prepare_trace = if hit {
-                    Vec::new()
-                } else {
-                    prepared.prepare_trace().to_vec()
-                };
-                Ok(JobResult {
-                    triangles: counted.triangles,
-                    seconds: prepare_s + counted.count_s,
-                    prepare_s,
-                    count_s: counted.count_s,
-                    cache_hit: hit,
-                    modeled: true,
-                    profile: job.profile.then_some(counted.profile),
-                    prepare_trace,
-                    kernel_trace: counted.trace,
-                })
-            }
-        }
+        let (counted, prepare_s, prepare_trace) = entry.as_mut().expect("just prepared").count()?;
+        let paid = (!hit).then(|| (prepare_s, prepare_trace.to_vec()));
+        Ok(job_result(counted, paid, job.profile))
     }
 
     fn run_oneshot(&self, job: &Job) -> Result<JobResult, EngineError> {
-        if let Backend::Cluster {
-            options,
-            nodes,
-            devices_per_node,
-            partition,
-        } = &job.backend
-        {
-            // Uncached cluster job (overflow beyond `cache_capacity`): a
-            // full shard/count/release session on a transient cluster.
-            let topology = ClusterTopology::new(*nodes, *devices_per_node);
-            let mut prepared = PreparedCluster::prepare(&job.graph, options, topology, *partition)
-                .map_err(EngineError::Count)?;
-            let prepare_s = prepared.prepare_s();
-            let prepare_trace = prepared.prepare_trace().to_vec();
-            let counted = prepared.count().map_err(EngineError::Count)?;
-            prepared.release().map_err(EngineError::Count)?;
-            return Ok(JobResult {
-                triangles: counted.triangles,
-                seconds: prepare_s + counted.count_s,
-                prepare_s,
-                count_s: counted.count_s,
-                cache_hit: false,
-                modeled: true,
-                profile: job.profile.then_some(counted.profile),
-                prepare_trace,
-                kernel_trace: counted.trace,
-            });
-        }
-        if let Backend::Gpu(opts) = &job.backend {
-            // Uncached GPU job: full prepare+count+release session on a
-            // pooled (warm) device.
-            let lease = self.pool.acquire(&opts.device);
-            let (device, ticket) = lease.detach();
-            let outcome = Self::oneshot_session(device, &job.graph, opts, job.profile);
-            match outcome {
-                Ok((result, device)) => {
-                    ticket.restore(device);
-                    Ok(result)
-                }
-                Err(e) => Err(EngineError::Count(e)),
-            }
-        } else {
+        if !has_session(&job.backend) {
             let r = CountRequest::new(job.backend.clone())
                 .profile(job.profile)
                 .graph_name(&job.name)
-                .run(&job.graph)
-                .map_err(EngineError::Count)?;
-            Ok(JobResult {
+                .run(&job.graph)?;
+            return Ok(JobResult {
                 triangles: r.triangles,
                 seconds: r.seconds,
                 prepare_s: r.gpu.as_ref().map_or(0.0, |g| g.preprocess_s),
@@ -921,35 +901,16 @@ impl Engine {
                 profile: r.profile,
                 prepare_trace: Vec::new(),
                 kernel_trace: Vec::new(),
-            })
+            });
         }
-    }
-
-    fn oneshot_session(
-        device: tc_simt::Device,
-        graph: &EdgeArray,
-        opts: &GpuOptions,
-        profile: bool,
-    ) -> Result<(JobResult, tc_simt::Device), tc_core::CoreError> {
-        let mut prepared = PreparedGraph::prepare_on(device, graph, opts)?;
-        let prepare_s = prepared.prepare_s();
-        let prepare_trace = prepared.prepare_trace().to_vec();
-        let counted = prepared.count()?;
-        let device = prepared.release()?;
-        Ok((
-            JobResult {
-                triangles: counted.triangles,
-                seconds: prepare_s + counted.count_s,
-                prepare_s,
-                count_s: counted.count_s,
-                cache_hit: false,
-                modeled: true,
-                profile: profile.then_some(counted.profile),
-                prepare_trace,
-                kernel_trace: counted.trace,
-            },
-            device,
-        ))
+        // An uncached session job (overflow beyond `cache_capacity`): a
+        // full prepare/count/release on a pooled (warm) device or a
+        // transient cluster.
+        let mut entry = self.prepare_entry(job)?;
+        let (counted, prepare_s, prepare_trace) = entry.count()?;
+        let paid = Some((prepare_s, prepare_trace.to_vec()));
+        entry.release()?;
+        Ok(job_result(counted, paid, job.profile))
     }
 
     /// Release every prepared session, returning its warm device to the
@@ -972,18 +933,9 @@ impl Engine {
         let mut cache = self.cache.lock().unwrap();
         for (_, slot) in cache.drain() {
             if let Some(entry) = lock_slot(&slot).take() {
-                match entry {
-                    CacheEntry::Single { prepared, ticket } => {
-                        if let Ok(device) = prepared.release() {
-                            ticket.restore(device);
-                        }
-                    }
-                    // Cluster devices belong to the session, not the
-                    // pool — releasing frees their arenas and drops them.
-                    CacheEntry::Cluster { prepared } => {
-                        let _ = prepared.release();
-                    }
-                }
+                // A session that fails to release is dropped (its pool
+                // ticket frees the device slot).
+                let _ = entry.release();
             }
         }
         self.admitted.lock().unwrap().clear();
@@ -1038,6 +990,7 @@ fn json_f64(x: f64) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use tc_core::{ClusterPartition, EdgeLayout, GpuOptions};
     use tc_simt::DeviceConfig;
 
     fn diamond() -> Arc<EdgeArray> {
@@ -1209,6 +1162,67 @@ mod tests {
         assert_eq!(report.cache_misses, 3);
         assert_eq!(report.jobs[1].result.as_ref().unwrap().triangles, 1);
         assert!(!report.jobs[3].result.as_ref().unwrap().cache_hit);
+    }
+
+    #[test]
+    fn impossible_backends_fail_typed_and_the_engine_keeps_serving() {
+        let engine = Engine::new(small_config());
+        let g = diamond();
+        let opts = || GpuOptions::new(DeviceConfig::gtx_980().with_unlimited_memory());
+        let mut aos = opts();
+        aos.layout = EdgeLayout::AoS;
+        let cluster = |options, nodes| Backend::Cluster {
+            options,
+            nodes,
+            devices_per_node: 2,
+            partition: ClusterPartition::OneD,
+        };
+        let bad = [
+            Backend::MultiGpu {
+                options: opts(),
+                devices: 0,
+            },
+            Backend::GpuSplit {
+                options: opts(),
+                parts: 0,
+            },
+            cluster(opts(), 0),
+            Backend::MultiGpu {
+                options: aos.clone(),
+                devices: 2,
+            },
+            cluster(aos, 2),
+        ];
+        let mut jobs: Vec<Job> = bad
+            .iter()
+            .enumerate()
+            .map(|(i, b)| Job::new(format!("bad{i}"), Arc::clone(&g), b.clone()))
+            .collect();
+        jobs.push(Job::new("clean", Arc::clone(&g), cluster(opts(), 2)));
+        let report = engine.run_batch(jobs);
+        for rec in &report.jobs[..bad.len()] {
+            match &rec.result {
+                Err(e @ EngineError::Count(core)) => {
+                    assert!(
+                        matches!(core.root(), CoreError::InvalidBackend(_)),
+                        "{}: {core}",
+                        rec.backend
+                    );
+                    assert_eq!(e.stage(), Stage::Admission, "{}", rec.backend);
+                }
+                other => panic!("{}: expected a typed error, got {other:?}", rec.backend),
+            }
+        }
+        assert_eq!(report.jobs[bad.len()].result.as_ref().unwrap().triangles, 2);
+        // The next batch on the same engine serves every topology.
+        let next = engine.run_batch(vec![
+            Job::new("gpu", Arc::clone(&g), gpu()),
+            Job::new("multi", Arc::clone(&g), "2xgtx980".parse().unwrap()),
+            Job::new("split", g, "gtx980/split:3".parse().unwrap()),
+        ]);
+        for rec in &next.jobs {
+            assert_eq!(rec.result.as_ref().unwrap().triangles, 2, "{}", rec.backend);
+        }
     }
 
     #[test]

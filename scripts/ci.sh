@@ -65,6 +65,16 @@ echo "==> cluster sharding smoke"
 # this is the CLI-path canary).
 ./target/release/tcount suite:dblp --backend cluster:2x2/gtx980/balanced > /dev/null
 
+echo "==> multi-GPU and split smoke"
+# Multi-GPU stripes and split subproblems count through the same bin
+# dispatch as the single device; these are their CLI-path canaries:
+# sanitizer- and verifier-clean striped hash bins, a verified split, and
+# a per-device Chrome trace that must parse.
+./target/release/tcount suite:kronecker-8 --backend 2xc2050/balanced+hash/sanitize/verify > /dev/null
+./target/release/tcount suite:dblp --backend gtx980/split:3/balanced/verify > /dev/null
+./target/release/tcount suite:dblp --backend 4xc2050 --trace /tmp/tc_multi_trace.json > /dev/null
+python3 -c "import json; json.load(open('/tmp/tc_multi_trace.json'))"
+
 echo "==> bench artifact is valid JSON"
 ./target/release/repro bench --scale smoke --out /tmp/tc_bench_smoke.json > /dev/null
 python3 - <<'PY'

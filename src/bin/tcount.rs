@@ -95,9 +95,7 @@ use std::process::ExitCode;
 
 use triangles::core::clustering::{average_clustering, transitivity};
 use triangles::core::count::{Backend, CountRequest, TriangleCount};
-use triangles::core::gpu::cluster::run_cluster_profiled;
-use triangles::core::gpu::multi::{merged_profile, run_multi_gpu_profiled};
-use triangles::core::gpu::pipeline::{run_gpu_pipeline_profiled, RunTrace};
+use triangles::core::gpu::pipeline::RunTrace;
 use triangles::engine::{parse_jobfile, Admission, Engine, EngineConfig};
 use triangles::gen::Scale;
 use triangles::graph::{io, EdgeArray, GraphStats};
@@ -248,89 +246,29 @@ fn emit_profile(
     Ok(())
 }
 
-/// Run a GPU backend through the profiled entry points, honoring `--trace`
-/// and `--profile`.
+/// Run a GPU backend with profiling on, honoring `--trace` and
+/// `--profile`.
 fn run_gpu_observed(graph: &EdgeArray, args: &Args) -> Result<TriangleCount, String> {
-    match &args.backend {
-        Backend::Gpu(opts) => {
-            let (report, trace) =
-                run_gpu_pipeline_profiled(graph, opts).map_err(|e| format!("counting: {e}"))?;
-            if let Some(path) = &args.trace {
-                write_trace(std::slice::from_ref(&trace), path)?;
-            }
-            if let Some(file) = &args.profile {
-                emit_profile(&trace.profile, file)?;
-            }
-            Ok(TriangleCount {
-                triangles: report.triangles,
-                backend: args.backend.label(),
-                seconds: report.total_s,
-                profile: Some(trace.profile),
-                sanitizer: report.sanitizer.clone(),
-                verifier: report.verifier.clone(),
-                gpu: Some(report),
-            })
-        }
-        Backend::MultiGpu { options, devices } => {
-            let (report, traces) = run_multi_gpu_profiled(graph, options, *devices)
-                .map_err(|e| format!("counting: {e}"))?;
-            if let Some(path) = &args.trace {
-                write_trace(&traces, path)?;
-            }
-            if let Some(file) = &args.profile {
-                emit_profile(&merged_profile(&traces), file)?;
-            }
-            Ok(TriangleCount {
-                triangles: report.triangles,
-                backend: args.backend.label(),
-                seconds: report.total_s,
-                profile: Some(merged_profile(&traces)),
-                sanitizer: report.sanitizer,
-                verifier: report.verifier,
-                gpu: None,
-            })
-        }
-        Backend::Cluster {
-            options,
-            nodes,
-            devices_per_node,
-            partition,
-        } => {
-            let topology = triangles::simt::ClusterTopology::new(*nodes, *devices_per_node);
-            let (report, traces) = run_cluster_profiled(graph, options, topology, *partition)
-                .map_err(|e| format!("counting: {e}"))?;
-            if let Some(path) = &args.trace {
-                write_trace(&traces, path)?;
-            }
-            if let Some(file) = &args.profile {
-                emit_profile(&merged_profile(&traces), file)?;
-            }
-            Ok(TriangleCount {
-                triangles: report.triangles,
-                backend: args.backend.label(),
-                seconds: report.total_s,
-                profile: Some(merged_profile(&traces)),
-                sanitizer: report.sanitizer,
-                verifier: report.verifier,
-                gpu: None,
-            })
-        }
-        // Split subproblems run one after another on fresh devices, so
-        // they merge into one profile but have no single device timeline.
-        Backend::GpuSplit { .. } if args.trace.is_none() => {
-            let result = CountRequest::new(args.backend.clone())
-                .profile(true)
-                .graph_name(&args.path)
-                .run(graph)
-                .map_err(|e| format!("counting: {e}"))?;
-            if let (Some(profile), Some(file)) = (&result.profile, &args.profile) {
-                emit_profile(profile, file)?;
-            }
-            Ok(result)
-        }
-        Backend::GpuSplit { .. } => Err("--trace is not available on split backends".into()),
-        _ => Err("--trace/--profile require a simulated-GPU backend".into()),
+    if !args.backend.is_modeled() {
+        return Err("--trace/--profile require a simulated-GPU backend".into());
     }
+    let result = CountRequest::new(args.backend.clone())
+        .profile(true)
+        .graph_name(&args.path)
+        .run(graph)
+        .map_err(|e| format!("counting: {e}"))?;
+    if let Some(path) = &args.trace {
+        // Split subproblems run one after another on fresh devices, so
+        // they merge into one profile but have no device timeline.
+        if result.traces.is_empty() {
+            return Err("--trace is not available on split backends".into());
+        }
+        write_trace(&result.traces, path)?;
+    }
+    if let (Some(profile), Some(file)) = (&result.profile, &args.profile) {
+        emit_profile(profile, file)?;
+    }
+    Ok(result)
 }
 
 /// Resolve a `suite:<name>` pseudo-path to a generated smoke-scale suite

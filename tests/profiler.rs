@@ -2,8 +2,7 @@
 //! span nesting invariants, machine-readable output validity, and
 //! byte-identical determinism.
 
-use triangles::core::count::GpuOptions;
-use triangles::core::gpu::multi::{merged_profile, run_multi_gpu_profiled};
+use triangles::core::count::{Backend, CountRequest, GpuOptions};
 use triangles::core::gpu::pipeline::{run_gpu_pipeline_profiled, RunTrace};
 use triangles::gen::{erdos_renyi, Seed};
 use triangles::simt::trace::{write_chrome_trace_spanned, TraceThread};
@@ -189,9 +188,14 @@ fn profiler_output_is_byte_identical_across_runs() {
 fn merged_multi_gpu_profile_conserves_counters() {
     let g = erdos_renyi::gnm(200, 1_200, Seed(12));
     let opts = GpuOptions::new(DeviceConfig::tesla_c2050().with_unlimited_memory());
-    let (_, traces) = run_multi_gpu_profiled(&g, &opts, 4).unwrap();
+    let backend = Backend::MultiGpu {
+        options: opts,
+        devices: 4,
+    };
+    let counted = CountRequest::new(backend).profile(true).run(&g).unwrap();
+    let traces = &counted.traces;
     assert_eq!(traces.len(), 4);
-    let merged = merged_profile(&traces);
+    let merged = counted.profile.expect("profiled request");
     assert_eq!(merged.devices, 4);
     let summed = traces.iter().fold(Counters::default(), |mut acc, t| {
         acc.add(&t.profile.totals);
@@ -199,7 +203,7 @@ fn merged_multi_gpu_profile_conserves_counters() {
     });
     assert_counters_eq(&summed, &merged.totals, "merged multi-GPU totals");
     // Every device counted: each per-device profile has a kernel span.
-    for t in &traces {
+    for t in traces {
         let span = t.profile.span("count/count-kernel").unwrap();
         assert!(span.counters.kernel_launches >= 1, "{}", t.device_name);
     }
