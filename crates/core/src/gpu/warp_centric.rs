@@ -39,6 +39,9 @@
 //! (the vertex-centric amortization TRUST is named for). Counts are
 //! exact under all strategies.
 
+use std::cell::RefCell;
+use std::rc::Rc;
+
 use tc_simt::{
     AccessContract, AffineFootprint, DeviceBuffer, Effect, Interval, Kernel, Lane, LaunchConfig,
     MemView,
@@ -189,6 +192,37 @@ impl Kernel for WarpCentricKernel {
     }
 
     fn spawn(&self, tid: usize, total: usize) -> WarpCentricLane {
+        let table = (self.strategy == IntersectStrategy::Hash).then(Rc::default);
+        self.lane(tid, total, table)
+    }
+
+    /// The lanes of one virtual warp share one functional hash table, as
+    /// they share the table's shared-memory window on the device.
+    fn spawn_warp(&self, first_tid: usize, lanes: usize, total: usize) -> Vec<WarpCentricLane> {
+        let hash = self.strategy == IntersectStrategy::Hash;
+        let w = self.virtual_warp as usize;
+        let mut vwarp: Option<(usize, Rc<RefCell<HashTable>>)> = None;
+        (first_tid..first_tid + lanes)
+            .map(|tid| {
+                let table = hash.then(|| match &vwarp {
+                    Some((vw, t)) if *vw == tid / w => Rc::clone(t),
+                    _ => Rc::clone(&vwarp.insert((tid / w, Rc::default())).1),
+                });
+                self.lane(tid, total, table)
+            })
+            .collect()
+    }
+}
+
+impl WarpCentricKernel {
+    /// Lane `tid` of `total`; `table` is its virtual warp's hash table
+    /// (hash strategy only).
+    fn lane(
+        &self,
+        tid: usize,
+        total: usize,
+        table: Option<Rc<RefCell<HashTable>>>,
+    ) -> WarpCentricLane {
         let w = self.virtual_warp as usize;
         let vw = tid / w;
         let hash = self.strategy == IntersectStrategy::Hash;
@@ -222,9 +256,8 @@ impl Kernel for WarpCentricKernel {
             chunk_dead: false,
             run_block: vw,
             run_off: 0,
-            table: Vec::new(),
-            walks: Vec::new(),
-            built_span: (u32::MAX, u32::MAX),
+            table,
+            built_span: NO_SPAN,
             table_mask: 0,
             table_shift: 0,
             table_spilled: false,
@@ -242,6 +275,31 @@ impl Kernel for WarpCentricKernel {
             pr_rounds: 0,
             pr_active: false,
             probe_found: false,
+        }
+    }
+}
+
+/// Marks a hash table, or a lane, that holds no build span yet.
+const NO_SPAN: (u32, u32) = (u32::MAX, u32::MAX);
+
+/// A virtual warp's functional hash table, shared by its lanes.
+struct HashTable {
+    /// Slot contents ([`HASH_SENTINEL`] = empty).
+    slots: Vec<u32>,
+    /// Per-build-element chain-walk lengths, indexed by position in the
+    /// build list.
+    walks: Vec<u32>,
+    /// The adjacency span the table was built over ([`NO_SPAN`] = none).
+    /// The table is a pure function of it: adjacency is read-only.
+    span: (u32, u32),
+}
+
+impl Default for HashTable {
+    fn default() -> Self {
+        HashTable {
+            slots: Vec::new(),
+            walks: Vec::new(),
+            span: NO_SPAN,
         }
     }
 }
@@ -317,16 +375,13 @@ pub struct WarpCentricLane {
     /// within it.
     run_block: usize,
     run_off: usize,
-    /// Hash: this lane's functional copy of the virtual warp's table
-    /// (every lane of a warp builds the same table deterministically, so
-    /// per-lane copies stay identical — the simulator's stand-in for
-    /// actually shared storage).
-    table: Vec<u32>,
-    /// Hash: per-build-element chain-walk lengths, indexed by position in
-    /// the build list.
-    walks: Vec<u32>,
-    /// Hash: the adjacency span the current table was built over
-    /// (`(u32::MAX, u32::MAX)` = none). Matching spans reuse the table.
+    /// Hash: the virtual warp's table, shared by its lanes. The lanes run
+    /// the same phases in lockstep, so the first of them to set up a new
+    /// build span builds it and the rest find it built; none reads the
+    /// table again before every lane has moved on to that span.
+    table: Option<Rc<RefCell<HashTable>>>,
+    /// Hash: the adjacency span this lane last set up a table over
+    /// ([`NO_SPAN`] = none). Matching spans reuse the table.
     built_span: (u32, u32),
     table_mask: u32,
     table_shift: u32,
@@ -417,32 +472,53 @@ impl WarpCentricLane {
         self.table_mask = slots - 1;
         self.table_shift = 32 - slots.trailing_zeros();
         self.table_spilled = slots > self.k.shared_slots;
-        self.table.clear();
-        self.table.resize(slots as usize, HASH_SENTINEL);
-        self.walks.clear();
-        for i in self.short_it..self.short_end {
-            let x = mem.read_u32(self.k.adj.addr_of(i as usize));
-            let mut slot = hash_slot(x, self.table_shift);
-            let mut len = 1u32;
-            while self.table[slot as usize] != HASH_SENTINEL {
-                slot = (slot + 1) & self.table_mask;
-                len += 1;
+        // The first lane of the virtual warp to reach a new span builds it.
+        let mut t = self.table().borrow_mut();
+        if t.span != self.built_span {
+            t.span = self.built_span;
+            t.slots.clear();
+            t.slots.resize(slots as usize, HASH_SENTINEL);
+            t.walks.clear();
+            for i in self.short_it..self.short_end {
+                let x = mem.read_u32(self.k.adj.addr_of(i as usize));
+                let mut slot = hash_slot(x, self.table_shift);
+                let mut len = 1u32;
+                while t.slots[slot as usize] != HASH_SENTINEL {
+                    slot = (slot + 1) & self.table_mask;
+                    len += 1;
+                }
+                t.slots[slot as usize] = x;
+                t.walks.push(len);
             }
-            self.table[slot as usize] = x;
-            self.walks.push(len);
         }
+        drop(t);
         self.hb_round = 0;
         self.hb_rounds = s.div_ceil(w);
         self.phase = Phase::HashBuildLoad;
     }
 
+    /// The virtual warp's table, holding this lane's build span.
+    fn table(&self) -> &RefCell<HashTable> {
+        self.table.as_deref().expect("hash lanes carry a table")
+    }
+
+    /// The chain-walk length of build element `i` (a position in the build
+    /// list).
+    fn build_walk(&self, i: u32) -> u32 {
+        let table = self.table().borrow();
+        debug_assert_eq!(table.span, self.built_span);
+        table.walks[i as usize]
+    }
+
     /// Probe the functional table for `y`: chain-walk length and whether
     /// it is present.
     fn hash_probe(&self, y: u32) -> (u32, bool) {
+        let table = self.table().borrow();
+        debug_assert_eq!(table.span, self.built_span);
         let mut slot = hash_slot(y, self.table_shift);
         let mut len = 1u32;
         loop {
-            let t = self.table[slot as usize];
+            let t = table.slots[slot as usize];
             if t == y {
                 return (len, true);
             }
@@ -656,7 +732,7 @@ impl Lane for WarpCentricLane {
                     let addr = self.k.adj.addr_of(i as usize);
                     self.hb_x = mem.read_u32(addr);
                     self.walk_slot = hash_slot(self.hb_x, self.table_shift);
-                    self.walk_len = self.walks[(i - self.short_it) as usize];
+                    self.walk_len = self.build_walk(i - self.short_it);
                     return self.read(addr);
                 }
                 Phase::HashBuildWalk => {

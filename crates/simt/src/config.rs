@@ -235,6 +235,12 @@ impl DeviceConfig {
             .max(1)
     }
 
+    /// Capacity of one SM's slice of the address-sliced L2, floored at one
+    /// line per way.
+    pub fn l2_slice_bytes(&self) -> u32 {
+        (self.l2_cache_bytes / self.num_sms).max(self.line_bytes * self.l2_cache_ways)
+    }
+
     /// The paper's tuned launch: 64 threads per block, 8 blocks per SM
     /// (§III-C).
     pub fn paper_launch(&self) -> crate::executor::LaunchConfig {

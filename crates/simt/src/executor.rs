@@ -82,12 +82,97 @@ impl LaunchConfig {
     }
 }
 
-/// A store buffered during simulation, committed after the kernel retires.
+/// A store logged during simulation, committed after the kernel retires.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct PendingWrite {
     pub addr: u64,
     pub bytes: u32,
     pub value: u64,
+}
+
+/// One SM's store log, last writer wins: a store supersedes any earlier
+/// store to the same `(addr, bytes)`, and the survivors keep their issue
+/// order. Committing the survivors in order leaves the same final bytes as
+/// committing every store (each byte's last writer survives and still
+/// commits after every other surviving writer of that byte), and the same
+/// initialized bytes (every key keeps a store). Whether the sanitizer
+/// rejects a store depends only on its key, so rejections match too.
+///
+/// Hash kernels rebuild their tables in the same scratch windows over and
+/// over, so the log is compacted as it grows: its length stays within a
+/// constant factor of the number of distinct keys.
+#[derive(Debug, Default)]
+struct StoreLog {
+    /// Stores in issue order; `bytes == 0` marks a superseded one.
+    entries: Vec<PendingWrite>,
+    /// Open-addressed index of the live entries by key: position + 1, or
+    /// 0 for an empty slot. Its length is a power of two (or zero).
+    index: Vec<u32>,
+    /// Entries not yet superseded.
+    live: usize,
+}
+
+impl StoreLog {
+    /// Entries the log may hold below which it is never compacted.
+    const MIN_COMPACT: usize = 1024;
+
+    fn push(&mut self, w: PendingWrite) {
+        if 2 * (self.live + 1) > self.index.len() {
+            self.reindex(4 * (self.live + 1));
+        }
+        let pos = u32::try_from(self.entries.len() + 1).expect("store log fits u32 positions");
+        let slot = self.find(w.addr, w.bytes);
+        match self.index[slot] {
+            0 => self.live += 1,
+            old => self.entries[old as usize - 1].bytes = 0,
+        }
+        self.index[slot] = pos;
+        self.entries.push(w);
+        if self.entries.len() >= 2 * self.live + Self::MIN_COMPACT {
+            self.entries.retain(|e| e.bytes != 0);
+            self.reindex(self.index.len());
+        }
+    }
+
+    /// The index slot holding `(addr, bytes)`, or the empty slot where it
+    /// would go.
+    #[inline]
+    fn find(&self, addr: u64, bytes: u32) -> usize {
+        let mask = self.index.len() - 1;
+        let key = addr ^ ((bytes as u64) << 56);
+        let mut slot = (key.wrapping_mul(0x9E37_79B9_7F4A_7C15) >> 32) as usize & mask;
+        loop {
+            match self.index[slot] {
+                0 => return slot,
+                pos => {
+                    let e = &self.entries[pos as usize - 1];
+                    if e.addr == addr && e.bytes == bytes {
+                        return slot;
+                    }
+                }
+            }
+            slot = (slot + 1) & mask;
+        }
+    }
+
+    /// Rebuild the index over the live entries with at least `slots` slots.
+    fn reindex(&mut self, slots: usize) {
+        self.index.clear();
+        self.index.resize(slots.next_power_of_two(), 0);
+        for i in 0..self.entries.len() {
+            let e = self.entries[i];
+            if e.bytes != 0 {
+                let slot = self.find(e.addr, e.bytes);
+                self.index[slot] = i as u32 + 1;
+            }
+        }
+    }
+
+    /// The surviving stores, in issue order.
+    fn into_writes(mut self) -> Vec<PendingWrite> {
+        self.entries.retain(|e| e.bytes != 0);
+        self.entries
+    }
 }
 
 /// Aggregated observable results of one kernel launch — the quantities
@@ -140,8 +225,9 @@ pub struct KernelStats {
 }
 
 /// Simulate a kernel launch against an arena snapshot. Returns the stats and
-/// the buffered stores; the caller (the [`crate::Device`]) commits the
-/// stores and advances the device clock.
+/// the logged stores (the last to each `(addr, bytes)`, per SM, merged in SM
+/// index order); the caller (the [`crate::Device`]) commits the stores and
+/// advances the device clock.
 pub fn simulate<K: Kernel>(
     cfg: &DeviceConfig,
     arena: &Arena,
@@ -315,16 +401,15 @@ fn simulate_sm<K: Kernel>(
     trace: bool,
 ) -> SmResult {
     let mut tex = Cache::new(cfg.tex_cache_bytes, cfg.tex_cache_ways, cfg.line_bytes);
-    let l2_slice = (cfg.l2_cache_bytes / cfg.num_sms).max(cfg.line_bytes * cfg.l2_cache_ways);
-    let mut l2 = Cache::new(l2_slice, cfg.l2_cache_ways, cfg.line_bytes);
+    let mut l2 = Cache::new(cfg.l2_slice_bytes(), cfg.l2_cache_ways, cfg.line_bytes);
 
     let spawn_block = |block: u32, at: f64, slot: usize| -> Vec<WarpSim<K::Lane>> {
         (0..warps_per_block)
             .map(|w| {
                 let global_warp = block as usize * warps_per_block as usize + w as usize;
-                let lanes: Vec<K::Lane> = (0..lanes_per_warp)
-                    .map(|l| kernel.spawn(global_warp * lanes_per_warp + l, total_active))
-                    .collect();
+                let lanes =
+                    kernel.spawn_warp(global_warp * lanes_per_warp, lanes_per_warp, total_active);
+                debug_assert_eq!(lanes.len(), lanes_per_warp);
                 WarpSim {
                     active: vec![true; lanes.len()],
                     live: lanes.len(),
@@ -361,7 +446,7 @@ fn simulate_sm<K: Kernel>(
     let mut dram_write_bytes = 0u64;
     let mut shared_accesses = 0u64;
     let mut shared_conflict_cycles = 0f64;
-    let mut writes: Vec<PendingWrite> = Vec::new();
+    let mut writes = StoreLog::default();
     let mut observed = Observed::default();
     let mut checker = check.map(LaneChecker::new);
     let observing = checker.is_some() || trace;
@@ -555,7 +640,7 @@ fn simulate_sm<K: Kernel>(
         shared_conflict_cycles,
         tex: tex.stats(),
         l2: l2.stats(),
-        writes,
+        writes: writes.into_writes(),
         observed,
     }
 }
@@ -1095,6 +1180,138 @@ mod tests {
         assert_eq!(s_logged, s_plain);
         assert_eq!(w_inline, w_plain);
         assert_eq!(w_logged, w_plain);
+    }
+
+    #[test]
+    fn store_log_commits_like_a_replay_of_every_store() {
+        use crate::sanitizer::SanitizerMode;
+
+        const STORES: u64 = 48;
+        /// The value lane `tid` stores on its `k`-th store.
+        fn value(tid: u64, k: u64) -> u64 {
+            ((tid << 32) | k).wrapping_mul(0x9E37_79B9_7F4A_7C15)
+        }
+        /// Every lane stores `STORES` times into one 64-byte window that all
+        /// lanes share: 4- and 8-byte stores at overlapping word offsets,
+        /// global and scratch stores, and now and then a store into a freed
+        /// buffer, which the sanitizer rejects.
+        struct RewriteKernel {
+            window: u64,
+            freed: u64,
+        }
+        struct RewriteLane {
+            tid: u64,
+            k: u64,
+            window: u64,
+            freed: u64,
+        }
+        impl Lane for RewriteLane {
+            fn step(&mut self, _mem: &MemView<'_>) -> Effect {
+                let (t, k) = (self.tid, self.k);
+                if k == STORES {
+                    return Effect::Done;
+                }
+                self.k += 1;
+                let bytes = if (t + k) % 3 == 0 { 8 } else { 4 };
+                // Word offsets 0..=14 keep every 8-byte store in the window.
+                let addr = if (7 * t + k) % 11 == 0 {
+                    self.freed + 4 * (k % 4)
+                } else {
+                    self.window + 4 * ((t + 5 * k) % 15)
+                };
+                let value = value(t, k);
+                if k % 2 == 0 {
+                    Effect::Write { addr, bytes, value }
+                } else {
+                    Effect::SharedWrite {
+                        addr,
+                        bytes,
+                        value,
+                        spilled: k % 4 == 1,
+                    }
+                }
+            }
+        }
+        impl Kernel for RewriteKernel {
+            type Lane = RewriteLane;
+            fn spawn(&self, tid: usize, _total: usize) -> RewriteLane {
+                RewriteLane {
+                    tid: tid as u64,
+                    k: 0,
+                    window: self.window,
+                    freed: self.freed,
+                }
+            }
+        }
+
+        let cfg = DeviceConfig::gtx_980().with_unlimited_memory();
+        let lc = LaunchConfig::new(2, 128);
+        let total = lc.active_threads(cfg.warp_size);
+        for mode in [SanitizerMode::Off, SanitizerMode::Check] {
+            let build = || {
+                let mut arena = Arena::new(u64::MAX);
+                arena.set_sanitizer(mode);
+                let window = arena.alloc(64).unwrap();
+                let freed = arena.alloc(64).unwrap();
+                arena.free(freed).unwrap();
+                (arena, RewriteKernel { window, freed })
+            };
+            let (arena, kernel) = build();
+            let settled = arena.shadow().map(|sh| sh.settled());
+            let view = arena
+                .shadow()
+                .zip(settled.as_deref())
+                .map(|(sh, settled)| sh.launch_view(settled));
+            let (_, writes, observed) =
+                simulate_observed(&cfg, &arena, lc, &kernel, view, true).unwrap();
+
+            // The access log keeps every store in issue order; each lane's
+            // k-th store carries value(lane, k).
+            let mut issued = vec![0u64; total];
+            let full: Vec<PendingWrite> = observed
+                .accesses
+                .iter()
+                .filter(|a| a.write)
+                .map(|a| {
+                    let k = &mut issued[a.lane as usize];
+                    *k += 1;
+                    PendingWrite {
+                        addr: a.addr,
+                        bytes: a.bytes,
+                        value: value(a.lane as u64, *k - 1),
+                    }
+                })
+                .collect();
+            assert_eq!(full.len() as u64, total as u64 * STORES);
+            assert!(
+                writes.len() * 20 < full.len(),
+                "{mode}: {} of {} stores survive",
+                writes.len(),
+                full.len()
+            );
+
+            let (mut compacted, _) = build();
+            let (mut replayed, _) = build();
+            let committed = writes
+                .iter()
+                .filter(|w| compacted.commit_store(w.addr, w.bytes, w.value))
+                .count();
+            let rejected = full
+                .iter()
+                .filter(|w| !replayed.commit_store(w.addr, w.bytes, w.value))
+                .count();
+            assert_eq!(compacted.bytes(), replayed.bytes(), "{mode}: final bytes");
+            if mode.is_on() {
+                assert!(rejected > 0 && committed < writes.len());
+                assert_eq!(
+                    compacted.shadow().unwrap().init_bits(),
+                    replayed.shadow().unwrap().init_bits(),
+                    "{mode}: initialized bytes"
+                );
+            } else {
+                assert_eq!((committed, rejected), (writes.len(), 0));
+            }
+        }
     }
 
     #[test]

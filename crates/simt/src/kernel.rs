@@ -15,9 +15,11 @@ pub enum Effect {
     /// read-only/texture path (`const __restrict__` pointers, §III-D4);
     /// uncached loads bypass the per-SM cache and go straight to L2.
     Read { addr: u64, bytes: u32, cached: bool },
-    /// A global-memory store. The value is buffered by the executor and
-    /// committed when the kernel completes (our kernels only write
-    /// lane-private slots, so ordering is immaterial).
+    /// A global-memory store. The executor logs it and commits the log
+    /// when the kernel completes; lanes never read their own launch's
+    /// stores back through the [`MemView`]. The log keeps only the last
+    /// store to each `(addr, bytes)`, in issue order, which leaves the same
+    /// final bytes and the same initialized bytes as committing every store.
     Write { addr: u64, bytes: u32, value: u64 },
     /// Pure ALU work.
     Compute { cycles: u32 },
@@ -33,8 +35,8 @@ pub enum Effect {
         bytes: u32,
         spilled: bool,
     },
-    /// An on-chip shared-memory store (hash-table slot insert). Buffered
-    /// and committed like a global store so the scratch window holds real
+    /// An on-chip shared-memory store (hash-table slot insert). Logged and
+    /// committed like a global store so the scratch window holds real
     /// data, but charged through the shared-memory bank model unless
     /// `spilled` (then it is priced as a write-through global store).
     SharedWrite {
@@ -103,8 +105,9 @@ impl<'a> MemView<'a> {
     }
 }
 
-/// One simulated thread.
-pub trait Lane: Send {
+/// One simulated thread. A warp's lanes are created, stepped and dropped
+/// on one host thread.
+pub trait Lane {
     /// Execute the next instruction. Must return [`Effect::Done`] forever
     /// once finished.
     fn step(&mut self, mem: &MemView<'_>) -> Effect;
@@ -117,6 +120,17 @@ pub trait Kernel: Sync {
     /// Create the lane for global thread `tid` of `total` (`total` is the
     /// active thread count — the grid-stride denominator).
     fn spawn(&self, tid: usize, total: usize) -> Self::Lane;
+
+    /// Create the `lanes` lanes of one warp, global threads `first_tid ..
+    /// first_tid + lanes`, in lane order. The executor steps them in
+    /// lockstep on one host thread, so a kernel may override this to let
+    /// them share per-warp state, as a warp shares its shared memory. The
+    /// default spawns every lane on its own.
+    fn spawn_warp(&self, first_tid: usize, lanes: usize, total: usize) -> Vec<Self::Lane> {
+        (first_tid..first_tid + lanes)
+            .map(|tid| self.spawn(tid, total))
+            .collect()
+    }
 
     /// The kernel's declared [`crate::verifier::AccessContract`] for this launch geometry,
     /// if it carries one. Kernels without a contract cannot launch on a

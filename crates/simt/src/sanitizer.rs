@@ -502,6 +502,12 @@ impl Shadow {
         set_bit_range(&mut self.init, addr, addr + bytes, true);
     }
 
+    /// The per-byte init bitmap (for tests comparing shadow states).
+    #[cfg(test)]
+    pub(crate) fn init_bits(&self) -> &[u64] {
+        &self.init
+    }
+
     fn ensure_bitmap(&mut self, end: u64) {
         let words = (end as usize).div_ceil(64);
         if self.init.len() < words {

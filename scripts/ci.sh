@@ -21,6 +21,9 @@ echo "==> workspace determinism lint"
 #   * hash-order collections (HashMap / HashSet) — their iteration order
 #     is randomized per process and anything they feed (reports, JSON,
 #     bin plans) would drift run to run; use BTreeMap/BTreeSet/Vec.
+#   * process-global mutable state (thread_local!, static mut, static
+#     atomics) — per-warp and per-SM state must come through the executor,
+#     or results would depend on which host thread ran what before.
 # Allowlisted by construction (outside the path set below): advisory
 # telemetry that is *documented* host-measured — the engine's queue-wait
 # metric and CPU-backend wall timings (crates/engine, crates/core/count.rs
@@ -41,9 +44,13 @@ find $DET_PATHS -name '*.rs' -print0 | xargs -0 awk '
         printf "%s:%d: hash-order collection in a deterministic module (use BTreeMap/BTreeSet/Vec)\n", FILENAME, FNR
         bad = 1
     }
+    /thread_local!|static[ \t]+mut[ \t]|static[ \t]+[A-Za-z_0-9]+[ \t]*:[ \t]*[A-Za-z_0-9:]*Atomic/ {
+        printf "%s:%d: process-global mutable state in a deterministic module (pass it through the executor)\n", FILENAME, FNR
+        bad = 1
+    }
     END { exit bad }
 '
-echo "deterministic modules are clock-free and hash-order-free"
+echo "deterministic modules are clock-free, hash-order-free and global-free"
 
 echo "==> cargo build --release"
 cargo build --release --workspace
