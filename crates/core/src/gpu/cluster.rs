@@ -40,7 +40,7 @@ use tc_graph::{Csr, EdgeArray, Orientation};
 use tc_simt::profiler::{relative_spans, ProfileReport, RelSpan};
 use tc_simt::{
     Cluster, ClusterTopology, Device, DeviceBuffer, Interconnect, KernelStats, LaunchConfig,
-    SanitizerReport, VerifierReport,
+    LaunchTally, SanitizerReport, VerifierReport,
 };
 
 use crate::count::GpuOptions;
@@ -513,6 +513,11 @@ impl PreparedCluster {
     #[inline]
     pub fn counts_served(&self) -> u64 {
         self.counts_served
+    }
+
+    /// Launches simulated and replayed, summed over the cluster's devices.
+    pub fn launch_tally(&self) -> LaunchTally {
+        self.cluster.iter().map(Device::launch_tally).sum()
     }
 
     /// The cluster's shape.

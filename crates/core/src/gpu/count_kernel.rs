@@ -24,7 +24,7 @@ use tc_simt::{
 use super::LoopVariant;
 
 /// Where the kernel's arrays live on the device.
-#[derive(Clone, Copy, Debug)]
+#[derive(Clone, Copy, Debug, Hash)]
 pub enum KernelArrays {
     /// Unzipped layout: `nbr[i]` = second endpoint (the concatenated,
     /// sorted adjacency lists), `owner[i]` = first endpoint.
@@ -46,7 +46,7 @@ pub enum KernelArrays {
 }
 
 /// The triangle-counting kernel.
-#[derive(Clone, Copy, Debug)]
+#[derive(Clone, Copy, Debug, Hash)]
 pub struct CountKernel {
     pub arrays: KernelArrays,
     pub node: DeviceBuffer<u32>,

@@ -32,7 +32,7 @@ pub(crate) fn merge_reports<R>(
 }
 
 /// Which merge loop the kernel runs (§III-D3).
-#[derive(Clone, Copy, PartialEq, Eq, Debug, Default)]
+#[derive(Clone, Copy, PartialEq, Eq, Hash, Debug, Default)]
 #[non_exhaustive]
 pub enum LoopVariant {
     /// The published kernel: heads kept in registers, one load per

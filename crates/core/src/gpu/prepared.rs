@@ -19,7 +19,7 @@
 
 use tc_graph::EdgeArray;
 use tc_simt::profiler::{relative_spans, Counters, ProfileReport, RelSpan};
-use tc_simt::{Device, DeviceBuffer, KernelStats, LaunchConfig};
+use tc_simt::{Device, DeviceBuffer, KernelStats, LaunchConfig, LaunchTally};
 
 use crate::count::GpuOptions;
 use crate::error::{CoreError, ErrorContext};
@@ -306,6 +306,13 @@ impl PreparedGraph {
     #[inline]
     pub fn counts_served(&self) -> u64 {
         self.counts_served
+    }
+
+    /// Launches the session's device has simulated and replayed from its
+    /// launch memo (see [`Device::launch_tally`]).
+    #[inline]
+    pub fn launch_tally(&self) -> LaunchTally {
+        self.dev.launch_tally()
     }
 
     /// Whether preprocessing needed the §III-D6 CPU fallback.

@@ -575,7 +575,8 @@ pub(crate) struct DispatchCtx<'a> {
     pub node: DeviceBuffer<u32>,
     /// Per-thread partial counts, re-zeroed before every launch.
     pub result: DeviceBuffer<u64>,
-    /// Table scratch of the hash bins ([`alloc_hash_scratch`]).
+    /// Table scratch of the hash bins ([`alloc_hash_scratch`]), re-zeroed
+    /// before every launch.
     pub hash_scratch: Option<DeviceBuffer<u32>>,
     /// Launch-label tag (`"bin"`, `"stripe"`, `"bin stripe"`, `"shard"`;
     /// `""` for none). It names the launch in the time log, in Chrome
@@ -587,8 +588,13 @@ pub(crate) struct DispatchCtx<'a> {
 /// merge [`CountKernel`] over `arrays` (SoA, AoS or Gathered); wider bins
 /// run the [`WarpCentricKernel`] — chunk scan, or the shared-memory hash
 /// for hash bins — over the Gathered endpoints. Every launch re-zeroes the
-/// result array and is reduced on its own. Returns the partial count and
-/// the slowest launch (`None` when nothing launched).
+/// result array and the hash scratch and is reduced on its own. The hash
+/// kernel builds its tables before it probes them, so the scratch zeroing
+/// changes no count or modeled number; it makes every launch start from
+/// the same arena image whatever an earlier count, or an earlier session
+/// on a pooled device, left in the tables, so a repeated count replays
+/// from the device's launch memo from its first repeat on. Returns the
+/// partial count and the slowest launch (`None` when nothing launched).
 pub(crate) fn dispatch_bins(
     dev: &mut Device,
     arrays: KernelArrays,
@@ -613,7 +619,6 @@ pub(crate) fn dispatch_bins(
         "" => kernel.to_string(),
         tag => format!("{kernel}({tag})"),
     };
-    let total_threads = ctx.lc.active_threads(dev.config().warp_size);
     let mut triangles = 0u64;
     let mut slowest: Option<KernelStats> = None;
     for bin in bins {
@@ -621,7 +626,10 @@ pub(crate) fn dispatch_bins(
         if count == 0 && !launch_empty {
             continue;
         }
-        dev.poke(&ctx.result, &vec![0u64; total_threads]);
+        dev.poke_zeroes(&ctx.result);
+        if let Some(scratch) = &ctx.hash_scratch {
+            dev.poke_zeroes(scratch);
+        }
         let stats = if bin.width == 1 {
             let kernel = CountKernel {
                 arrays,

@@ -88,7 +88,7 @@ pub fn hash_shared_slots(
 }
 
 /// How the `W` lanes of a virtual warp intersect the two adjacency lists.
-#[derive(Clone, Copy, PartialEq, Eq, Debug, Default)]
+#[derive(Clone, Copy, PartialEq, Eq, Hash, Debug, Default)]
 pub enum IntersectStrategy {
     /// §III-D7's attempt: stride the shorter list, binary search the
     /// longer one. Scattered probe reads; the paper's negative result.
@@ -109,7 +109,7 @@ pub enum IntersectStrategy {
 /// `owner`/`nbr` pair, or the balanced scheduler's bin-ordered gathered
 /// copies); merges and binary searches read the adjacency array `adj`
 /// that the `node` array points into.
-#[derive(Clone, Copy, Debug)]
+#[derive(Clone, Copy, Debug, Hash)]
 pub struct WarpCentricKernel {
     /// Adjacency storage (`node[v] .. node[v+1]` spans vertex `v`'s list).
     pub adj: DeviceBuffer<u32>,

@@ -405,20 +405,29 @@ enum CacheEntry {
     },
 }
 
+/// One count of a session: the count, the session's prepare cost and
+/// trace, and the launches the count replayed.
+type SessionCount<'a> = (PreparedCount, f64, &'a [RelSpan], u64);
+
 impl CacheEntry {
-    /// Count once; also returns the session's prepare cost and trace.
-    fn count(&mut self) -> Result<(PreparedCount, f64, &[RelSpan]), CoreError> {
+    /// Count once; also returns the session's prepare cost and trace and
+    /// how many of the count's launches were replayed.
+    fn count(&mut self) -> Result<SessionCount<'_>, CoreError> {
         Ok(match self {
-            CacheEntry::Single { prepared, .. } => (
-                prepared.count()?,
-                prepared.prepare_s(),
-                prepared.prepare_trace(),
-            ),
-            CacheEntry::Cluster { prepared } => (
-                prepared.count()?,
-                prepared.prepare_s(),
-                prepared.prepare_trace(),
-            ),
+            CacheEntry::Single { prepared, .. } => {
+                let before = prepared.launch_tally().replayed;
+                let counted = prepared.count()?;
+                let replays = prepared.launch_tally().replayed - before;
+                let trace = prepared.prepare_trace();
+                (counted, prepared.prepare_s(), trace, replays)
+            }
+            CacheEntry::Cluster { prepared } => {
+                let before = prepared.launch_tally().replayed;
+                let counted = prepared.count()?;
+                let replays = prepared.launch_tally().replayed - before;
+                let trace = prepared.prepare_trace();
+                (counted, prepared.prepare_s(), trace, replays)
+            }
         })
     }
 
@@ -759,6 +768,21 @@ impl Engine {
         }
     }
 
+    /// Count the launches a session count replayed from its devices' launch
+    /// memos. Recorded as the count happens, whatever becomes of the job
+    /// afterwards (a blown budget, say): each session serves its counts in
+    /// one order no matter which worker runs them, so the per-backend sum
+    /// is deterministic even though which job gets the replays is not.
+    fn record_replays(&self, job: &Job, replays: u64) {
+        self.metrics.inc_counter(
+            Determinism::Deterministic,
+            "engine_launch_replays_total",
+            "Kernel launches a session count replayed from a device's launch memo instead of simulating, by backend.",
+            &[("backend", &job.backend.to_string())],
+            replays,
+        );
+    }
+
     /// Decide, in submission order, which jobs count through the cache and
     /// which occurrence of each key pays the prepare. Doing this before any
     /// worker runs makes the reported hit flags (and the JSON) independent
@@ -880,7 +904,9 @@ impl Engine {
         // The prepare is charged to the first-occurrence job from the
         // plan, not to whichever worker happened to run it first: the
         // modeled prepare cost is deterministic, so the report is too.
-        let (counted, prepare_s, prepare_trace) = entry.as_mut().expect("just prepared").count()?;
+        let (counted, prepare_s, prepare_trace, replays) =
+            entry.as_mut().expect("just prepared").count()?;
+        self.record_replays(job, replays);
         let paid = (!hit).then(|| (prepare_s, prepare_trace.to_vec()));
         Ok(job_result(counted, paid, job.profile))
     }
@@ -907,7 +933,8 @@ impl Engine {
         // full prepare/count/release on a pooled (warm) device or a
         // transient cluster.
         let mut entry = self.prepare_entry(job)?;
-        let (counted, prepare_s, prepare_trace) = entry.count()?;
+        let (counted, prepare_s, prepare_trace, replays) = entry.count()?;
+        self.record_replays(job, replays);
         let paid = Some((prepare_s, prepare_trace.to_vec()));
         entry.release()?;
         Ok(job_result(counted, paid, job.profile))

@@ -57,6 +57,14 @@ impl<T> Clone for DeviceBuffer<T> {
 }
 impl<T> Copy for DeviceBuffer<T> {}
 
+// A handle is its address range; the element type needs no `Hash`.
+impl<T> std::hash::Hash for DeviceBuffer<T> {
+    fn hash<H: std::hash::Hasher>(&self, state: &mut H) {
+        self.addr.hash(state);
+        self.len.hash(state);
+    }
+}
+
 impl<T: DeviceScalar> DeviceBuffer<T> {
     pub(crate) fn new(addr: u64, len: usize) -> Self {
         DeviceBuffer {
@@ -313,6 +321,16 @@ impl Arena {
         for (i, &v) in src.iter().enumerate() {
             v.write_le(&mut self.data[base + i * T::BYTES..]);
         }
+    }
+
+    /// Zero a whole buffer in place, as [`Arena::write_slice`] of zeroes
+    /// would, without building the zeroes on the host.
+    pub fn zero_slice<T: DeviceScalar>(&mut self, buf: &DeviceBuffer<T>) {
+        if let Some(sh) = self.shadow.as_deref_mut() {
+            sh.host_write(buf.addr(), buf.byte_len());
+        }
+        let base = buf.addr() as usize;
+        self.data[base..base + buf.byte_len() as usize].fill(0);
     }
 
     /// Read a typed buffer back out.

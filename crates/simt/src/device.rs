@@ -11,8 +11,9 @@
 use crate::arena::{Arena, DeviceBuffer, DeviceScalar};
 use crate::config::DeviceConfig;
 use crate::error::SimtError;
-use crate::executor::{simulate, simulate_observed, KernelStats, LaunchConfig};
+use crate::executor::{simulate, simulate_observed, KernelStats, LaunchConfig, PendingWrite};
 use crate::kernel::Kernel;
+use crate::memo::{digest128, kernel_key, LaunchMemo, LaunchTally};
 use crate::profiler::{Counters, OpenSpan, ProfileReport, Span};
 use crate::sanitizer::{check_launch, Finding, Lint, SanitizerMode, SanitizerReport};
 use crate::verifier::{self, Interval, VerifierFinding, VerifierReport};
@@ -75,6 +76,9 @@ pub struct Device {
     launches_proven: u64,
     racechecks_skipped: u64,
     passes_checked: u64,
+    /// Sanitizer-off launches this device can replay (host-side only).
+    memo: LaunchMemo,
+    tally: LaunchTally,
 }
 
 impl Device {
@@ -98,6 +102,8 @@ impl Device {
             launches_proven: 0,
             racechecks_skipped: 0,
             passes_checked: 0,
+            memo: LaunchMemo::default(),
+            tally: LaunchTally::default(),
         }
     }
 
@@ -244,10 +250,20 @@ impl Device {
     /// and profiler state like [`Device::reset_clock`], and — when no
     /// allocations are live — rewind the arena so the session allocates the
     /// same addresses a cold device would. The context stays warm, which is
-    /// the point of recycling. Returns whether the arena rewind happened.
+    /// the point of recycling. The launch memo is emptied: a new session
+    /// never replays the previous one's launches. Returns whether the
+    /// arena rewind happened.
     pub fn recycle(&mut self) -> bool {
         self.reset_clock();
+        self.memo.clear();
         self.arena.reset_unused()
+    }
+
+    /// How many launches this device has simulated and how many it
+    /// replayed from its launch memo, over its whole lifetime.
+    #[inline]
+    pub fn launch_tally(&self) -> LaunchTally {
+        self.tally
     }
 
     /// The operations charged so far.
@@ -426,12 +442,28 @@ impl Device {
         self.drain_violations("poke");
     }
 
+    /// Host-side zero fill of a whole buffer without timing: a
+    /// [`Device::poke`] of zeroes.
+    pub fn poke_zeroes<T: DeviceScalar>(&mut self, buf: &DeviceBuffer<T>) {
+        self.arena.zero_slice(buf);
+        self.drain_violations("poke");
+    }
+
     /// Launch a kernel under cycle simulation; commits its stores and
     /// advances the clock by the simulated kernel time. With the sanitizer
     /// on, the launch's lane accesses are checked (memcheck and initcheck
     /// inline as the SMs step them, then racecheck and access-pattern
     /// lints) before the stores commit; stores the shadow rejects are
     /// skipped so the run survives to report them.
+    ///
+    /// With the sanitizer off, a launch this device already simulated —
+    /// same kernel value, same launch config, byte-identical arena — is
+    /// replayed from the device's launch memo: the recorded stats and the
+    /// stores that changed a byte go through the same commit and clock
+    /// tail, so the device ends in the state the simulation would have
+    /// left. The static verifier still checks every launch first. The memo
+    /// holds at most 8 launches, one per kernel and launch config, oldest
+    /// dropped first; [`Device::recycle`] empties it.
     pub fn launch<K: Kernel>(
         &mut self,
         label: &str,
@@ -508,20 +540,34 @@ impl Device {
                     &phase,
                 ));
             }
-            for w in writes {
-                self.arena.commit_store(w.addr, w.bytes, w.value);
-            }
-            self.counters.absorb_kernel(&stats);
-            self.advance(label, stats.time_s);
-            return Ok(stats);
+            commit(&mut self.arena, &writes);
+            self.tally.simulated += 1;
+            return Ok(self.charge_kernel(label, stats));
         }
-        let (stats, writes) = simulate(&self.cfg, &self.arena, lc, kernel)?;
-        for w in writes {
-            self.arena.commit_store(w.addr, w.bytes, w.value);
+        let key = kernel_key(kernel, lc);
+        let image = digest128(self.arena.bytes());
+        if let Some((stats, writes)) = self.memo.get(&key, image) {
+            let stats = stats.clone();
+            commit(&mut self.arena, writes);
+            self.tally.replayed += 1;
+            return Ok(self.charge_kernel(label, stats));
         }
+        let (stats, mut writes) = simulate(&self.cfg, &self.arena, lc, kernel)?;
+        // Record only the stores that change a byte: a replay starts from
+        // the same image, where the others are no-ops too.
+        writes.retain(|w| commit_if_changed(&mut self.arena, w));
+        writes.shrink_to_fit();
+        self.memo.insert(key, image, stats.clone(), writes);
+        self.tally.simulated += 1;
+        Ok(self.charge_kernel(label, stats))
+    }
+
+    /// The tail every launch shares, simulated or replayed: fold the stats
+    /// into the counters and advance the clock by the kernel time.
+    fn charge_kernel(&mut self, label: &str, stats: KernelStats) -> KernelStats {
         self.counters.absorb_kernel(&stats);
         self.advance(label, stats.time_s);
-        Ok(stats)
+        stats
     }
 
     /// Bytes currently allocated on the device.
@@ -544,9 +590,30 @@ impl Device {
     }
 }
 
+/// Commit a launch's surviving stores in issue order.
+fn commit(arena: &mut Arena, writes: &[PendingWrite]) {
+    for w in writes {
+        arena.commit_store(w.addr, w.bytes, w.value);
+    }
+}
+
+/// Commit one store unless it would leave its bytes as they are; returns
+/// whether it changed them. Sanitizer-off only: a skipped store would
+/// otherwise miss its initcheck marking.
+fn commit_if_changed(arena: &mut Arena, w: &PendingWrite) -> bool {
+    let at = w.addr as usize;
+    let len = w.bytes as usize;
+    let changed = arena.bytes()[at..at + len] != w.value.to_le_bytes()[..len];
+    if changed {
+        arena.commit_store(w.addr, w.bytes, w.value);
+    }
+    changed
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::kernel::{Effect, Lane, MemView};
 
     #[test]
     fn copies_roundtrip_and_charge_time() {
@@ -616,6 +683,233 @@ mod tests {
                 got: 3
             })
         ));
+    }
+
+    /// Lane `tid < n` loads `input[tid]` and stores `input[tid] + add` to
+    /// `output[tid]`.
+    #[derive(Clone, Copy, Hash)]
+    struct AddKernel {
+        input: DeviceBuffer<u32>,
+        output: DeviceBuffer<u32>,
+        n: usize,
+        add: u32,
+    }
+
+    struct AddLane {
+        tid: usize,
+        k: AddKernel,
+        loaded: Option<u32>,
+        done: bool,
+    }
+
+    impl Lane for AddLane {
+        fn step(&mut self, mem: &MemView<'_>) -> Effect {
+            if self.done || self.tid >= self.k.n {
+                return Effect::Done;
+            }
+            match self.loaded {
+                None => {
+                    let addr = self.k.input.addr_of(self.tid);
+                    self.loaded = Some(mem.read_u32(addr));
+                    Effect::Read {
+                        addr,
+                        bytes: 4,
+                        cached: true,
+                    }
+                }
+                Some(v) => {
+                    self.done = true;
+                    Effect::Write {
+                        addr: self.k.output.addr_of(self.tid),
+                        bytes: 4,
+                        value: u64::from(v + self.k.add),
+                    }
+                }
+            }
+        }
+    }
+
+    impl Kernel for AddKernel {
+        type Lane = AddLane;
+        fn spawn(&self, tid: usize, _total: usize) -> AddLane {
+            AddLane {
+                tid,
+                k: *self,
+                loaded: None,
+                done: false,
+            }
+        }
+    }
+
+    const N: usize = 256;
+    const LC: LaunchConfig = LaunchConfig {
+        blocks: 2,
+        threads_per_block: 128,
+        warp_split: 1,
+    };
+
+    /// A warm device holding `input = 0..N`, a zeroed `output` and an
+    /// `other` buffer no kernel touches.
+    fn add_device(sanitizer: SanitizerMode) -> (Device, AddKernel, DeviceBuffer<u32>) {
+        let cfg = DeviceConfig::gtx_980()
+            .with_unlimited_memory()
+            .with_sanitizer(sanitizer);
+        let mut dev = Device::new(cfg);
+        dev.preinit_context();
+        dev.reset_clock();
+        let input = dev.htod_copy(&(0..N as u32).collect::<Vec<_>>()).unwrap();
+        let output = dev.htod_copy(&[0u32; N]).unwrap();
+        let other = dev.htod_copy(&[7u32; 16]).unwrap();
+        let kernel = AddKernel {
+            input,
+            output,
+            n: N,
+            add: 1,
+        };
+        (dev, kernel, other)
+    }
+
+    /// Zero the output, as a count re-zeroes its result array, then launch.
+    fn zero_and_launch(dev: &mut Device, kernel: &AddKernel, lc: LaunchConfig) -> KernelStats {
+        dev.poke(&kernel.output, &[0u32; N]);
+        dev.launch("add", lc, kernel).unwrap()
+    }
+
+    #[test]
+    fn a_repeated_launch_replays_exactly_what_simulation_would_leave() {
+        let (mut replaying, kernel, _) = add_device(SanitizerMode::Off);
+        let (mut simulating, _, _) = add_device(SanitizerMode::Off);
+        let mut stats = Vec::new();
+        for _ in 0..2 {
+            stats.push(zero_and_launch(&mut replaying, &kernel, LC));
+            let simulated = zero_and_launch(&mut simulating, &kernel, LC);
+            simulating.memo.clear();
+            assert_eq!(stats.last(), Some(&simulated));
+        }
+        assert_eq!(stats[0], stats[1]);
+        let tally = |simulated, replayed| LaunchTally {
+            simulated,
+            replayed,
+        };
+        assert_eq!(replaying.launch_tally(), tally(1, 1));
+        assert_eq!(simulating.launch_tally(), tally(2, 0));
+        // The replayed store log was committed: the output is not the
+        // zeroes the poke left.
+        let expected: Vec<u32> = (1..=N as u32).collect();
+        assert_eq!(replaying.peek(&kernel.output), expected);
+        assert_eq!(replaying.arena.bytes(), simulating.arena.bytes());
+        assert_eq!(
+            replaying.elapsed().to_bits(),
+            simulating.elapsed().to_bits()
+        );
+        assert_eq!(replaying.time_log(), simulating.time_log());
+        assert_eq!(replaying.counters(), simulating.counters());
+    }
+
+    #[test]
+    fn any_changed_input_of_a_launch_forces_a_simulation() {
+        let (mut dev, kernel, other) = add_device(SanitizerMode::Off);
+        let simulated = |dev: &Device| dev.launch_tally().simulated;
+        zero_and_launch(&mut dev, &kernel, LC);
+        zero_and_launch(&mut dev, &kernel, LC);
+        assert_eq!((simulated(&dev), dev.launch_tally().replayed), (1, 1));
+
+        // One byte the kernel never reads, outside any footprint it could
+        // declare.
+        let mut bytes = dev.peek(&other);
+        bytes[3] ^= 0x100;
+        dev.poke(&other, &bytes);
+        zero_and_launch(&mut dev, &kernel, LC);
+        assert_eq!(simulated(&dev), 2, "a changed arena byte re-simulates");
+
+        // One launch-config field.
+        let split = LaunchConfig {
+            warp_split: 2,
+            blocks: 4,
+            ..LC
+        };
+        zero_and_launch(&mut dev, &kernel, split);
+        assert_eq!(simulated(&dev), 3, "a changed launch config re-simulates");
+        let bigger = LaunchConfig { blocks: 3, ..LC };
+        zero_and_launch(&mut dev, &kernel, bigger);
+        assert_eq!(simulated(&dev), 4);
+
+        // One kernel field.
+        let plus_two = AddKernel { add: 2, ..kernel };
+        zero_and_launch(&mut dev, &plus_two, LC);
+        assert_eq!(simulated(&dev), 5, "a changed kernel field re-simulates");
+        let expected: Vec<u32> = (2..N as u32 + 2).collect();
+        assert_eq!(dev.peek(&kernel.output), expected);
+
+        // Every variant above is now recorded, so repeating them replays.
+        let replayed = dev.launch_tally().replayed;
+        zero_and_launch(&mut dev, &kernel, LC);
+        zero_and_launch(&mut dev, &kernel, split);
+        zero_and_launch(&mut dev, &plus_two, LC);
+        assert_eq!(dev.launch_tally().replayed, replayed + 3);
+        assert_eq!(simulated(&dev), 5);
+    }
+
+    #[test]
+    fn a_sanitized_device_never_replays_and_repeats_its_findings() {
+        let (mut dev, kernel, _) = add_device(SanitizerMode::Check);
+        // Reads of a buffer nothing wrote: an initcheck finding per lane.
+        let blank = dev.alloc::<u32>(N).unwrap();
+        let kernel = AddKernel {
+            input: blank,
+            ..kernel
+        };
+        let mut per_launch = Vec::new();
+        for _ in 0..3 {
+            let before = dev.sanitizer_report().unwrap().findings.len();
+            zero_and_launch(&mut dev, &kernel, LC);
+            let findings = dev.sanitizer_report().unwrap().findings;
+            per_launch.push(findings[before..].to_vec());
+        }
+        assert!(!per_launch[0].is_empty(), "the seeded bug is reported");
+        assert_eq!(per_launch[1], per_launch[0]);
+        assert_eq!(per_launch[2], per_launch[0]);
+        assert_eq!(
+            dev.launch_tally(),
+            LaunchTally {
+                simulated: 3,
+                replayed: 0
+            }
+        );
+        assert_eq!(dev.memo.len(), 0, "sanitized launches are never recorded");
+    }
+
+    #[test]
+    fn rejected_launches_leave_the_memo_alone() {
+        // The kernel declares no access contract, so the verifier, which
+        // runs before any memo lookup, rejects every launch.
+        let (mut dev, kernel, _) = add_device(SanitizerMode::Off);
+        dev.set_verifier(true);
+        for _ in 0..2 {
+            dev.poke(&kernel.output, &[0u32; N]);
+            assert!(dev.launch("add", LC, &kernel).is_err());
+        }
+        assert_eq!(dev.launch_tally(), LaunchTally::default());
+        assert_eq!(dev.memo.len(), 0);
+        assert_eq!(dev.verifier_report().unwrap().launches_checked, 2);
+    }
+
+    #[test]
+    fn recycle_empties_the_memo() {
+        let (mut dev, kernel, _) = add_device(SanitizerMode::Off);
+        zero_and_launch(&mut dev, &kernel, LC);
+        assert_eq!(dev.memo.len(), 1);
+        // Buffers are still live, so the arena keeps its bytes.
+        assert!(!dev.recycle());
+        assert_eq!(dev.memo.len(), 0);
+        zero_and_launch(&mut dev, &kernel, LC);
+        assert_eq!(
+            dev.launch_tally(),
+            LaunchTally {
+                simulated: 2,
+                replayed: 0
+            }
+        );
     }
 
     #[test]

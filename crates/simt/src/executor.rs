@@ -35,7 +35,7 @@ use crate::verifier::Access;
 /// blocks and threads per block. `warp_split` simulates the reduced-warp
 /// trick of §III-D5: with split `s`, only `warp_size / s` lanes of each
 /// warp do real work (the caller launches `s`× more blocks to compensate).
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
 pub struct LaunchConfig {
     pub blocks: u32,
     pub threads_per_block: u32,
@@ -706,6 +706,7 @@ mod tests {
     use crate::arena::DeviceBuffer;
 
     /// Kernel: each lane reads `input[tid]`, doubles it, writes `output[tid]`.
+    #[derive(Hash)]
     struct DoubleKernel {
         input: DeviceBuffer<u32>,
         output: DeviceBuffer<u32>,
@@ -925,6 +926,7 @@ mod tests {
     fn divergence_is_detected_and_serialized() {
         /// Lanes alternate: even lanes compute, odd lanes read — permanent
         /// two-way divergence.
+        #[derive(Hash)]
         struct DivergentKernel {
             input: DeviceBuffer<u32>,
         }
@@ -996,6 +998,7 @@ mod tests {
         /// Every lane issues `reps` shared reads: either all to distinct
         /// banks (word stride 1) or all to one bank (word stride = bank
         /// count), the textbook 32-way conflict.
+        #[derive(Hash)]
         struct SharedKernel {
             base: u64,
             word_stride: u64,
@@ -1062,6 +1065,7 @@ mod tests {
         /// addresses, so the upper lanes run past every buffer: guard
         /// window and out-of-bounds reads, out-of-bounds stores, reads of
         /// never-written bytes, and spilled and on-chip scratch traffic.
+        #[derive(Hash)]
         struct MixedKernel {
             input: DeviceBuffer<u32>,
             half_init: DeviceBuffer<u32>,
@@ -1195,6 +1199,7 @@ mod tests {
         /// lanes share: 4- and 8-byte stores at overlapping word offsets,
         /// global and scratch stores, and now and then a store into a freed
         /// buffer, which the sanitizer rejects.
+        #[derive(Hash)]
         struct RewriteKernel {
             window: u64,
             freed: u64,

@@ -114,7 +114,14 @@ pub trait Lane {
 }
 
 /// A launchable kernel: a lane factory.
-pub trait Kernel: Sync {
+///
+/// A launch's result — its stats and its stores — must be a pure function
+/// of the kernel value, the [`crate::LaunchConfig`] and the arena bytes:
+/// lanes may read device memory only through the [`MemView`] and carry
+/// no state between launches. The device's launch memo relies on it to
+/// replay a repeated launch, and keys it on the kernel's [`Hash`], which
+/// every kernel derives over all of its fields.
+pub trait Kernel: Sync + std::hash::Hash {
     type Lane: Lane;
 
     /// Create the lane for global thread `tid` of `total` (`total` is the

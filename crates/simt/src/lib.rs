@@ -27,6 +27,10 @@
 //!   simulated memory path, off by default and a true no-op when off —
 //!   plus a static launch verifier ([`verifier`]) that proves per-kernel
 //!   access contracts in-bounds and race-free before a launch runs.
+//! * **Replay**: a per-device launch memo ([`Device::launch`]) that serves a
+//!   sanitizer-off launch the device already simulated — same kernel
+//!   value, launch config and arena bytes — from its recorded stats and
+//!   store log instead of stepping the lanes again.
 //! * **Clusters**: a multi-node topology with a latency + bandwidth
 //!   interconnect cost model ([`cluster`]) layered on the per-node PCIe
 //!   model, for the sharded engine in `tc-engine`.
@@ -46,6 +50,7 @@ pub mod device;
 pub mod error;
 pub mod executor;
 pub mod kernel;
+mod memo;
 pub mod multi;
 pub mod pool;
 pub mod primitives;
@@ -61,6 +66,7 @@ pub use device::{Device, TimedOp};
 pub use error::SimtError;
 pub use executor::{KernelStats, LaunchConfig};
 pub use kernel::{Effect, Kernel, Lane, MemView};
+pub use memo::LaunchTally;
 pub use multi::DeviceGroup;
 pub use pool::{DeviceLease, DevicePool, PoolTicket};
 pub use profiler::{Counters, ProfileReport, Span};

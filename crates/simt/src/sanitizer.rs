@@ -903,6 +903,7 @@ pub mod selftest {
 
     /// Lane 0 reads 4 bytes deep inside the buffer's padding — past the
     /// logical end and past the guard window.
+    #[derive(Hash)]
     struct OobReadKernel {
         data: DeviceBuffer<u32>,
     }
@@ -923,6 +924,7 @@ pub mod selftest {
     }
 
     /// Lane 0 reads element 0 of a buffer nothing ever wrote.
+    #[derive(Hash)]
     struct UninitReadKernel {
         data: DeviceBuffer<u32>,
     }
@@ -942,6 +944,7 @@ pub mod selftest {
 
     /// Every lane stores its tid to the same result slot — the classic
     /// missing-`atomicAdd` bug.
+    #[derive(Hash)]
     struct RaceKernel {
         result: DeviceBuffer<u64>,
     }
@@ -963,6 +966,7 @@ pub mod selftest {
     /// scratch window — the classic `hash & mask` miscomputation. The
     /// access is a shared-memory effect, so this proves memcheck covers
     /// the scratch path even though initcheck/racecheck exempt it.
+    #[derive(Hash)]
     struct HashOobProbeKernel {
         table: DeviceBuffer<u32>,
     }

@@ -814,6 +814,7 @@ pub mod selftest {
 
     /// Lane 0 reads the buffer's last element, but the contract only
     /// declares the first quarter — a footprint narrower than reality.
+    #[derive(Hash)]
     struct NarrowFootprintKernel {
         data: DeviceBuffer<u32>,
     }
@@ -840,6 +841,7 @@ pub mod selftest {
     /// Every lane stores to slot 0, but the contract claims the classic
     /// lane-private per-lane footprint — a structurally provable (and
     /// false) disjointness claim that only trace containment can catch.
+    #[derive(Hash)]
     struct FalseDisjointKernel {
         result: DeviceBuffer<u64>,
     }
@@ -869,6 +871,7 @@ pub mod selftest {
 
     /// Lane 0 touches 132 B of its (honestly declared) scratch window,
     /// but the contract declares a 16 B shared budget.
+    #[derive(Hash)]
     struct BudgetLieKernel {
         table: DeviceBuffer<u32>,
     }
@@ -904,6 +907,7 @@ pub mod selftest {
     /// The contract's read interval runs 1 KB past a 64 B allocation —
     /// statically out of bounds, so the launch must be *rejected* before
     /// a single lane steps.
+    #[derive(Hash)]
     struct StaticOobKernel {
         data: DeviceBuffer<u32>,
     }

@@ -128,6 +128,37 @@ cmp /tmp/tc_trace_w1.json /tmp/tc_trace_w4.json
 python3 -c "import json; json.load(open('/tmp/tc_metrics_w1.json')); json.load(open('/tmp/tc_trace_w1.json'))"
 echo "telemetry artifacts byte-identical across workers 1/2/4"
 
+echo "==> launch replay smoke"
+# Cache hits count through a resident session whose devices replay the
+# kernel launches they already simulated (same kernel, launch config and
+# arena bytes). A replay must report exactly what simulating would have:
+# every repeat's triangles and count_s equal its first occurrence's, and
+# the replay counter shows the memo was actually used.
+cat > /tmp/tc_replay_jobs.txt <<'JOBS'
+graph=kronecker-10 backend=gtx980 repeat=4
+graph=kronecker-10 backend=gtx980/balanced+hash repeat=4
+graph=kronecker-10 backend=cluster:2x2/gtx980/balanced repeat=4
+JOBS
+./target/release/tcount batch /tmp/tc_replay_jobs.txt \
+    --json /tmp/tc_replay_report.json --metrics /tmp/tc_replay_metrics.json > /dev/null
+python3 - <<'PY'
+import json
+jobs = json.load(open("/tmp/tc_replay_report.json"))["jobs"]
+first = {}
+for job in jobs:
+    assert job["status"] == "ok", job
+    seen = first.setdefault(job["backend"], job)
+    for key in ("triangles", "count_s"):
+        assert job[key] == seen[key], (job, seen)
+assert len(first) == 3 and len(jobs) == 12, jobs
+families = json.load(open("/tmp/tc_replay_metrics.json"))["deterministic"]
+replays = [f for f in families if f["name"] == "engine_launch_replays_total"]
+assert replays, "no engine_launch_replays_total family"
+total = sum(s["value"] for s in replays[0]["series"])
+assert total > 0, "repeated counts replayed no launch"
+print(f"replay smoke OK ({total} launches replayed)")
+PY
+
 echo "==> prometheus exposition lint"
 # Series must be sorted with no duplicates, every series preceded by its
 # family's HELP/TYPE header, and histogram buckets cumulative.

@@ -10,10 +10,12 @@ use std::sync::Arc;
 
 use triangles::core::count::{Backend, CountRequest, GpuOptions};
 use triangles::core::gpu::pipeline::run_gpu_pipeline_profiled;
-use triangles::core::{EdgeLayout, LoopVariant, PreparedGraph};
+use triangles::core::{EdgeLayout, LoopVariant, PreparedCluster, PreparedCount, PreparedGraph};
 use triangles::engine::{parse_jobfile, Engine, EngineConfig, EngineError, Job};
+use triangles::gen::classic::complete;
 use triangles::gen::suite::{full_suite, Scale};
-use triangles::simt::DeviceConfig;
+use triangles::graph::EdgeArray;
+use triangles::simt::{ClusterTopology, DeviceConfig, LaunchTally, SanitizerMode};
 
 /// One-shot vs prepared session: identical count, kernel counters, and
 /// kernel-span profile (modeled times included) on every suite graph and
@@ -114,6 +116,132 @@ fn repeated_counts_are_stable() {
         );
     }
     assert_eq!(prepared.counts_served(), 4);
+}
+
+/// A prepared session of a GPU or cluster backend.
+enum Session {
+    Single(Box<PreparedGraph>),
+    Cluster(Box<PreparedCluster>),
+}
+
+impl Session {
+    fn prepare(g: &EdgeArray, backend: &Backend) -> Session {
+        match backend {
+            Backend::Gpu(opts) => {
+                Session::Single(Box::new(PreparedGraph::prepare(g, opts).unwrap()))
+            }
+            Backend::Cluster {
+                options,
+                nodes,
+                devices_per_node,
+                partition,
+            } => {
+                let topology = ClusterTopology::new(*nodes, *devices_per_node);
+                let prepared = PreparedCluster::prepare(g, options, topology, *partition);
+                Session::Cluster(Box::new(prepared.unwrap()))
+            }
+            other => panic!("{other} has no session"),
+        }
+    }
+
+    fn count(&mut self) -> PreparedCount {
+        match self {
+            Session::Single(p) => p.count().unwrap(),
+            Session::Cluster(p) => p.count().unwrap(),
+        }
+    }
+
+    fn launch_tally(&self) -> LaunchTally {
+        match self {
+            Session::Single(p) => p.launch_tally(),
+            Session::Cluster(p) => p.launch_tally(),
+        }
+    }
+}
+
+/// Everything of a count that does not depend on where the session clock
+/// stood when the count began. (The profile's span times are absolute,
+/// and its float counters are differences of running totals, so both
+/// round differently as the session ages; the twin check covers them.)
+fn clock_free(c: &PreparedCount) -> String {
+    let spans: Vec<_> = c.profile.spans.iter().map(|s| (&s.path, s.depth)).collect();
+    let t = &c.profile.totals;
+    format!(
+        "{} {:?} {:?} {:?} {:?} {:?} {:?}",
+        c.triangles,
+        c.count_s.to_bits(),
+        c.per_shard_s
+            .iter()
+            .map(|s| s.to_bits())
+            .collect::<Vec<_>>(),
+        c.kernel,
+        (
+            t.kernel_launches,
+            t.lane_steps,
+            t.transactions,
+            t.dram_read_bytes
+        ),
+        spans,
+        c.trace
+    )
+}
+
+/// Repeated counts of one session replay launches from the devices'
+/// launch memos, and a replayed count is indistinguishable from a
+/// simulated one: every count equals the session's first count and a
+/// fresh session's count, and its profile JSON (which carries absolute
+/// span times) equals the same count of a twin session whose devices
+/// never replay (the sanitizer on, which changes no modeled bit). Every
+/// launch of a repeat replays: each starts from the image the same launch
+/// of the first count started from, hash tables included.
+#[test]
+fn repeated_counts_replay_without_changing_a_modeled_bit() {
+    let suite = full_suite(Scale::Smoke);
+    let tokens = [
+        "gtx980",
+        "gtx980/balanced",
+        "gtx980/balanced+hash/verify",
+        "cluster:2x2/gtx980/balanced+hash",
+        "cluster:2x2:2d/c2050/balanced",
+    ];
+    // The clique is the fixture whose plans occupy a hash bin.
+    let clique = complete(80);
+    let graphs = ["kronecker-10", "watts-strogatz"]
+        .map(|name| (name, &suite.iter().find(|r| r.name == name).unwrap().graph));
+    for (name, g) in graphs.into_iter().chain([("clique-80", &clique)]) {
+        for token in tokens {
+            let context = format!("{name}/{token}");
+            let backend: Backend = token.parse().unwrap();
+            let mut simulating = backend.clone();
+            if let Backend::Gpu(o) | Backend::Cluster { options: o, .. } = &mut simulating {
+                o.sanitizer = SanitizerMode::Check;
+            }
+
+            let mut session = Session::prepare(g, &backend);
+            let mut twin = Session::prepare(g, &simulating);
+            let fresh = Session::prepare(g, &backend).count();
+            for k in 0..3 {
+                let before = session.launch_tally();
+                let counted = session.count();
+                if k > 0 {
+                    let simulated = session.launch_tally().simulated - before.simulated;
+                    assert_eq!(simulated, 0, "{context} #{k}: a repeat re-simulated");
+                }
+                let reference = twin.count();
+                assert_eq!(clock_free(&counted), clock_free(&fresh), "{context} #{k}");
+                assert_eq!(
+                    counted.profile.to_json(),
+                    reference.profile.to_json(),
+                    "{context} #{k}: profile"
+                );
+                if k == 0 {
+                    assert_eq!(counted.profile.to_json(), fresh.profile.to_json());
+                }
+            }
+            assert!(session.launch_tally().replayed > 0, "{context}: no replay");
+            assert_eq!(twin.launch_tally().replayed, 0, "{context}: twin replayed");
+        }
+    }
 }
 
 /// Engine batches agree with direct `CountRequest`s across backend kinds,

@@ -65,10 +65,19 @@ fn telemetry_artifacts_are_byte_identical_across_worker_counts() {
         });
         let report = engine.run_batch(mixed_jobs(&g1, &g2));
         assert!(report.jobs.iter().all(|j| j.result.is_ok()));
+        // A second batch repeats resident keys (their counts replay kernel
+        // launches) beside keys that overflow the cache and run one-shot.
+        let repeats = engine.run_batch(repeated_jobs(&g1, &g2));
+        assert!(repeats.jobs.iter().all(|j| j.result.is_ok()));
+        let replays = engine.metrics().counter_value(
+            "engine_launch_replays_total",
+            &[("backend", &gpu().to_string())],
+        );
+        assert!(replays > 0, "repeated keys must replay launches");
         artifacts.push((
-            report.metrics_json(false),
-            report.metrics_prometheus(),
-            report.trace_json(),
+            report.metrics_json(false) + &repeats.metrics_json(false),
+            report.metrics_prometheus() + &repeats.metrics_prometheus(),
+            report.trace_json() + &repeats.trace_json(),
         ));
     }
     let (m1, p1, t1) = &artifacts[0];
@@ -98,8 +107,27 @@ fn telemetry_artifacts_are_byte_identical_across_worker_counts() {
         admission: Admission::Block,
     });
     let report = engine.run_batch(mixed_jobs(&g1, &g2));
-    assert_eq!(&report.metrics_json(false), m1);
-    assert_eq!(&report.trace_json(), t1);
+    let repeats = engine.run_batch(repeated_jobs(&g1, &g2));
+    assert_eq!(
+        &(report.metrics_json(false) + &repeats.metrics_json(false)),
+        m1
+    );
+    assert_eq!(&(report.trace_json() + &repeats.trace_json()), t1);
+}
+
+/// Resident keys of [`mixed_jobs`] again, interleaved with two keys the
+/// full two-session cache runs one-shot.
+fn repeated_jobs(g1: &Arc<EdgeArray>, g2: &Arc<EdgeArray>) -> Vec<Job> {
+    let cluster: Backend = "cluster:2x2/gtx980/balanced".parse().unwrap();
+    let hash: Backend = "gtx980/balanced+hash".parse().unwrap();
+    let mut jobs = Vec::new();
+    for i in 0..3 {
+        jobs.push(Job::new(format!("a{i}"), Arc::clone(g1), gpu()));
+        jobs.push(Job::new(format!("c{i}"), Arc::clone(g1), cluster.clone()));
+        jobs.push(Job::new(format!("b{i}"), Arc::clone(g2), gpu()));
+        jobs.push(Job::new(format!("h{i}"), Arc::clone(g1), hash.clone()));
+    }
+    jobs
 }
 
 /// One trace shows the whole request: engine stage spans (admission,

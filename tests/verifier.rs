@@ -229,6 +229,7 @@ fn proven_launches_stream_memcheck_and_initcheck_without_a_log() {
     /// Lane `tid` loads `src[tid % N]`, then — on sparse lane subsets —
     /// `src[N + 3]` (past the guard window) and `blank[tid % M]` (never
     /// written), then stores `out[tid]`.
+    #[derive(Hash)]
     struct LyingKernel {
         src: DeviceBuffer<u32>,
         blank: DeviceBuffer<u32>,
