@@ -20,6 +20,7 @@ use std::time::Instant;
 
 use tc_core::{Backend, CountRequest};
 use tc_gen::suite::full_suite_seeded;
+use tc_telemetry::{json_f64, json_string};
 
 use crate::report::Table;
 
@@ -80,29 +81,6 @@ pub fn run(cfg: &ExpConfig) -> Vec<Entry> {
     entries
 }
 
-fn json_string(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 2);
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out.push('"');
-    out
-}
-
-fn json_f64(x: f64) -> String {
-    if x.is_finite() {
-        format!("{x}")
-    } else {
-        "null".into()
-    }
-}
-
 /// Serialize the artifact (stable field order, newline-terminated). With
 /// `include_advisory = false` (CI mode, `TC_TELEMETRY_CI=1`) every
 /// entry's `advisory` section renders as `null`, making the whole
@@ -154,9 +132,8 @@ pub fn to_json(entries: &[Entry], cfg: &ExpConfig) -> String {
 
 /// Pull the deterministic `(graph, backend, modeled_ms)` matrix out of a
 /// bench artifact. Scan-based on the serializer's stable field order (one
-/// field per line), so it reads both the current schema and the bench-3
-/// one without a JSON parser — `scripts/ci.sh` separately runs a real
-/// parser over the emitted file.
+/// field per line), without a JSON parser — `scripts/ci.sh` separately
+/// runs a real parser over the emitted file.
 pub fn extract_modeled(json: &str) -> Vec<(String, String, Option<f64>)> {
     fn field_value<'a>(line: &'a str, key: &str) -> Option<&'a str> {
         let rest = line.trim().strip_prefix(&format!("\"{key}\": "))?;
@@ -350,20 +327,5 @@ mod tests {
         let new_missing = artifact(&[("g1", "gtx980", Some(10.0))]);
         let failures = check_regressions(&new_missing, &old, 0.05).expect_err("missing pair");
         assert!(failures[0].contains("missing now"));
-    }
-
-    #[test]
-    fn extractor_reads_the_bench3_schema_too() {
-        // The prior artifact predates the advisory section: host_wall_ms
-        // was a flat field after modeled_ms. The scan keys on the shared
-        // graph/backend/modeled_ms lines, so the gate can diff across the
-        // schema change.
-        let old = "{\n  \"bench\": 3,\n  \"entries\": [\n    {\n      \"graph\": \"g1\",\n      \
-                   \"backend\": \"gtx980\",\n      \"triangles\": 7,\n      \
-                   \"modeled_ms\": 12.5,\n      \"host_wall_ms\": 3.1\n    }\n  ]\n}\n";
-        assert_eq!(
-            extract_modeled(old),
-            vec![("g1".to_string(), "gtx980".to_string(), Some(12.5))]
-        );
     }
 }

@@ -1,14 +1,51 @@
-//! nvprof-style rendering of a [`ProfileReport`]: the per-phase hardware
-//! counter table behind `tcount --profile` and `repro profile`.
+//! Rendering of profiled device runs: the nvprof-style per-phase hardware
+//! counter table behind `tcount --profile` and `repro profile`, and the
+//! conversion of each device's [`RunTrace`] into the [`RequestTrace`] that
+//! `tcount --trace` serializes with [`tc_telemetry::chrome_trace_json`].
 //!
 //! Columns mirror the nvprof metrics the paper quotes: time, DRAM traffic
 //! and achieved bandwidth (Table II's throughput column), texture and L2
 //! hit rates (Table II's hit-rate column), divergence serialization and
 //! issue stalls (§III-D7), and achieved occupancy.
 
-use tc_simt::profiler::ProfileReport;
+use tc_core::gpu::pipeline::RunTrace;
+use tc_simt::profiler::{op_bounds_ns, ProfileReport};
+use tc_telemetry::{RequestTrace, TraceSpan};
 
 use crate::report::{pct, Table};
+
+/// One [`RequestTrace`] per device run of `backend` (a canonical token):
+/// trace thread `i` is device `i`, named after it. Its spans are the
+/// profiler spans, named by their last path component, and one level
+/// below the deepest of them every leaf op of the device log. Endpoints
+/// are the log's [`op_bounds_ns`], so every child lies inside its parent.
+pub fn request_traces(backend: &str, runs: &[RunTrace]) -> Vec<RequestTrace> {
+    runs.iter()
+        .enumerate()
+        .map(|(id, run)| {
+            let at = op_bounds_ns(&run.log);
+            let span = |name: &str, first: usize, end: usize, depth: usize| {
+                TraceSpan::new(name, at[first], at[end] - at[first], depth)
+            };
+            let leaf_depth = run.spans.iter().map(|s| s.depth + 1).max().unwrap_or(0);
+            let phases = run.spans.iter().map(|s| {
+                let label = s.path.rsplit('/').next().unwrap_or(&s.path);
+                span(label, s.first_op, s.end_op, s.depth)
+            });
+            let ops = run
+                .log
+                .iter()
+                .enumerate()
+                .map(|(i, op)| span(&op.label, i, i + 1, leaf_depth));
+            RequestTrace {
+                id: id as u64,
+                name: run.device_name.clone(),
+                backend: backend.to_string(),
+                spans: phases.chain(ops).collect(),
+            }
+        })
+        .collect()
+}
 
 /// Milliseconds with three significant fractional digits.
 fn ms(seconds: f64) -> String {

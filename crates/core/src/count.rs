@@ -158,32 +158,11 @@ impl Backend {
         Backend::Gpu(GpuOptions::new(DeviceConfig::gtx_980()))
     }
 
-    /// Simulated Tesla C2050 with the paper's defaults.
-    pub fn gpu_tesla_c2050() -> Self {
-        Backend::Gpu(GpuOptions::new(DeviceConfig::tesla_c2050()))
-    }
-
-    /// Simulated NVS 5200M.
-    pub fn gpu_nvs_5200m() -> Self {
-        Backend::Gpu(GpuOptions::new(DeviceConfig::nvs_5200m()))
-    }
-
     /// `n` simulated Tesla C2050s (the paper's 4-GPU rig).
     pub fn multi_gpu_c2050(devices: usize) -> Self {
         Backend::MultiGpu {
             options: GpuOptions::new(DeviceConfig::tesla_c2050()),
             devices,
-        }
-    }
-
-    /// A `nodes` × `devices_per_node` cluster of simulated GTX 980s with
-    /// 1D partitioning and the paper's defaults.
-    pub fn cluster_gtx980(nodes: usize, devices_per_node: usize) -> Self {
-        Backend::Cluster {
-            options: GpuOptions::new(DeviceConfig::gtx_980()),
-            nodes,
-            devices_per_node,
-            partition: ClusterPartition::OneD,
         }
     }
 

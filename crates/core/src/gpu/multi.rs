@@ -7,7 +7,9 @@
 //! exposes exactly the quantities needed to check that.
 
 use tc_graph::EdgeArray;
-use tc_simt::{Device, DeviceGroup, KernelStats, SanitizerReport, VerifierReport};
+use tc_simt::{
+    Cluster, ClusterTopology, Device, Interconnect, KernelStats, SanitizerReport, VerifierReport,
+};
 
 use crate::count::GpuOptions;
 use crate::error::CoreError;
@@ -77,7 +79,13 @@ pub fn run_multi_gpu_profiled(
     let mut cfg = opts.device.clone();
     cfg.sanitizer = cfg.sanitizer.max(opts.sanitizer);
     cfg.verifier = cfg.verifier || opts.verify;
-    let mut group = DeviceGroup::homogeneous(&cfg, devices);
+    // One host, `devices` cards: a one-node cluster, which never charges
+    // the interconnect.
+    let mut group = Cluster::homogeneous(
+        ClusterTopology::new(1, devices),
+        Interconnect::default(),
+        &cfg,
+    );
     if opts.preinit_context {
         group.preinit_all();
     }

@@ -45,8 +45,9 @@ pub struct GpuReport {
 
 /// Everything the profiler recorded about one device's run: the leaf
 /// operation log, the phase spans, and the aggregated [`ProfileReport`].
-/// Feed `log`/`spans` to [`tc_simt::trace::write_chrome_trace_spanned`] for
-/// a nested Perfetto view, or `profile` to the report renderers.
+/// `tc_bench::profile::request_traces` turns `log`/`spans` into the
+/// request traces `tc_telemetry::chrome_trace_json` renders as a nested
+/// Perfetto view; `profile` feeds the report renderers.
 #[derive(Clone, Debug)]
 pub struct RunTrace {
     pub device_name: String,

@@ -64,8 +64,8 @@ use tc_graph::EdgeArray;
 use tc_simt::profiler::{ProfileReport, RelSpan};
 use tc_simt::{DevicePool, PoolTicket};
 use tc_telemetry::{
-    chrome_trace_json, seconds_to_ns, Determinism, MetricsRegistry, MetricsSnapshot, RequestTrace,
-    Stage, TraceSpan,
+    chrome_trace_json, json_f64, json_string, seconds_to_ns, Determinism, MetricsRegistry,
+    MetricsSnapshot, RequestTrace, Stage, TraceSpan,
 };
 
 pub use error::EngineError;
@@ -985,32 +985,6 @@ fn lock_slot(slot: &Mutex<Option<CacheEntry>>) -> MutexGuard<'_, Option<CacheEnt
 impl Drop for Engine {
     fn drop(&mut self) {
         self.clear_cache();
-    }
-}
-
-fn json_string(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 2);
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out.push('"');
-    out
-}
-
-fn json_f64(x: f64) -> String {
-    if x.is_finite() {
-        format!("{x}")
-    } else {
-        "0".to_string()
     }
 }
 

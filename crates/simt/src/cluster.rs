@@ -1,14 +1,14 @@
-//! Simulated multi-node clusters: topology + interconnect cost model.
+//! Simulated device sets: topology + interconnect cost model.
 //!
-//! The paper's multi-GPU scheme ([`crate::multi`]) lives inside one host:
-//! every device hangs off the same PCIe root and the whole graph is
-//! broadcast to each card. A cluster generalizes that to N *nodes* of M
-//! devices each, joined by a network interconnect that is slower than
-//! PCIe and pays a per-message latency. [`Cluster`] models exactly that
-//! seam: uploads to a device on node 0 (where the host data lives) cost
-//! only the PCIe copy, uploads to any other node first cross the
-//! interconnect — latency plus bytes over bandwidth — and then the
-//! target's PCIe link.
+//! A [`Cluster`] is N *nodes* of M devices each, joined by a network
+//! interconnect that is slower than PCIe and pays a per-message latency.
+//! Uploads to a device on node 0 (where the host data lives) cost only
+//! the PCIe copy; uploads to any other node first cross the interconnect
+//! — latency plus bytes over bandwidth — and then the target's PCIe link.
+//! The paper's multi-GPU scheme (§III-E) is the one-node case: every
+//! device hangs off the same PCIe root, the interconnect is never
+//! charged, and [`Cluster::broadcast`] copies the preprocessed graph from
+//! one card to the rest.
 //!
 //! Like everything in this crate the costs are analytic and deterministic:
 //! the same bytes over the same [`Interconnect`] always charge the same
@@ -93,8 +93,7 @@ impl ClusterTopology {
 /// Host data (graph shards) is assumed resident on node 0; an upload to a
 /// device on another node first pays the interconnect transfer, then the
 /// target's PCIe copy. Per-device clocks advance independently — the
-/// cluster's wall clock is [`Cluster::elapsed_max`], exactly like
-/// [`crate::multi::DeviceGroup`].
+/// cluster's wall clock is [`Cluster::elapsed_max`].
 #[derive(Debug)]
 pub struct Cluster {
     topology: ClusterTopology,
@@ -180,6 +179,28 @@ impl Cluster {
             "internode: shard send",
         );
         self.devices[device].htod_copy(data)
+    }
+
+    /// Copy `buf` on device `from` to every other device. Returns one
+    /// buffer handle per device (`result[from]` is the original). Each
+    /// target pays its own upload, as [`Cluster::htod_scatter`] charges it:
+    /// distinct devices ride distinct PCIe links, so the set's wall clock
+    /// is the max of the per-device clocks.
+    pub fn broadcast<T: DeviceScalar>(
+        &mut self,
+        from: usize,
+        buf: &DeviceBuffer<T>,
+    ) -> Result<Vec<DeviceBuffer<T>>, SimtError> {
+        let data = self.devices[from].peek(buf);
+        (0..self.devices.len())
+            .map(|i| {
+                if i == from {
+                    Ok(*buf)
+                } else {
+                    self.htod_scatter(i, &data)
+                }
+            })
+            .collect()
     }
 
     /// Charge the interconnect cost of moving `bytes` to/from `device`'s
@@ -272,6 +293,39 @@ mod tests {
             (0..4).map(|i| c.device(i).elapsed()).collect::<Vec<f64>>()
         };
         assert_eq!(run(), run());
+    }
+
+    #[test]
+    fn broadcast_replicates_data() {
+        let cfg = DeviceConfig::tesla_c2050().with_unlimited_memory();
+        let mut c = Cluster::homogeneous(ClusterTopology::new(1, 4), Interconnect::default(), &cfg);
+        c.preinit_all();
+        c.reset_clocks();
+        let data: Vec<u32> = (0..256).collect();
+        let src = c.device_mut(0).htod_copy(&data).unwrap();
+        let bufs = c.broadcast(0, &src).unwrap();
+        assert_eq!(bufs.len(), 4);
+        for (i, b) in bufs.iter().enumerate() {
+            assert_eq!(c.device(i).peek(b), data, "device {i}");
+        }
+        // Targets were charged copy time; the source only its own upload.
+        assert!(c.device(1).elapsed() > 0.0);
+        assert!(c.elapsed_max() >= c.device(0).elapsed());
+    }
+
+    #[test]
+    fn broadcast_propagates_oom() {
+        let cfg = DeviceConfig::tesla_c2050().with_memory_capacity(2048);
+        let mut c = Cluster::homogeneous(ClusterTopology::new(1, 2), Interconnect::default(), &cfg);
+        c.preinit_all();
+        let data: Vec<u32> = (0..256).collect();
+        let src = c.device_mut(0).htod_copy(&data).unwrap();
+        // Fill the target so the 1 KB copy no longer fits.
+        c.device_mut(1).alloc::<u32>(300).unwrap();
+        assert!(matches!(
+            c.broadcast(0, &src),
+            Err(SimtError::OutOfMemory { .. })
+        ));
     }
 
     #[test]

@@ -135,12 +135,6 @@ impl Device {
         self.passes_checked = 0;
     }
 
-    /// Whether the static launch verifier is currently active.
-    #[inline]
-    pub fn verifier_enabled(&self) -> bool {
-        self.verifier
-    }
-
     /// Snapshot the static verifier's report so far. `None` when the
     /// verifier is off.
     pub fn verifier_report(&self) -> Option<VerifierReport> {

@@ -113,6 +113,19 @@ pub trait Lane {
     fn step(&mut self, mem: &MemView<'_>) -> Effect;
 }
 
+/// One-shot lane: returns a fixed effect on its first step, `Done` after.
+/// The seeded-bug kernels of the sanitizer and verifier self-tests are
+/// built from it.
+pub(crate) struct OneShotLane {
+    pub(crate) effect: Option<Effect>,
+}
+
+impl Lane for OneShotLane {
+    fn step(&mut self, _mem: &MemView<'_>) -> Effect {
+        self.effect.take().unwrap_or(Effect::Done)
+    }
+}
+
 /// A launchable kernel: a lane factory.
 ///
 /// A launch's result — its stats and its stores — must be a pure function

@@ -31,9 +31,11 @@
 //!   sanitizer-off launch the device already simulated — same kernel
 //!   value, launch config and arena bytes — from its recorded stats and
 //!   store log instead of stepping the lanes again.
-//! * **Clusters**: a multi-node topology with a latency + bandwidth
-//!   interconnect cost model ([`cluster`]) layered on the per-node PCIe
-//!   model, for the sharded engine in `tc-engine`.
+//! * **Device sets**: one [`Cluster`] type for every multi-device run —
+//!   a multi-node topology with a latency + bandwidth interconnect cost
+//!   model ([`cluster`]) layered on the per-node PCIe model. The paper's
+//!   §III-E one-host rig is a one-node cluster; the sharded engine in
+//!   `tc-engine` uses several nodes.
 //!
 //! Simulated time is deterministic: the same kernel on the same device
 //! preset always reports the same cycle count, cache hit rate, and DRAM
@@ -51,12 +53,10 @@ pub mod error;
 pub mod executor;
 pub mod kernel;
 mod memo;
-pub mod multi;
 pub mod pool;
 pub mod primitives;
 pub mod profiler;
 pub mod sanitizer;
-pub mod trace;
 pub mod verifier;
 
 pub use arena::{DeviceBuffer, DeviceScalar};
@@ -67,7 +67,6 @@ pub use error::SimtError;
 pub use executor::{KernelStats, LaunchConfig};
 pub use kernel::{Effect, Kernel, Lane, MemView};
 pub use memo::LaunchTally;
-pub use multi::DeviceGroup;
 pub use pool::{DeviceLease, DevicePool, PoolTicket};
 pub use profiler::{Counters, ProfileReport, Span};
 pub use sanitizer::{Finding, FindingKind, Lint, LintKind, SanitizerMode, SanitizerReport};

@@ -14,13 +14,17 @@
 //!   `push_phase`/`pop_phase` boundaries;
 //! * [`ProfileReport`] — the per-run aggregate: totals plus every span,
 //!   with derived metrics (achieved-vs-peak bandwidth, hit rates) and a
-//!   hand-rolled JSON serialization (same style as [`crate::trace`], no
-//!   external dependencies).
+//!   hand-rolled JSON serialization (no external dependencies) through
+//!   the crate's one JSON string escaper and number formatter, which the
+//!   sanitizer and verifier reports share;
+//! * [`op_bounds_ns`] / [`relative_spans`] — the op log and spans on an
+//!   integer-nanosecond timeline, the input of every Chrome trace.
 //!
 //! Everything here is deterministic: two identical runs produce
 //! byte-identical reports.
 
 use crate::cache::CacheStats;
+use crate::device::TimedOp;
 use crate::executor::KernelStats;
 
 /// Monotone hardware-counter totals. The device keeps one running
@@ -235,28 +239,34 @@ pub struct RelSpan {
     pub dur_ns: u64,
 }
 
+/// The op boundaries of a time log in integer nanoseconds: entry `i` is
+/// the modeled seconds of `log[..i]`, summed in log order and rounded
+/// once. Rounding the prefix sums (rather than each duration) keeps
+/// nesting containment exact after quantization: a span over ops
+/// `a..b` is `[bounds[a], bounds[b]]`, inside any span over an enclosing
+/// range.
+pub fn op_bounds_ns(log: &[TimedOp]) -> Vec<u64> {
+    let mut bounds = Vec::with_capacity(log.len() + 1);
+    let mut acc = 0.0f64;
+    bounds.push(0);
+    for op in log {
+        acc += op.seconds;
+        bounds.push((acc * 1e9).round() as u64);
+    }
+    bounds
+}
+
 /// Re-express the spans closed at or after `span_mark` relative to the op
-/// at `log_mark`: span boundaries become prefix sums of the op durations
-/// from `log_mark`, quantized to nanoseconds. Rounding the two prefix
-/// sums (rather than the difference) keeps nesting containment exact
-/// after quantization. Spans whose op range starts before `log_mark` are
+/// at `log_mark`: span boundaries become the [`op_bounds_ns`] of the log
+/// from `log_mark`. Spans whose op range starts before `log_mark` are
 /// skipped — they belong to an earlier window.
 pub fn relative_spans(
     spans: &[Span],
-    log: &[crate::device::TimedOp],
+    log: &[TimedOp],
     span_mark: usize,
     log_mark: usize,
 ) -> Vec<RelSpan> {
-    // cum[i] = modeled seconds of ops[log_mark .. log_mark + i].
-    let window = &log[log_mark.min(log.len())..];
-    let mut cum = Vec::with_capacity(window.len() + 1);
-    let mut acc = 0.0f64;
-    cum.push(0.0);
-    for op in window {
-        acc += op.seconds;
-        cum.push(acc);
-    }
-    let to_ns = |s: f64| (s * 1e9).round() as u64;
+    let bounds = op_bounds_ns(&log[log_mark.min(log.len())..]);
     let base_depth = spans[span_mark.min(spans.len())..]
         .iter()
         .map(|s| s.depth)
@@ -266,8 +276,8 @@ pub fn relative_spans(
         .iter()
         .filter(|s| s.first_op >= log_mark && s.end_op <= log.len())
         .map(|s| {
-            let start_ns = to_ns(cum[s.first_op - log_mark]);
-            let end_ns = to_ns(cum[s.end_op - log_mark]);
+            let start_ns = bounds[s.first_op - log_mark];
+            let end_ns = bounds[s.end_op - log_mark];
             RelSpan {
                 path: s.path.clone(),
                 depth: s.depth - base_depth.min(s.depth),
@@ -301,13 +311,6 @@ impl ProfileReport {
     /// Find a span by exact path (first match in completion order).
     pub fn span(&self, path: &str) -> Option<&Span> {
         self.spans.iter().find(|s| s.path == path)
-    }
-
-    /// Top-level spans only (depth 0), in start order.
-    pub fn top_level(&self) -> Vec<&Span> {
-        let mut tops: Vec<&Span> = self.spans.iter().filter(|s| s.depth == 0).collect();
-        tops.sort_by(|a, b| a.start_s.total_cmp(&b.start_s));
-        tops
     }
 
     /// Merge per-device reports of the same pipeline into one: counters
@@ -418,9 +421,10 @@ fn push_counters_json(out: &mut String, c: &Counters, indent: &str) {
     out.push('}');
 }
 
-/// Deterministic JSON number formatting (shortest round-trip; non-finite
-/// values clamp to 0, which JSON cannot represent).
-fn json_f64(x: f64) -> String {
+/// A JSON number: the shortest string that round-trips `x`. JSON has no
+/// NaN or infinity, so non-finite values render as `0`. Shared by every
+/// report serializer in this crate.
+pub(crate) fn json_f64(x: f64) -> String {
     if x.is_finite() {
         format!("{x}")
     } else {
@@ -428,7 +432,10 @@ fn json_f64(x: f64) -> String {
     }
 }
 
-/// Minimal JSON string escaping (same rules as `trace::json_string`).
+/// A JSON string literal: `"`, `\\`, `\n`, `\r` and `\t` escape by name,
+/// every other control character as `\u00XX`, and everything else —
+/// non-ASCII included — passes through. Shared by every report serializer
+/// in this crate.
 pub(crate) fn json_string(s: &str) -> String {
     let mut out = String::with_capacity(s.len() + 2);
     out.push('"');
@@ -437,6 +444,8 @@ pub(crate) fn json_string(s: &str) -> String {
             '"' => out.push_str("\\\""),
             '\\' => out.push_str("\\\\"),
             '\n' => out.push_str("\\n"),
+            '\r' => out.push_str("\\r"),
+            '\t' => out.push_str("\\t"),
             c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
             c => out.push(c),
         }
@@ -448,6 +457,28 @@ pub(crate) fn json_string(s: &str) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn json_strings_escape_every_control_character() {
+        assert_eq!(json_string(r#"say "hi""#), r#""say \"hi\"""#);
+        assert_eq!(json_string(r"a\b"), r#""a\\b""#);
+        assert_eq!(json_string("a\nb\rc\td"), r#""a\nb\rc\td""#);
+        assert_eq!(json_string("\u{0}\u{1}\u{1f}"), r#""\u0000\u0001\u001f""#);
+        assert_eq!(json_string("GTX 980 — ü ✓"), "\"GTX 980 — ü ✓\"");
+    }
+
+    #[test]
+    fn json_numbers_round_trip_and_clamp_non_finite() {
+        assert_eq!(json_f64(0.1), "0.1");
+        assert_eq!(json_f64(1e-9), "0.000000001");
+        assert_eq!(json_f64(3.0), "3");
+        assert_eq!(json_f64(-2.5), "-2.5");
+        let third = 1.0 / 3.0;
+        assert_eq!(json_f64(third).parse::<f64>().unwrap(), third);
+        assert_eq!(json_f64(f64::NAN), "0");
+        assert_eq!(json_f64(f64::INFINITY), "0");
+        assert_eq!(json_f64(f64::NEG_INFINITY), "0");
+    }
 
     fn sample_counters(scale: u64) -> Counters {
         Counters {

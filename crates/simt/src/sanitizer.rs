@@ -40,7 +40,7 @@ use std::collections::BTreeMap;
 use std::fmt;
 
 use crate::executor::{KernelStats, Observed};
-use crate::profiler::json_string;
+use crate::profiler::{json_f64, json_string};
 
 /// Bytes past an allocation's logical end that a read may touch without a
 /// `Check`-mode finding: faithful kernels issue a benign one-past-the-end
@@ -291,14 +291,6 @@ impl SanitizerReport {
         }
         out.push_str("  ]\n}\n");
         out
-    }
-}
-
-fn json_f64(x: f64) -> String {
-    if x.is_finite() {
-        format!("{x}")
-    } else {
-        "0".to_string()
     }
 }
 
@@ -874,7 +866,7 @@ pub mod selftest {
     use crate::config::DeviceConfig;
     use crate::device::Device;
     use crate::executor::LaunchConfig;
-    use crate::kernel::{Effect, Kernel, Lane, MemView};
+    use crate::kernel::{Effect, Kernel, OneShotLane};
 
     /// Outcome of one seeded-bug kernel.
     #[derive(Clone, Debug)]
@@ -887,18 +879,6 @@ pub mod selftest {
         pub detected: bool,
         /// The full report of the seeded run.
         pub report: SanitizerReport,
-    }
-
-    /// One-shot lane: returns a fixed effect on its first step, `Done`
-    /// after.
-    struct OneShotLane {
-        effect: Option<Effect>,
-    }
-
-    impl Lane for OneShotLane {
-        fn step(&mut self, _mem: &MemView<'_>) -> Effect {
-            self.effect.take().unwrap_or(Effect::Done)
-        }
     }
 
     /// Lane 0 reads 4 bytes deep inside the buffer's padding — past the

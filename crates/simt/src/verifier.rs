@@ -782,7 +782,7 @@ pub mod selftest {
     use crate::config::DeviceConfig;
     use crate::device::Device;
     use crate::executor::LaunchConfig;
-    use crate::kernel::{Effect, Kernel, Lane, MemView};
+    use crate::kernel::{Effect, Kernel, OneShotLane};
     use crate::sanitizer::SanitizerMode;
 
     /// Outcome of one seeded-lie kernel.
@@ -798,18 +798,6 @@ pub mod selftest {
         pub rejected: bool,
         /// The full verifier report of the seeded run.
         pub report: VerifierReport,
-    }
-
-    /// One-shot lane: returns a fixed effect on its first step, `Done`
-    /// after.
-    struct OneShotLane {
-        effect: Option<Effect>,
-    }
-
-    impl Lane for OneShotLane {
-        fn step(&mut self, _mem: &MemView<'_>) -> Effect {
-            self.effect.take().unwrap_or(Effect::Done)
-        }
     }
 
     /// Lane 0 reads the buffer's last element, but the contract only

@@ -127,9 +127,12 @@ impl fmt::Display for Stage {
     }
 }
 
-/// Minimal JSON string escaping (same rules as the other hand-rolled
-/// serializers in the workspace).
-pub(crate) fn json_string(s: &str) -> String {
+/// A JSON string literal: `"`, `\\`, `\n`, `\r` and `\t` escape by name,
+/// every other control character as `\u00XX`, and everything else —
+/// non-ASCII included — passes through. The one escaper of the serving
+/// layers (the engine report, the bench artifact, metrics and traces);
+/// `tc-simt` keeps the only other copy.
+pub fn json_string(s: &str) -> String {
     let mut out = String::with_capacity(s.len() + 2);
     out.push('"');
     for c in s.chars() {
@@ -145,6 +148,16 @@ pub(crate) fn json_string(s: &str) -> String {
     }
     out.push('"');
     out
+}
+
+/// A JSON number: the shortest string that round-trips `x`. JSON has no
+/// NaN or infinity, so non-finite values render as `0`.
+pub fn json_f64(x: f64) -> String {
+    if x.is_finite() {
+        format!("{x}")
+    } else {
+        "0".to_string()
+    }
 }
 
 /// Integer nanoseconds rendered as microseconds with exactly three
@@ -183,6 +196,28 @@ mod tests {
         for pair in all.windows(2) {
             assert!(pair[0] < pair[1]);
         }
+    }
+
+    #[test]
+    fn json_strings_escape_every_control_character() {
+        assert_eq!(json_string(r#"say "hi""#), r#""say \"hi\"""#);
+        assert_eq!(json_string(r"a\b"), r#""a\\b""#);
+        assert_eq!(json_string("a\nb\rc\td"), r#""a\nb\rc\td""#);
+        assert_eq!(json_string("\u{0}\u{1}\u{1f}"), r#""\u0000\u0001\u001f""#);
+        assert_eq!(json_string("GTX 980 — ü ✓"), "\"GTX 980 — ü ✓\"");
+    }
+
+    #[test]
+    fn json_numbers_round_trip_and_clamp_non_finite() {
+        assert_eq!(json_f64(0.1), "0.1");
+        assert_eq!(json_f64(1e-9), "0.000000001");
+        assert_eq!(json_f64(3.0), "3");
+        assert_eq!(json_f64(-2.5), "-2.5");
+        let third = 1.0 / 3.0;
+        assert_eq!(json_f64(third).parse::<f64>().unwrap(), third);
+        assert_eq!(json_f64(f64::NAN), "0");
+        assert_eq!(json_f64(f64::INFINITY), "0");
+        assert_eq!(json_f64(f64::NEG_INFINITY), "0");
     }
 
     #[test]

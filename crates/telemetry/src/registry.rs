@@ -17,7 +17,7 @@
 use std::collections::BTreeMap;
 use std::sync::Mutex;
 
-use crate::json_string;
+use crate::{json_f64, json_string};
 
 /// Number of finite histogram buckets (the last array slot is overflow).
 const BUCKETS: usize = 25;
@@ -408,7 +408,7 @@ impl MetricsSnapshot {
                             "{}{} {}\n",
                             fam.name,
                             labelset(&s.labels, &[]),
-                            prom_f64(*g)
+                            json_f64(*g)
                         ));
                     }
                     MetricValue::Histogram(h) => {
@@ -485,7 +485,7 @@ fn push_families_json(out: &mut String, families: &[MetricFamily], indent: &str)
             out.push_str("}, ");
             match &s.value {
                 MetricValue::Counter(c) => out.push_str(&format!("\"value\": {c}")),
-                MetricValue::Gauge(g) => out.push_str(&format!("\"value\": {}", prom_f64(*g))),
+                MetricValue::Gauge(g) => out.push_str(&format!("\"value\": {}", json_f64(*g))),
                 MetricValue::Histogram(h) => {
                     out.push_str(&format!(
                         "\"count\": {}, \"sum_ns\": {}, \"max_ns\": {}, \"buckets\": [",
@@ -546,14 +546,6 @@ fn prom_escape(v: &str) -> String {
     v.replace('\\', "\\\\")
         .replace('"', "\\\"")
         .replace('\n', "\\n")
-}
-
-fn prom_f64(x: f64) -> String {
-    if x.is_finite() {
-        format!("{x}")
-    } else {
-        "0".to_string()
-    }
 }
 
 /// Integer nanoseconds as an exact millisecond decimal string

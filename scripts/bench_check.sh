@@ -5,9 +5,8 @@
 #
 # Usage: scripts/bench_check.sh NEW_BENCH_JSON OLD_BENCH_JSON [REL_TOL]
 #
-#   NEW_BENCH_JSON  freshly generated artifact (bench >= 3 schema)
-#   OLD_BENCH_JSON  prior artifact to compare against (bench >= 3 schema;
-#                   the bench-3 flat host_wall_ms layout is accepted)
+#   NEW_BENCH_JSON  freshly generated artifact (bench >= 5 schema)
+#   OLD_BENCH_JSON  prior artifact to compare against (bench >= 5 schema)
 #   REL_TOL         relative tolerance, default 0.05 (5%)
 #
 # Only modeled milliseconds are compared: they are simulator-exact and

@@ -52,6 +52,41 @@ find $DET_PATHS -name '*.rs' -print0 | xargs -0 awk '
 '
 echo "deterministic modules are clock-free, hash-order-free and global-free"
 
+echo "==> duplicate JSON helper lint"
+# Each serializing layer has exactly one JSON string escaper and one
+# non-finite-safe number formatter: crates/simt/src/profiler.rs for the
+# simulator's reports, crates/telemetry/src/lib.rs for everything above
+# it (a shared crate would add a dependency edge to the benchmark's
+# pinned crate graph). A copy anywhere else can drift from the escaping
+# and non-finite rules the two homes pin in their unit tests. Flagged,
+# outside test modules:
+#   * a JSON helper by name (fn json_string / json_str / json_f64 / ...);
+#   * an escaper by shape: the \u00XX control-character escape;
+#   * a number formatter by shape: is_finite() with a format!("{x}")
+#     within the next three lines.
+JSON_HOMES="crates/simt/src/profiler.rs crates/telemetry/src/lib.rs"
+find crates/*/src src -name '*.rs' -print0 | xargs -0 awk -v homes="$JSON_HOMES" '
+    BEGIN { n = split(homes, h, " "); for (i = 1; i <= n; i++) home[h[i]] = 1 }
+    FNR == 1 { intest = 0; finite = -10 }
+    /#\[cfg\(test\)\]/ { intest = 1 }
+    intest || (FILENAME in home) { next }
+    /fn[ \t]+[a-z_]*json_(string|str|escape|f64|num)[a-z_]*[ \t]*[(<]/ {
+        printf "%s:%d: JSON helper defined outside its layer home\n", FILENAME, FNR
+        bad = 1
+    }
+    /\\\\u\{:04x\}/ {
+        printf "%s:%d: JSON string escaper outside its layer home\n", FILENAME, FNR
+        bad = 1
+    }
+    /is_finite\(\)/ { finite = FNR }
+    /format!\("\{[a-z_]*\}"/ && FNR - finite <= 3 {
+        printf "%s:%d: non-finite number formatter outside its layer home\n", FILENAME, FNR
+        bad = 1
+    }
+    END { exit bad }
+'
+echo "one JSON escaper and one number formatter per layer"
+
 echo "==> cargo build --release"
 cargo build --release --workspace
 
@@ -79,8 +114,32 @@ echo "==> multi-GPU and split smoke"
 # a per-device Chrome trace that must parse.
 ./target/release/tcount suite:kronecker-8 --backend 2xc2050/balanced+hash/sanitize/verify > /dev/null
 ./target/release/tcount suite:dblp --backend gtx980/split:3/balanced/verify > /dev/null
-./target/release/tcount suite:dblp --backend 4xc2050 --trace /tmp/tc_multi_trace.json > /dev/null
-python3 -c "import json; json.load(open('/tmp/tc_multi_trace.json'))"
+# The trace is written twice and must come out byte-identical, and no two
+# events on one device thread may partially overlap (every child lies
+# inside its parent after nanosecond quantization).
+for i in 1 2; do
+    ./target/release/tcount suite:dblp --backend 4xc2050 --trace "/tmp/tc_multi_trace$i.json" > /dev/null
+done
+cmp /tmp/tc_multi_trace1.json /tmp/tc_multi_trace2.json
+python3 - <<'PY'
+import collections, json
+threads = collections.defaultdict(list)
+for e in json.load(open("/tmp/tc_multi_trace1.json")):
+    if e["ph"] == "X":
+        start = round(e["ts"] * 1000)
+        threads[e["tid"]].append((start, start + round(e["dur"] * 1000), e["name"]))
+assert sorted(threads) == [0, 1, 2, 3], sorted(threads)
+for tid, events in threads.items():
+    events.sort(key=lambda ev: (ev[0], -ev[1]))
+    open_events = []
+    for start, end, name in events:
+        while open_events and open_events[-1][1] <= start:
+            open_events.pop()
+        if open_events:
+            assert end <= open_events[-1][1], f"tid {tid}: {name} overlaps {open_events[-1][2]}"
+        open_events.append((start, end, name))
+print(f"multi-GPU trace OK ({sum(map(len, threads.values()))} events, 4 threads)")
+PY
 
 echo "==> bench artifact is valid JSON"
 ./target/release/repro bench --scale smoke --out /tmp/tc_bench_smoke.json > /dev/null
@@ -94,8 +153,8 @@ for e in doc["entries"]:
     assert "host_wall_ms" not in e, "host_wall_ms must live under advisory"
     adv = e["advisory"]
     assert adv is None or set(adv.keys()) == {"host_wall_ms"}, e
-# The committed prior artifacts still parse (including the old flat schema).
-for path, seq in [("BENCH_3.json", 3), ("BENCH_4.json", 4), ("BENCH_5.json", 5)]:
+# The committed prior artifact still parses.
+for path, seq in [("BENCH_5.json", 5)]:
     with open(path) as f:
         doc = json.load(f)
     assert doc["bench"] == seq and doc["entries"], path

@@ -100,9 +100,9 @@ use triangles::engine::{parse_jobfile, Admission, Engine, EngineConfig};
 use triangles::gen::Scale;
 use triangles::graph::{io, EdgeArray, GraphStats};
 use triangles::simt::sanitizer::selftest;
-use triangles::simt::trace::{write_chrome_trace_spanned, TraceThread};
 use triangles::simt::verifier::selftest as verify_selftest;
 use triangles::simt::SanitizerMode;
+use triangles::telemetry::chrome_trace_json;
 
 struct Args {
     path: String,
@@ -215,17 +215,11 @@ fn parse_args() -> Result<Args, String> {
     Ok(parsed)
 }
 
-/// Write the nested Chrome trace for one or more device runs.
-fn write_trace(traces: &[RunTrace], path: &str) -> Result<(), String> {
-    let threads: Vec<TraceThread<'_>> = traces
-        .iter()
-        .map(|t| TraceThread {
-            name: &t.device_name,
-            log: &t.log,
-            spans: &t.spans,
-        })
-        .collect();
-    write_chrome_trace_spanned(&threads, path).map_err(|e| format!("writing trace: {e}"))?;
+/// Write the nested Chrome trace for one or more device runs of `backend`.
+fn write_trace(backend: &Backend, traces: &[RunTrace], path: &str) -> Result<(), String> {
+    let requests = triangles::bench::profile::request_traces(&backend.to_string(), traces);
+    std::fs::write(path, chrome_trace_json(&requests))
+        .map_err(|e| format!("writing trace: {e}"))?;
     println!("trace written to {path}");
     Ok(())
 }
@@ -263,7 +257,7 @@ fn run_gpu_observed(graph: &EdgeArray, args: &Args) -> Result<TriangleCount, Str
         if result.traces.is_empty() {
             return Err("--trace is not available on split backends".into());
         }
-        write_trace(&result.traces, path)?;
+        write_trace(&args.backend, &result.traces, path)?;
     }
     if let (Some(profile), Some(file)) = (&result.profile, &args.profile) {
         emit_profile(profile, file)?;

@@ -2,11 +2,12 @@
 //! span nesting invariants, machine-readable output validity, and
 //! byte-identical determinism.
 
+use triangles::bench::profile::request_traces;
 use triangles::core::count::{Backend, CountRequest, GpuOptions};
 use triangles::core::gpu::pipeline::{run_gpu_pipeline_profiled, RunTrace};
 use triangles::gen::{erdos_renyi, Seed};
-use triangles::simt::trace::{write_chrome_trace_spanned, TraceThread};
 use triangles::simt::{Counters, DeviceConfig};
+use triangles::telemetry::{chrome_trace_json, RequestTrace, TraceSpan};
 
 fn profiled_run() -> RunTrace {
     let g = erdos_renyi::gnm(200, 1_200, Seed(11));
@@ -147,16 +148,7 @@ fn profile_and_trace_json_are_structurally_valid() {
         );
     }
 
-    let dir = std::env::temp_dir().join("tc_profiler_test");
-    std::fs::create_dir_all(&dir).unwrap();
-    let path = dir.join("nested_trace.json");
-    let threads = [TraceThread {
-        name: &trace.device_name,
-        log: &trace.log,
-        spans: &trace.spans,
-    }];
-    write_chrome_trace_spanned(&threads, &path).unwrap();
-    let trace_json = std::fs::read_to_string(&path).unwrap();
+    let trace_json = chrome_trace_json(&request_traces("gtx980", std::slice::from_ref(&trace)));
     json::parse(&trace_json).unwrap_or_else(|e| panic!("trace JSON invalid: {e}"));
     assert!(trace_json.contains("\"CountTriangles\""));
     assert!(trace_json.contains("\"preprocess\""));
@@ -168,20 +160,86 @@ fn profiler_output_is_byte_identical_across_runs() {
     let b = profiled_run();
     assert_eq!(a.profile.to_json(), b.profile.to_json());
 
-    let dir = std::env::temp_dir().join("tc_profiler_test");
-    std::fs::create_dir_all(&dir).unwrap();
-    let mut files = Vec::new();
-    for (i, t) in [&a, &b].iter().enumerate() {
-        let path = dir.join(format!("det_{i}.json"));
-        let threads = [TraceThread {
-            name: &t.device_name,
-            log: &t.log,
-            spans: &t.spans,
-        }];
-        write_chrome_trace_spanned(&threads, &path).unwrap();
-        files.push(std::fs::read(&path).unwrap());
+    let chrome = |t: RunTrace| chrome_trace_json(&request_traces("gtx980", &[t]));
+    assert_eq!(chrome(a), chrome(b), "traces must be byte-identical");
+}
+
+/// The profiled `4xc2050` request as the trace `tcount --trace` writes.
+fn multi_gpu_chrome_trace() -> (Vec<RunTrace>, Vec<RequestTrace>, String) {
+    let g = erdos_renyi::gnm(200, 1_200, Seed(13));
+    let backend: Backend = "4xc2050".parse().unwrap();
+    let token = backend.to_string();
+    let runs = CountRequest::new(backend)
+        .profile(true)
+        .run(&g)
+        .unwrap()
+        .traces;
+    let requests = request_traces(&token, &runs);
+    let json = chrome_trace_json(&requests);
+    (runs, requests, json)
+}
+
+#[test]
+fn multi_gpu_chrome_trace_nests_every_device_run() {
+    let (runs, requests, json) = multi_gpu_chrome_trace();
+    json::parse(&json).unwrap_or_else(|e| panic!("trace JSON invalid: {e}"));
+    assert_eq!(requests.len(), 4);
+    assert_eq!(json.matches("\"thread_name\"").count(), 4);
+    for (i, (run, req)) in runs.iter().zip(&requests).enumerate() {
+        assert_eq!(req.id, i as u64);
+        assert!(json.contains(&format!("\"req {i}: gpu{i} (Tesla C2050) [4xc2050]\"")));
+        // Every profiler span, then every leaf op, in recorded order.
+        assert_eq!(req.spans.len(), run.spans.len() + run.log.len());
+        let (phases, ops) = req.spans.split_at(run.spans.len());
+        for (span, phase) in run.spans.iter().zip(phases) {
+            assert_eq!(phase.name, span.path.rsplit('/').next().unwrap());
+            assert_eq!(phase.depth, span.depth);
+        }
+        let leaf_depth = run.spans.iter().map(|s| s.depth + 1).max().unwrap();
+        for (op, leaf) in run.log.iter().zip(ops) {
+            assert_eq!(leaf.name, op.label);
+            assert_eq!(leaf.depth, leaf_depth);
+        }
+        // Exact containment: a phase lies inside its parent phase, a leaf
+        // op inside every phase whose op range covers it.
+        let inside = |child: &TraceSpan, parent: &TraceSpan| {
+            parent.start_ns <= child.start_ns && child.end_ns() <= parent.end_ns()
+        };
+        for (span, phase) in run.spans.iter().zip(phases) {
+            if let Some((parent_path, _)) = span.path.rsplit_once('/') {
+                let parent = run
+                    .spans
+                    .iter()
+                    .position(|p| {
+                        p.path == parent_path
+                            && p.first_op <= span.first_op
+                            && span.end_op <= p.end_op
+                    })
+                    .unwrap_or_else(|| panic!("no parent span for {}", span.path));
+                assert!(
+                    inside(phase, &phases[parent]),
+                    "{} escapes {parent_path}",
+                    span.path
+                );
+            }
+        }
+        for (k, leaf) in ops.iter().enumerate() {
+            for (span, phase) in run.spans.iter().zip(phases) {
+                if span.first_op <= k && k < span.end_op {
+                    assert!(
+                        inside(leaf, phase),
+                        "op {} escapes {}",
+                        leaf.name,
+                        span.path
+                    );
+                }
+            }
+        }
     }
-    assert_eq!(files[0], files[1], "trace files must be byte-identical");
+    assert!(json.contains("\"broadcast\""));
+    assert!(json.contains("\"count-kernel\""));
+    let (_, _, again) = multi_gpu_chrome_trace();
+    assert_eq!(json, again, "trace must be byte-identical across runs");
 }
 
 #[test]
