@@ -5,8 +5,7 @@
 mod common;
 
 use criterion::{criterion_group, criterion_main, Criterion};
-use tc_core::count::GpuOptions;
-use tc_core::gpu::pipeline::run_gpu_pipeline;
+use tc_core::count::{Backend, CountRequest, GpuOptions};
 use tc_core::gpu::{EdgeLayout, LoopVariant};
 use tc_gen::suite::GraphSpec;
 use tc_simt::DeviceConfig;
@@ -36,9 +35,8 @@ fn bench_ablations(c: &mut Criterion) {
         ]
     };
     for (name, opts) in variants {
-        group.bench_function(name, |b| {
-            b.iter(|| run_gpu_pipeline(&g, &opts).unwrap().triangles)
-        });
+        let request = CountRequest::new(Backend::Gpu(opts));
+        group.bench_function(name, |b| b.iter(|| request.run(&g).unwrap().triangles));
     }
     group.finish();
 }

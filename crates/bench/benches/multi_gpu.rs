@@ -4,8 +4,7 @@
 mod common;
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
-use tc_core::count::GpuOptions;
-use tc_core::gpu::multi::run_multi_gpu;
+use tc_core::count::{Backend, CountRequest, GpuOptions};
 use tc_gen::suite::GraphSpec;
 use tc_simt::DeviceConfig;
 
@@ -16,7 +15,11 @@ fn bench_multi_gpu(c: &mut Criterion) {
     group.sample_size(10);
     for devices in [1usize, 2, 4] {
         group.bench_with_input(BenchmarkId::from_parameter(devices), &devices, |b, &d| {
-            b.iter(|| run_multi_gpu(&g, &opts, d).unwrap().triangles)
+            let request = CountRequest::new(Backend::MultiGpu {
+                options: opts.clone(),
+                devices: d,
+            });
+            b.iter(|| request.run(&g).unwrap().triangles)
         });
     }
     group.finish();

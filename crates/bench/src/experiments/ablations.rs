@@ -12,8 +12,7 @@
 //! * **context** (§IV): lazy context creation folds ~100 ms into the first
 //!   allocation unless pre-initialized.
 
-use tc_core::count::GpuOptions;
-use tc_core::gpu::pipeline::run_gpu_pipeline;
+use tc_core::count::{Backend, GpuOptions};
 use tc_core::gpu::preprocess::{fallback_path_peak_bytes, full_path_peak_bytes};
 use tc_core::gpu::{EdgeLayout, LoopVariant};
 use tc_gen::suite::{full_suite_seeded, GraphSpec};
@@ -23,7 +22,7 @@ use tc_simt::{Device, DeviceConfig};
 
 use crate::report::{ratio, Table};
 
-use super::ExpConfig;
+use super::{gpu_run, ExpConfig};
 
 /// One ablation comparison on one graph.
 #[derive(Clone, Debug)]
@@ -60,7 +59,7 @@ fn subset(cfg: &ExpConfig) -> Vec<(String, EdgeArray)> {
 }
 
 fn kernel_ms(g: &EdgeArray, opts: &GpuOptions) -> f64 {
-    run_gpu_pipeline(g, opts)
+    gpu_run(g, Backend::Gpu(opts.clone()))
         .expect("ablation pipeline")
         .kernel
         .time_s
@@ -179,7 +178,7 @@ pub fn run(cfg: &ExpConfig) -> Vec<Row> {
     // III-D6: the fallback path, on the livejournal analog: force it by
     // capacity and compare total time against the full-GPU path.
     if let Some((name, g)) = subset(cfg).into_iter().next() {
-        let full = run_gpu_pipeline(&g, &GpuOptions::new(device.clone())).expect("full path");
+        let full = gpu_run(&g, Backend::Gpu(GpuOptions::new(device.clone()))).expect("full path");
         // Capacity between the two paths' planned peaks: halfway between
         // them, plus the node array and the result-array reserve that the
         // planner adds to both sides.
@@ -189,7 +188,7 @@ pub fn run(cfg: &ExpConfig) -> Vec<Row> {
         let window =
             (full_path_peak_bytes(&g) + fallback_path_peak_bytes(&g)) / 2 + reserve + node_bytes;
         let tight = DeviceConfig::gtx_980().with_memory_capacity(window);
-        let fb = run_gpu_pipeline(&g, &GpuOptions::new(tight)).expect("fallback path");
+        let fb = gpu_run(&g, Backend::Gpu(GpuOptions::new(tight))).expect("fallback path");
         assert!(
             fb.used_cpu_fallback,
             "capacity window must force the fallback"

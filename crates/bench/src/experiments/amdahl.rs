@@ -6,14 +6,13 @@
 //! 0.08–0.76), observed speedups below but tracking the ceiling, largest on
 //! the triangle-dense Kronecker graphs.
 
-use tc_core::count::GpuOptions;
-use tc_core::gpu::multi::run_multi_gpu;
+use tc_core::count::{Backend, GpuOptions};
 use tc_gen::suite::full_suite_seeded;
 use tc_simt::DeviceConfig;
 
 use crate::report::{ratio, Table};
 
-use super::ExpConfig;
+use super::{gpu_run, ExpConfig};
 
 /// One graph's Amdahl row.
 #[derive(Clone, Debug)]
@@ -32,10 +31,14 @@ pub fn run(cfg: &ExpConfig) -> Vec<Row> {
     full_suite_seeded(cfg.scale, cfg.seed)
         .iter()
         .map(|item| {
-            let one = run_multi_gpu(&item.graph, &opts, 1).expect("1 gpu");
-            let four = run_multi_gpu(&item.graph, &opts, 4).expect("4 gpus");
+            let multi = |devices| Backend::MultiGpu {
+                options: opts.clone(),
+                devices,
+            };
+            let one = gpu_run(&item.graph, multi(1)).expect("1 gpu");
+            let four = gpu_run(&item.graph, multi(4)).expect("4 gpus");
             assert_eq!(one.triangles, four.triangles, "{}", item.name);
-            let f = one.preprocess_s / one.total_s;
+            let f = one.preprocess_fraction();
             Row {
                 name: item.name.clone(),
                 preprocess_fraction: f,

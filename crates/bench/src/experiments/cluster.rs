@@ -20,9 +20,8 @@
 //! boundary rows can dominate a tiny shard.
 
 use tc_core::count::GpuOptions;
-use tc_core::gpu::cluster::run_cluster;
 use tc_core::gpu::prepared::PreparedGraph;
-use tc_core::ClusterPartition;
+use tc_core::{ClusterPartition, PreparedCluster};
 use tc_gen::suite::full_suite_seeded;
 use tc_simt::{ClusterTopology, DeviceConfig};
 
@@ -93,34 +92,37 @@ pub fn run(cfg: &ExpConfig) -> Vec<Row> {
                     // One shard: 1D and 2D coincide; keep one cell.
                     continue;
                 }
-                let report = run_cluster(
-                    &item.graph,
-                    &opts,
-                    ClusterTopology::new(nodes, devices_per_node),
-                    partition,
-                )
-                .unwrap_or_else(|e| panic!("{}: {e}", item.name));
+                let topology = ClusterTopology::new(nodes, devices_per_node);
+                let mut session = PreparedCluster::prepare(&item.graph, &opts, topology, partition)
+                    .unwrap_or_else(|e| panic!("{}: {e}", item.name));
+                let count = session
+                    .count()
+                    .unwrap_or_else(|e| panic!("{}: {e}", item.name));
                 assert_eq!(
-                    report.triangles, golden,
+                    count.triangles, golden,
                     "{}: {nodes}x{devices_per_node} {partition} disagrees with single-device",
                     item.name
                 );
+                let max_resident_bytes = session.max_resident_bytes();
                 if partition == ClusterPartition::OneD {
-                    peaks_1d.push(report.max_resident_bytes);
+                    peaks_1d.push(max_resident_bytes);
                 }
                 rows.push(Row {
                     name: item.name.clone(),
                     m,
                     nodes,
                     devices_per_node,
-                    partition: report.partition.label().to_string(),
-                    triangles: report.triangles,
-                    total_ms: report.total_s * 1e3,
-                    count_ms: report.count_s * 1e3,
-                    max_shard_arcs: report.per_shard_arcs.iter().copied().max().unwrap_or(0),
-                    max_resident_bytes: report.max_resident_bytes,
-                    imbalance: report.imbalance,
+                    partition: partition.label().to_string(),
+                    triangles: count.triangles,
+                    total_ms: (session.prepare_s() + count.count_s) * 1e3,
+                    count_ms: count.count_s * 1e3,
+                    max_shard_arcs: session.per_shard_arcs().iter().copied().max().unwrap_or(0),
+                    max_resident_bytes,
+                    imbalance: session.imbalance(),
                 });
+                session
+                    .release()
+                    .unwrap_or_else(|e| panic!("{}: {e}", item.name));
             }
         }
         if m >= PEAK_ASSERT_MIN_ARCS {

@@ -6,16 +6,14 @@
 //! series by an order of magnitude, the 4-GPU series below the 1-GPU series
 //! with the gap widening as the triangle count grows.
 
-use tc_core::count::GpuOptions;
+use tc_core::count::{Backend, GpuOptions};
 use tc_core::cpu::count_forward;
-use tc_core::gpu::multi::run_multi_gpu;
-use tc_core::gpu::pipeline::run_gpu_pipeline;
 use tc_gen::suite::kronecker_ladder;
 use tc_simt::DeviceConfig;
 
 use crate::report::{ms, Table};
 
-use super::{time_host, ExpConfig};
+use super::{gpu_run, time_host, ExpConfig};
 
 /// One ladder point: times for all four series.
 #[derive(Clone, Debug)]
@@ -39,12 +37,13 @@ pub fn run(cfg: &ExpConfig) -> Vec<Point> {
             let cpu_s = time_host(cfg.repeats, || {
                 triangles = count_forward(g).expect("valid suite graph");
             });
-            let c2050 =
-                run_gpu_pipeline(g, &GpuOptions::new(DeviceConfig::tesla_c2050())).expect("c2050");
-            let quad = run_multi_gpu(g, &GpuOptions::new(DeviceConfig::tesla_c2050()), 4)
-                .expect("4x c2050");
-            let gtx =
-                run_gpu_pipeline(g, &GpuOptions::new(DeviceConfig::gtx_980())).expect("gtx980");
+            let c2050 = gpu_run(
+                g,
+                Backend::Gpu(GpuOptions::new(DeviceConfig::tesla_c2050())),
+            )
+            .expect("c2050");
+            let quad = gpu_run(g, Backend::multi_gpu_c2050(4)).expect("4x c2050");
+            let gtx = gpu_run(g, Backend::gpu_gtx980()).expect("gtx980");
             assert_eq!(c2050.triangles, triangles);
             assert_eq!(quad.triangles, triangles);
             assert_eq!(gtx.triangles, triangles);

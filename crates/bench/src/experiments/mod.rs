@@ -17,7 +17,9 @@ pub mod table2;
 pub mod throughput;
 pub mod tuning;
 
+use tc_core::{Backend, CoreError, CountRequest, GpuReport};
 use tc_gen::{Scale, Seed};
+use tc_graph::EdgeArray;
 
 /// Shared experiment configuration.
 #[derive(Clone, Copy, Debug)]
@@ -60,6 +62,12 @@ pub(crate) fn time_host<F: FnMut()>(repeats: usize, mut f: F) -> f64 {
         f();
     }
     start.elapsed().as_secs_f64() / repeats as f64
+}
+
+/// The report of a one-shot simulated-GPU run of `backend` on `g`.
+pub(crate) fn gpu_run(g: &EdgeArray, backend: Backend) -> Result<GpuReport, CoreError> {
+    let counted = CountRequest::new(backend).run(g)?;
+    Ok(counted.gpu.expect("simulated-GPU backends report"))
 }
 
 #[cfg(test)]

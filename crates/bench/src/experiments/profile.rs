@@ -9,15 +9,13 @@
 //! representative graph shows the eight §III-B preprocessing steps
 //! individually.
 
-use tc_core::count::GpuOptions;
-use tc_core::gpu::pipeline::run_gpu_pipeline_profiled;
+use tc_core::count::Backend;
 use tc_gen::suite::full_suite_seeded;
 use tc_simt::profiler::ProfileReport;
-use tc_simt::DeviceConfig;
 
 use crate::report::{pct, Table};
 
-use super::ExpConfig;
+use super::{gpu_run, ExpConfig};
 
 /// One profiled run.
 #[derive(Clone, Debug)]
@@ -35,12 +33,10 @@ pub fn run(cfg: &ExpConfig) -> Vec<Row> {
     suite
         .iter()
         .map(|item| {
-            let (_, trace) =
-                run_gpu_pipeline_profiled(&item.graph, &GpuOptions::new(DeviceConfig::gtx_980()))
-                    .expect("gtx980 pipeline");
+            let report = gpu_run(&item.graph, Backend::gpu_gtx980()).expect("gtx980 pipeline");
             Row {
                 name: item.name.clone(),
-                profile: trace.profile,
+                profile: report.profile,
             }
         })
         .collect()

@@ -6,16 +6,14 @@
 //! on the Orkut and top-Kronecker analogs (C2050 only); the 4-GPU column
 //! helps most on triangle-dense graphs.
 
-use tc_core::count::GpuOptions;
+use tc_core::count::{Backend, GpuOptions};
 use tc_core::cpu::count_forward;
-use tc_core::gpu::multi::run_multi_gpu;
-use tc_core::gpu::pipeline::run_gpu_pipeline;
 use tc_gen::suite::full_suite_seeded;
 use tc_simt::DeviceConfig;
 
 use crate::report::{ms, ratio, Table};
 
-use super::{time_host, ExpConfig};
+use super::{gpu_run, time_host, ExpConfig};
 
 /// One row of Table I.
 #[derive(Clone, Debug)]
@@ -56,20 +54,21 @@ pub fn run(cfg: &ExpConfig) -> Vec<Row> {
             triangles = count_forward(g).expect("suite graphs are valid");
         });
 
-        let c2050 = run_gpu_pipeline(g, &GpuOptions::new(DeviceConfig::tesla_c2050()))
-            .expect("c2050 pipeline");
+        let c2050 = gpu_run(
+            g,
+            Backend::Gpu(GpuOptions::new(DeviceConfig::tesla_c2050())),
+        )
+        .expect("c2050 pipeline");
         assert_eq!(c2050.triangles, triangles, "{}: c2050 disagrees", item.name);
 
-        let quad =
-            run_multi_gpu(g, &GpuOptions::new(DeviceConfig::tesla_c2050()), 4).expect("4x c2050");
+        let quad = gpu_run(g, Backend::multi_gpu_c2050(4)).expect("4x c2050");
         assert_eq!(
             quad.triangles, triangles,
             "{}: 4xc2050 disagrees",
             item.name
         );
 
-        let gtx = run_gpu_pipeline(g, &GpuOptions::new(DeviceConfig::gtx_980()))
-            .expect("gtx980 pipeline");
+        let gtx = gpu_run(g, Backend::gpu_gtx980()).expect("gtx980 pipeline");
         assert_eq!(gtx.triangles, triangles, "{}: gtx980 disagrees", item.name);
 
         rows.push(Row {

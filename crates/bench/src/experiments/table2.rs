@@ -11,14 +11,12 @@
 //! `repro profile` report, mirroring how the paper's numbers came from
 //! nvprof rather than in-kernel instrumentation.
 
-use tc_core::count::GpuOptions;
-use tc_core::gpu::pipeline::run_gpu_pipeline_profiled;
+use tc_core::count::Backend;
 use tc_gen::suite::full_suite_seeded;
-use tc_simt::DeviceConfig;
 
 use crate::report::{pct, Table};
 
-use super::ExpConfig;
+use super::{gpu_run, ExpConfig};
 
 /// One row of Table II.
 #[derive(Clone, Debug)]
@@ -36,10 +34,8 @@ pub fn run(cfg: &ExpConfig) -> Vec<Row> {
     suite
         .iter()
         .map(|item| {
-            let (_, trace) =
-                run_gpu_pipeline_profiled(&item.graph, &GpuOptions::new(DeviceConfig::gtx_980()))
-                    .expect("gtx980 pipeline");
-            let span = trace
+            let report = gpu_run(&item.graph, Backend::gpu_gtx980()).expect("gtx980 pipeline");
+            let span = report
                 .profile
                 .span(super::profile::KERNEL_SPAN)
                 .expect("pipeline records the counting-kernel span");

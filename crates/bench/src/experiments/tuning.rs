@@ -4,14 +4,13 @@
 //! nearly optimal across graphs and devices, with other ~512-threads-per-SM
 //! combinations matching on the GTX 980 but not on the older cards.
 
-use tc_core::count::GpuOptions;
-use tc_core::gpu::pipeline::run_gpu_pipeline;
+use tc_core::count::{Backend, GpuOptions};
 use tc_gen::suite::GraphSpec;
 use tc_simt::{DeviceConfig, LaunchConfig};
 
 use crate::report::Table;
 
-use super::ExpConfig;
+use super::{gpu_run, ExpConfig};
 
 /// One grid cell.
 #[derive(Clone, Debug)]
@@ -49,7 +48,7 @@ pub fn run_device(cfg: &ExpConfig, device: &DeviceConfig, thin: bool) -> Vec<Cel
             }
             let mut opts = GpuOptions::new(device.clone().with_unlimited_memory());
             opts.launch = Some(LaunchConfig::new(bpsm * device.num_sms, threads));
-            let report = run_gpu_pipeline(&g, &opts).expect("tuning pipeline");
+            let report = gpu_run(&g, Backend::Gpu(opts)).expect("tuning pipeline");
             cells.push(Cell {
                 device: device.name,
                 threads_per_block: threads,

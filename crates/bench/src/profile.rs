@@ -152,16 +152,15 @@ pub fn phase_table(profile: &ProfileReport) -> Table {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use tc_core::count::GpuOptions;
-    use tc_core::gpu::pipeline::run_gpu_pipeline_profiled;
+    use tc_core::count::{Backend, CountRequest, GpuOptions};
     use tc_graph::EdgeArray;
     use tc_simt::DeviceConfig;
 
     fn profiled_diamond() -> ProfileReport {
         let g = EdgeArray::from_undirected_pairs([(0, 1), (0, 2), (1, 2), (1, 3), (2, 3)]);
         let opts = GpuOptions::new(DeviceConfig::gtx_980().with_unlimited_memory());
-        let (_, trace) = run_gpu_pipeline_profiled(&g, &opts).unwrap();
-        trace.profile
+        let counted = CountRequest::new(Backend::Gpu(opts)).run(&g).unwrap();
+        counted.gpu.unwrap().profile
     }
 
     #[test]

@@ -88,26 +88,6 @@ pub fn transitivity(g: &EdgeArray) -> Result<f64, GraphError> {
     Ok(3.0 * triangles as f64 / stats.wedges as f64)
 }
 
-/// Transitivity ratio computed with the simulated GPU doing the heavy
-/// lifting: the triangle count comes from the §III pipeline, the wedge
-/// count from a host pass over the degrees (the paper's §V note: computing
-/// two-edge paths "is not harder" than counting triangles — for the global
-/// ratio it is a closed form over degrees). Returns the ratio and the GPU
-/// report so callers can see the device cost.
-pub fn transitivity_gpu(
-    g: &EdgeArray,
-    opts: &crate::count::GpuOptions,
-) -> Result<(f64, crate::gpu::pipeline::GpuReport), crate::error::CoreError> {
-    let stats = GraphStats::from_edge_array(g);
-    let report = crate::gpu::pipeline::run_gpu_pipeline(g, opts)?;
-    let ratio = if stats.wedges == 0 {
-        0.0
-    } else {
-        3.0 * report.triangles as f64 / stats.wedges as f64
-    };
-    Ok((ratio, report))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -177,16 +157,5 @@ mod tests {
         assert!(per_vertex_triangles(&g).unwrap().is_empty());
         assert_eq!(average_clustering(&g).unwrap(), 0.0);
         assert_eq!(transitivity(&g).unwrap(), 0.0);
-    }
-
-    #[test]
-    fn gpu_transitivity_matches_cpu() {
-        use crate::count::GpuOptions;
-        use tc_simt::DeviceConfig;
-        let g = diamond();
-        let opts = GpuOptions::new(DeviceConfig::gtx_980().with_unlimited_memory());
-        let (gpu_ratio, report) = transitivity_gpu(&g, &opts).unwrap();
-        assert!((gpu_ratio - transitivity(&g).unwrap()).abs() < 1e-12);
-        assert_eq!(report.triangles, 2);
     }
 }

@@ -5,16 +5,12 @@ use std::str::FromStr;
 use std::time::Instant;
 
 use tc_graph::EdgeArray;
-use tc_simt::profiler::ProfileReport;
 use tc_simt::{DeviceConfig, LaunchConfig, SanitizerMode, SanitizerReport, VerifierReport};
 
 use crate::cpu;
 use crate::error::{CoreError, ErrorContext};
-use crate::gpu::cluster::{cluster_topology, run_cluster_profiled, ClusterPartition};
-use crate::gpu::multi::run_multi_gpu_profiled;
-use crate::gpu::pipeline::{run_gpu_pipeline_profiled, GpuReport, RunTrace};
-use crate::gpu::split::count_split;
-use crate::gpu::{EdgeLayout, KernelSchedule, LoopVariant};
+use crate::gpu::cluster::ClusterPartition;
+use crate::gpu::{self, EdgeLayout, GpuReport, KernelSchedule, LoopVariant};
 
 /// Configuration of a simulated-GPU run: the device preset plus every
 /// §III-D optimization toggle (all default to the paper's published
@@ -163,49 +159,6 @@ impl Backend {
         Backend::MultiGpu {
             options: GpuOptions::new(DeviceConfig::tesla_c2050()),
             devices,
-        }
-    }
-
-    /// Short label for reports. Every GPU form ends in the same option
-    /// suffix (schedule, reorder); the sanitizer and verifier change what
-    /// is checked, not what is counted, so labels omit them.
-    pub fn label(&self) -> String {
-        let opts = |o: &GpuOptions| {
-            let mut suffix = String::new();
-            if !o.schedule.is_default() {
-                suffix += &format!(", {}", o.schedule);
-            }
-            if o.reorder {
-                suffix += ", reorder";
-            }
-            suffix
-        };
-        match self {
-            Backend::CpuForward => "cpu-forward".into(),
-            Backend::CpuEdgeIterator => "cpu-edge-iterator".into(),
-            Backend::CpuNodeIterator => "cpu-node-iterator".into(),
-            Backend::CpuForwardHashed => "cpu-forward-hashed".into(),
-            Backend::CpuParallel => "cpu-parallel".into(),
-            Backend::CpuHybrid { threshold: Some(t) } => format!("cpu-hybrid(tau={t})"),
-            Backend::CpuHybrid { threshold: None } => "cpu-hybrid(auto)".into(),
-            Backend::Gpu(o) => format!("gpu-sim({}{})", o.device.name, opts(o)),
-            Backend::MultiGpu {
-                options: o,
-                devices,
-            } => format!("{devices}x-gpu-sim({}{})", o.device.name, opts(o)),
-            Backend::GpuSplit { options: o, parts } => {
-                format!("gpu-split({}, {parts} parts{})", o.device.name, opts(o))
-            }
-            Backend::Cluster {
-                options: o,
-                nodes,
-                devices_per_node,
-                partition,
-            } => format!(
-                "cluster-sim({nodes}x{devices_per_node}, {}, {partition}{})",
-                o.device.name,
-                opts(o)
-            ),
         }
     }
 
@@ -534,30 +487,25 @@ impl FromStr for Backend {
 #[derive(Clone, Debug)]
 pub struct TriangleCount {
     pub triangles: u64,
+    /// The backend's canonical token (its `Display` form).
     pub backend: String,
     /// Host wall-clock seconds for CPU backends; modeled device wall time
     /// for simulated-GPU backends.
     pub seconds: f64,
-    /// Full GPU report when a single simulated GPU ran.
+    /// The full report of a simulated-GPU run, on every GPU topology
+    /// (`None` for CPU backends).
     pub gpu: Option<GpuReport>,
-    /// Per-phase profiler report, when the request asked for one
-    /// ([`CountRequest::profile`]) and a simulated-GPU backend ran.
-    pub profile: Option<ProfileReport>,
     /// Sanitizer findings/lints, when a GPU backend ran with the
     /// compute-sanitizer on (`None` otherwise).
     pub sanitizer: Option<SanitizerReport>,
     /// Static launch-verifier report, when a GPU backend ran with the
     /// verifier on (`None` otherwise).
     pub verifier: Option<VerifierReport>,
-    /// One trace per simulated device (leaf ops, phase spans, profile),
-    /// when the request asked for a profile. Empty otherwise, and for
-    /// split backends, whose subproblems run one after another on fresh
-    /// devices and so have no single device timeline.
-    pub traces: Vec<RunTrace>,
 }
 
 /// A triangle-count request: the backend plus per-request options, built
-/// fluently and executed with [`CountRequest::run`].
+/// fluently and executed with [`CountRequest::run`] — the one-shot entry
+/// point for every backend.
 ///
 /// ```
 /// use tc_core::{Backend, CountRequest};
@@ -567,14 +515,14 @@ pub struct TriangleCount {
 /// let g = EdgeArray::from_undirected_pairs([(0, 1), (0, 2), (1, 2), (1, 3), (2, 3)]);
 /// assert_eq!(CountRequest::new(Backend::CpuForward).run(&g).unwrap().triangles, 2);
 ///
-/// // A profiled GPU run, with the graph named for error/report context.
+/// // A GPU run, with the graph named for error/report context: its report
+/// // carries the per-phase profile.
 /// let r = CountRequest::new(Backend::gpu_gtx980())
-///     .profile(true)
 ///     .graph_name("diamond")
 ///     .run(&g)
 ///     .unwrap();
 /// assert_eq!(r.triangles, 2);
-/// assert!(r.profile.unwrap().span("count/count-kernel").is_some());
+/// assert!(r.gpu.unwrap().profile.span("count/count-kernel").is_some());
 /// ```
 ///
 /// A request is reusable: `run` borrows it, so one configured request can
@@ -582,7 +530,6 @@ pub struct TriangleCount {
 #[derive(Clone, Debug, Default)]
 pub struct CountRequest {
     backend: Backend,
-    profile: bool,
     graph_name: Option<String>,
 }
 
@@ -590,16 +537,8 @@ impl CountRequest {
     pub fn new(backend: Backend) -> Self {
         CountRequest {
             backend,
-            profile: false,
             graph_name: None,
         }
-    }
-
-    /// Attach a per-phase [`ProfileReport`] to the result (simulated-GPU
-    /// backends only; CPU backends have no device profiler).
-    pub fn profile(mut self, on: bool) -> Self {
-        self.profile = on;
-        self
     }
 
     /// Name the graph for error context and serving logs.
@@ -624,91 +563,37 @@ impl CountRequest {
     }
 
     fn dispatch(&self, g: &EdgeArray) -> Result<TriangleCount, CoreError> {
-        let label = self.backend.label();
-        // Every GPU topology runs its profiled entry point; the request
-        // keeps the profile and the per-device traces only when asked.
-        let (mut count, profile, traces) = match &self.backend {
-            Backend::CpuForward => return timed_cpu(label, || cpu::count_forward(g)),
-            Backend::CpuEdgeIterator => return timed_cpu(label, || cpu::count_edge_iterator(g)),
-            Backend::CpuNodeIterator => return timed_cpu(label, || cpu::count_node_iterator(g)),
-            Backend::CpuForwardHashed => return timed_cpu(label, || cpu::count_forward_hashed(g)),
-            Backend::CpuParallel => return timed_cpu(label, || cpu::count_forward_parallel(g)),
-            Backend::CpuHybrid { threshold } => {
-                return timed_cpu(label, || match threshold {
-                    Some(t) => cpu::count_hybrid(g, *t),
-                    None => cpu::count_hybrid_auto(g),
-                })
+        let backend = self.backend.to_string();
+        let start = Instant::now();
+        let triangles = match &self.backend {
+            Backend::CpuForward => cpu::count_forward(g),
+            Backend::CpuEdgeIterator => cpu::count_edge_iterator(g),
+            Backend::CpuNodeIterator => cpu::count_node_iterator(g),
+            Backend::CpuForwardHashed => cpu::count_forward_hashed(g),
+            Backend::CpuParallel => cpu::count_forward_parallel(g),
+            Backend::CpuHybrid { threshold: Some(t) } => cpu::count_hybrid(g, *t),
+            Backend::CpuHybrid { threshold: None } => cpu::count_hybrid_auto(g),
+            gpu_backend => {
+                let r = gpu::run(g, gpu_backend)?;
+                return Ok(TriangleCount {
+                    triangles: r.triangles,
+                    backend,
+                    seconds: r.total_s,
+                    sanitizer: r.sanitizer.clone(),
+                    verifier: r.verifier.clone(),
+                    gpu: Some(r),
+                });
             }
-            Backend::Gpu(opts) => {
-                let (r, trace) = run_gpu_pipeline_profiled(g, opts)?;
-                let profile = self.profile.then(|| trace.profile.clone());
-                let mut count = counted(label, r.triangles, r.total_s);
-                count.sanitizer = r.sanitizer.clone();
-                count.verifier = r.verifier.clone();
-                count.gpu = Some(r);
-                (count, profile, vec![trace])
-            }
-            Backend::MultiGpu { options, devices } => {
-                let (r, traces) = run_multi_gpu_profiled(g, options, *devices)?;
-                let mut count = counted(label, r.triangles, r.total_s);
-                (count.sanitizer, count.verifier) = (r.sanitizer, r.verifier);
-                (count, self.profile.then(|| merged_profile(&traces)), traces)
-            }
-            Backend::GpuSplit { options, parts } => {
-                let r = count_split(g, options, *parts)?;
-                let mut count = counted(label, r.triangles, r.total_s);
-                (count.sanitizer, count.verifier) = (r.sanitizer, r.verifier);
-                (count, self.profile.then_some(r.profile), Vec::new())
-            }
-            Backend::Cluster {
-                options,
-                nodes,
-                devices_per_node,
-                partition,
-            } => {
-                let topology = cluster_topology(*nodes, *devices_per_node)?;
-                let (r, traces) = run_cluster_profiled(g, options, topology, *partition)?;
-                let mut count = counted(label, r.triangles, r.total_s);
-                (count.sanitizer, count.verifier) = (r.sanitizer, r.verifier);
-                (count, self.profile.then(|| merged_profile(&traces)), traces)
-            }
-        };
-        count.profile = profile;
-        if self.profile {
-            count.traces = traces;
-        }
-        Ok(count)
+        }?;
+        Ok(TriangleCount {
+            triangles,
+            backend,
+            seconds: start.elapsed().as_secs_f64(),
+            gpu: None,
+            sanitizer: None,
+            verifier: None,
+        })
     }
-}
-
-/// The whole-run profile of a multi-device run: per-device profiles
-/// merged (counters sum, spans group by path).
-fn merged_profile(traces: &[RunTrace]) -> ProfileReport {
-    let profiles: Vec<ProfileReport> = traces.iter().map(|t| t.profile.clone()).collect();
-    ProfileReport::merged(&profiles)
-}
-
-/// A bare count: no device report, profile, findings or traces.
-fn counted(backend: String, triangles: u64, seconds: f64) -> TriangleCount {
-    TriangleCount {
-        triangles,
-        backend,
-        seconds,
-        gpu: None,
-        profile: None,
-        sanitizer: None,
-        verifier: None,
-        traces: Vec::new(),
-    }
-}
-
-fn timed_cpu<F>(label: String, f: F) -> Result<TriangleCount, CoreError>
-where
-    F: FnOnce() -> Result<u64, tc_graph::GraphError>,
-{
-    let start = Instant::now();
-    let triangles = f()?;
-    Ok(counted(label, triangles, start.elapsed().as_secs_f64()))
 }
 
 #[cfg(test)]
@@ -753,9 +638,9 @@ mod tests {
             },
         ];
         for b in backends {
-            let label = b.label();
+            let token = b.to_string();
             let got = CountRequest::new(b).run(&g).unwrap().triangles;
-            assert_eq!(got, want, "{label}");
+            assert_eq!(got, want, "{token}");
         }
     }
 
@@ -770,40 +655,8 @@ mod tests {
         )))
         .run(&g)
         .unwrap();
-        assert!(r.gpu.is_some());
+        assert_eq!(r.gpu.unwrap().total_s, r.seconds);
         assert!(r.seconds > 0.0);
-        assert!(r.profile.is_none(), "profiling is opt-in");
-    }
-
-    #[test]
-    fn gpu_labels_are_distinct_within_each_topology() {
-        // Labels omit the sanitizer and verifier (they change what is
-        // checked, not what is counted), so strip those clauses; every
-        // remaining GPU token must label distinctly within its topology.
-        let mut stripped: Vec<Backend> = Vec::new();
-        for tok in CANONICAL {
-            let mut b: Backend = tok.parse().unwrap();
-            if !b.set_sanitizer(SanitizerMode::Off) {
-                continue;
-            }
-            b.set_verify(false);
-            if !stripped.iter().any(|s| s.to_string() == b.to_string()) {
-                stripped.push(b);
-            }
-        }
-        for (i, a) in stripped.iter().enumerate() {
-            for b in &stripped[i + 1..] {
-                if std::mem::discriminant(a) == std::mem::discriminant(b) {
-                    assert_ne!(a.label(), b.label(), "{a} and {b} share a label");
-                }
-            }
-        }
-        // The split form carries the options its siblings carry.
-        let split: Backend = "gtx980/split:3/balanced+hash/reorder".parse().unwrap();
-        assert_eq!(
-            split.label(),
-            "gpu-split(GTX 980, 3 parts, balanced+hash, reorder)"
-        );
     }
 
     #[test]
@@ -848,22 +701,14 @@ mod tests {
     }
 
     #[test]
-    fn labels_are_informative() {
-        assert_eq!(Backend::CpuForward.label(), "cpu-forward");
-        assert!(Backend::gpu_gtx980().label().contains("GTX 980"));
-        assert!(Backend::multi_gpu_c2050(4).label().starts_with("4x-"));
-    }
-
-    #[test]
-    fn profiled_requests_attach_reports() {
+    fn gpu_reports_carry_profiles() {
         let g = fixture();
         let r = CountRequest::new(Backend::Gpu(GpuOptions::new(
             DeviceConfig::gtx_980().with_unlimited_memory(),
         )))
-        .profile(true)
         .run(&g)
         .unwrap();
-        let profile = r.profile.expect("GPU run with profile(true)");
+        let profile = r.gpu.expect("GPU runs report").profile;
         assert!(profile.span("preprocess").is_some());
         assert!(profile.span("count/count-kernel").is_some());
         // Multi-GPU profiles merge per-device reports.
@@ -871,10 +716,9 @@ mod tests {
             options: GpuOptions::new(DeviceConfig::tesla_c2050().with_unlimited_memory()),
             devices: 2,
         })
-        .profile(true)
         .run(&g)
         .unwrap();
-        assert_eq!(r.profile.expect("multi-GPU profile").devices, 2);
+        assert_eq!(r.gpu.expect("multi-GPU runs report").profile.devices, 2);
     }
 
     #[test]
@@ -1012,7 +856,6 @@ mod tests {
         // plain runs must never share an engine cache entry.
         let reordered: Backend = "gtx980/reorder".parse().unwrap();
         assert_ne!(reordered.to_string(), "gtx980");
-        assert!(reordered.label().contains("reorder"));
         // The scheduling knob is part of the canonical token — the engine's
         // cache key — so differently scheduled jobs can never collide.
         let plain: Backend = "gtx980".parse().unwrap();

@@ -46,14 +46,15 @@ use tc_simt::{
 use crate::count::GpuOptions;
 use crate::error::{CoreError, ErrorContext};
 use crate::gpu::count_kernel::KernelArrays;
-use crate::gpu::merge_reports;
-use crate::gpu::pipeline::RunTrace;
+use crate::gpu::pipeline::{GpuReport, RunTrace};
 use crate::gpu::prepared::{CountMark, PreparedCount};
+use crate::gpu::preprocess::degree_ranks;
 use crate::gpu::schedule::{
     alloc_hash_scratch, build_plan_from_host, dispatch_bins, free_plan, BinPlan, Bins, DispatchCtx,
     Stripe,
 };
 use crate::gpu::EdgeLayout;
+use crate::gpu::{merge_reports, merged_profile};
 
 /// How the oriented arcs are split across the cluster's devices.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
@@ -316,7 +317,7 @@ impl PreparedCluster {
         // cannot depend on the topology. The modeled device window starts
         // at the shard uploads.
         let orient = if opts.reorder {
-            let ranks = reorder_ranks(g);
+            let (ranks, _) = degree_ranks(&g.degrees());
             Orientation::forward_with_ranks(g, &ranks)?
         } else {
             Orientation::forward(g)?
@@ -557,11 +558,6 @@ impl PreparedCluster {
         self.cluster.mem_peak_max()
     }
 
-    /// Per-device peak memory footprints, flat device order.
-    pub fn per_shard_peak_bytes(&self) -> Vec<u64> {
-        self.cluster.iter().map(|d| d.mem_peak()).collect()
-    }
-
     /// Merged sanitizer findings across every shard device, flat device
     /// order (`None` when the sanitizer is off).
     pub fn sanitizer_report(&self) -> Option<SanitizerReport> {
@@ -592,21 +588,6 @@ impl PreparedCluster {
             })
             .collect()
     }
-}
-
-/// Degree-descending relabel ranks (the `/reorder` permutation): vertices
-/// sorted by (descending degree, ascending id), rank = position. A pure
-/// relabeling — triangle counts are invariant under any vertex permutation.
-fn reorder_ranks(g: &EdgeArray) -> Vec<u32> {
-    let deg = g.degrees();
-    let n = g.num_nodes();
-    let mut order: Vec<u32> = (0..n as u32).collect();
-    order.sort_unstable_by_key(|&v| (((u32::MAX - deg[v as usize]) as u64) << 32) | v as u64);
-    let mut ranks = vec![0u32; n];
-    for (rank, &v) in order.iter().enumerate() {
-        ranks[v as usize] = rank as u32;
-    }
-    ranks
 }
 
 /// Upload one shard and build its device-resident state: endpoint + CSR
@@ -658,79 +639,34 @@ fn upload_shard_inner(
     })
 }
 
-/// Results of a one-shot cluster run.
-#[derive(Clone, Debug)]
-pub struct ClusterReport {
-    pub triangles: u64,
-    /// Modeled wall time: shard-partition window + the slowest shard's
-    /// count-plus-merge window.
-    pub total_s: f64,
-    /// The shard-partition window (uploads + interconnect + bin plans).
-    pub partition_s: f64,
-    /// The slowest shard's count window.
-    pub count_s: f64,
-    pub nodes: usize,
-    pub devices_per_node: usize,
-    pub partition: ClusterPartition,
-    /// Oriented arcs owned per shard, flat device order.
-    pub per_shard_arcs: Vec<usize>,
-    /// Per-shard count seconds, flat device order.
-    pub per_shard_s: Vec<f64>,
-    /// Per-device peak resident bytes, flat device order.
-    pub per_shard_peak_bytes: Vec<u64>,
-    /// The largest per-device peak — the per-card capacity this topology
-    /// needs.
-    pub max_resident_bytes: u64,
-    /// Max shard work over mean shard work (1.0 = perfectly balanced).
-    pub imbalance: f64,
-    /// The slowest kernel launch across shards and bins.
-    pub kernel: KernelStats,
-    /// Merged sanitizer findings (`None` when off).
-    pub sanitizer: Option<SanitizerReport>,
-    /// Merged static launch-verifier reports (`None` when off).
-    pub verifier: Option<VerifierReport>,
-}
-
-/// One-shot cluster run: prepare, one count, release.
-pub fn run_cluster(
+/// One-shot cluster run: prepare, one count, release. The report's
+/// preprocessing is the shard-partition window, its count the slowest
+/// shard's count window, and it carries one [`RunTrace`] per device (trace
+/// threads `node0/gpu0`, `node0/gpu1`, …).
+pub(crate) fn run(
     g: &EdgeArray,
     opts: &GpuOptions,
     topology: ClusterTopology,
     partition: ClusterPartition,
-) -> Result<ClusterReport, CoreError> {
-    run_cluster_profiled(g, opts, topology, partition).map(|(report, _)| report)
-}
-
-/// Like [`run_cluster`] but also returns one [`RunTrace`] per device
-/// (trace threads `node0/gpu0`, `node0/gpu1`, …).
-pub fn run_cluster_profiled(
-    g: &EdgeArray,
-    opts: &GpuOptions,
-    topology: ClusterTopology,
-    partition: ClusterPartition,
-) -> Result<(ClusterReport, Vec<RunTrace>), CoreError> {
+) -> Result<GpuReport, CoreError> {
     let mut prepared = PreparedCluster::prepare(g, opts, topology, partition)?;
     let count = prepared.count()?;
     let traces = prepared.run_traces();
-    let report = ClusterReport {
+    let report = GpuReport {
         triangles: count.triangles,
         total_s: prepared.prepare_s() + count.count_s,
-        partition_s: prepared.prepare_s(),
+        preprocess_s: prepared.prepare_s(),
         count_s: count.count_s,
-        nodes: topology.nodes,
-        devices_per_node: topology.devices_per_node,
-        partition,
-        per_shard_arcs: prepared.per_shard_arcs().to_vec(),
-        per_shard_s: count.per_shard_s.clone(),
-        per_shard_peak_bytes: prepared.per_shard_peak_bytes(),
-        max_resident_bytes: prepared.max_resident_bytes(),
-        imbalance: prepared.imbalance(),
         kernel: count.kernel,
+        used_cpu_fallback: false,
+        peak_device_bytes: prepared.max_resident_bytes(),
         sanitizer: prepared.sanitizer_report(),
         verifier: prepared.verifier_report(),
+        profile: merged_profile(&traces),
+        traces,
     };
     prepared.release()?;
-    Ok((report, traces))
+    Ok(report)
 }
 
 #[cfg(test)]
@@ -766,11 +702,17 @@ mod tests {
         let want = count_forward(&g).unwrap();
         for (n, m) in [(1, 1), (1, 4), (2, 2), (4, 2)] {
             for partition in [ClusterPartition::OneD, ClusterPartition::TwoD] {
-                let report =
-                    run_cluster(&g, &opts(), ClusterTopology::new(n, m), partition).unwrap();
-                assert_eq!(report.triangles, want, "{n}x{m} {partition}");
-                assert_eq!(report.per_shard_arcs.iter().sum::<usize>(), g.num_edges());
-                assert!(report.imbalance >= 1.0);
+                let topology = ClusterTopology::new(n, m);
+                let mut prepared =
+                    PreparedCluster::prepare(&g, &opts(), topology, partition).unwrap();
+                let count = prepared.count().unwrap();
+                assert_eq!(count.triangles, want, "{n}x{m} {partition}");
+                assert_eq!(
+                    prepared.per_shard_arcs().iter().sum::<usize>(),
+                    g.num_edges()
+                );
+                assert!(prepared.imbalance() >= 1.0);
+                prepared.release().unwrap();
             }
         }
     }
@@ -778,14 +720,14 @@ mod tests {
     #[test]
     fn sharding_shrinks_the_per_device_footprint() {
         let g = skewed_graph();
-        let one = run_cluster(
+        let one = run(
             &g,
             &opts(),
             ClusterTopology::new(1, 1),
             ClusterPartition::OneD,
         )
         .unwrap();
-        let four = run_cluster(
+        let four = run(
             &g,
             &opts(),
             ClusterTopology::new(2, 2),
@@ -793,10 +735,10 @@ mod tests {
         )
         .unwrap();
         assert!(
-            four.max_resident_bytes < one.max_resident_bytes,
+            four.peak_device_bytes < one.peak_device_bytes,
             "2x2 peak {} !< 1x1 peak {}",
-            four.max_resident_bytes,
-            one.max_resident_bytes
+            four.peak_device_bytes,
+            one.peak_device_bytes
         );
     }
 
@@ -805,14 +747,14 @@ mod tests {
         let g = skewed_graph();
         // Same shard layout, different node placement: 1x2 keeps both
         // devices on node 0, 2x1 puts the second shard across the wire.
-        let local = run_cluster(
+        let local = run(
             &g,
             &opts(),
             ClusterTopology::new(1, 2),
             ClusterPartition::OneD,
         )
         .unwrap();
-        let remote = run_cluster(
+        let remote = run(
             &g,
             &opts(),
             ClusterTopology::new(2, 1),
@@ -821,10 +763,10 @@ mod tests {
         .unwrap();
         assert_eq!(local.triangles, remote.triangles);
         assert!(
-            remote.partition_s > local.partition_s,
+            remote.preprocess_s > local.preprocess_s,
             "crossing nodes must charge the interconnect: {} !> {}",
-            remote.partition_s,
-            local.partition_s
+            remote.preprocess_s,
+            local.preprocess_s
         );
     }
 
@@ -858,7 +800,7 @@ mod tests {
             GpuOptions::balanced_hash(dev),
         ] {
             for partition in [ClusterPartition::OneD, ClusterPartition::TwoD] {
-                let report = run_cluster(&g, &o, ClusterTopology::new(2, 2), partition).unwrap();
+                let report = run(&g, &o, ClusterTopology::new(2, 2), partition).unwrap();
                 assert_eq!(report.triangles, want, "{} {partition}", o.schedule);
             }
         }
@@ -870,22 +812,22 @@ mod tests {
         let want = count_forward(&g).unwrap();
         let mut o = opts();
         o.reorder = true;
-        let report =
-            run_cluster(&g, &o, ClusterTopology::new(2, 2), ClusterPartition::TwoD).unwrap();
+        let report = run(&g, &o, ClusterTopology::new(2, 2), ClusterPartition::TwoD).unwrap();
         assert_eq!(report.triangles, want);
     }
 
     #[test]
     fn empty_graph_shards_to_zero() {
-        let report = run_cluster(
+        let mut prepared = PreparedCluster::prepare(
             &EdgeArray::default(),
             &opts(),
             ClusterTopology::new(2, 2),
             ClusterPartition::OneD,
         )
         .unwrap();
-        assert_eq!(report.triangles, 0);
-        assert_eq!(report.imbalance, 1.0);
+        assert_eq!(prepared.count().unwrap().triangles, 0);
+        assert_eq!(prepared.imbalance(), 1.0);
+        prepared.release().unwrap();
     }
 
     #[test]

@@ -7,7 +7,12 @@
 //! * [`pipeline`] — the end-to-end measured run, following the paper's
 //!   protocol (§IV): clock from the host-to-device copy to the final
 //!   device-to-host copy and free;
-//! * [`multi`] — the multi-GPU extension (§III-E).
+//! * [`multi`] — the multi-GPU extension (§III-E);
+//! * [`split`] and [`cluster`] — bounded-memory subproblems and sharded
+//!   clusters (§VI future work).
+//!
+//! Every topology reports one [`GpuReport`]; [`crate::CountRequest`] is
+//! the one-shot entry point for all of them.
 
 pub mod cluster;
 pub mod count_kernel;
@@ -19,7 +24,44 @@ pub mod schedule;
 pub mod split;
 pub mod warp_centric;
 
+pub use pipeline::GpuReport;
 pub use schedule::KernelSchedule;
+
+use tc_graph::EdgeArray;
+use tc_simt::ProfileReport;
+
+use crate::count::Backend;
+use crate::error::CoreError;
+use pipeline::RunTrace;
+
+/// One-shot run of any simulated-GPU backend — the one place that matches
+/// over GPU topologies. CPU backends are a [`CoreError::InvalidBackend`].
+pub(crate) fn run(g: &EdgeArray, backend: &Backend) -> Result<GpuReport, CoreError> {
+    match backend {
+        Backend::Gpu(opts) => pipeline::run(g, opts),
+        Backend::MultiGpu { options, devices } => multi::run(g, options, *devices),
+        Backend::GpuSplit { options, parts } => split::run(g, options, *parts),
+        Backend::Cluster {
+            options,
+            nodes,
+            devices_per_node,
+            partition,
+        } => {
+            let topology = cluster::cluster_topology(*nodes, *devices_per_node)?;
+            cluster::run(g, options, topology, *partition)
+        }
+        cpu => Err(CoreError::InvalidBackend(format!(
+            "{cpu} is not a simulated-GPU backend"
+        ))),
+    }
+}
+
+/// The whole-run profile of a multi-device run: per-device profiles
+/// merged (counters sum, spans group by path).
+pub(crate) fn merged_profile(traces: &[RunTrace]) -> ProfileReport {
+    let profiles: Vec<ProfileReport> = traces.iter().map(|t| t.profile.clone()).collect();
+    ProfileReport::merged(&profiles)
+}
 
 /// Merge per-device (or per-subproblem) reports in order with `merge`;
 /// `None` when none was produced (the sanitizer or verifier was off).

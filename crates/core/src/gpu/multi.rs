@@ -14,56 +14,22 @@ use tc_simt::{
 use crate::count::GpuOptions;
 use crate::error::CoreError;
 use crate::gpu::count_kernel::KernelArrays;
-use crate::gpu::merge_reports;
-use crate::gpu::pipeline::RunTrace;
+use crate::gpu::pipeline::{GpuReport, RunTrace};
 use crate::gpu::preprocess::preprocess_auto;
 use crate::gpu::schedule::{
     alloc_hash_scratch, build_plan, dispatch_bins, Bins, DispatchCtx, Stripe,
 };
 use crate::gpu::EdgeLayout;
+use crate::gpu::{merge_reports, merged_profile};
 
-/// Results of a multi-GPU run.
-#[derive(Clone, Debug)]
-pub struct MultiGpuReport {
-    pub triangles: u64,
-    /// Modeled wall time: preprocessing (device 0) + the slowest device's
-    /// broadcast-plus-count phase.
-    pub total_s: f64,
-    pub preprocess_s: f64,
-    /// Slowest device's post-preprocessing work (broadcast + kernel +
-    /// reduction + result copy).
-    pub count_s: f64,
-    pub devices: usize,
-    pub used_cpu_fallback: bool,
-    /// Per-device post-preprocessing seconds.
-    pub per_device_s: Vec<f64>,
-    /// Counting-kernel profile of device 0 (representative stripe).
-    pub kernel: KernelStats,
-    /// Merged compute-sanitizer findings across every device, in device
-    /// index order (`None` when the sanitizer was off).
-    pub sanitizer: Option<SanitizerReport>,
-    /// Merged static launch-verifier reports across every device, in
-    /// device index order (`None` when the verifier was off).
-    pub verifier: Option<VerifierReport>,
-}
-
-/// Run the §III-E scheme on `devices` identical simulated cards.
-pub fn run_multi_gpu(
+/// Run the §III-E scheme on `devices` identical simulated cards, with one
+/// [`RunTrace`] per device (trace thread `gpu0`, `gpu1`, …) and their
+/// profiles merged.
+pub(crate) fn run(
     g: &EdgeArray,
     opts: &GpuOptions,
     devices: usize,
-) -> Result<MultiGpuReport, CoreError> {
-    run_multi_gpu_profiled(g, opts, devices).map(|(report, _)| report)
-}
-
-/// Like [`run_multi_gpu`] but also returns one [`RunTrace`] per device
-/// (trace thread `gpu0`, `gpu1`, …). Merge the per-device profiles with
-/// [`tc_simt::ProfileReport::merged`] for the whole-run view.
-pub fn run_multi_gpu_profiled(
-    g: &EdgeArray,
-    opts: &GpuOptions,
-    devices: usize,
-) -> Result<(MultiGpuReport, Vec<RunTrace>), CoreError> {
+) -> Result<GpuReport, CoreError> {
     if devices == 0 {
         return Err(CoreError::InvalidBackend(
             "a multi-GPU run needs at least one device".into(),
@@ -183,27 +149,25 @@ pub fn run_multi_gpu_profiled(
         dev.pop_phase();
     }
 
-    let per_device_s: Vec<f64> = group
+    // Each device's broadcast-plus-count window; the slowest bounds the run.
+    let count_s = group
         .iter()
         .zip(&t_before)
         .map(|(dev, t0)| dev.elapsed() - t0)
-        .collect();
-    let count_s = per_device_s.iter().copied().fold(0.0, f64::max);
-    let total_s = preprocess_s + count_s;
+        .fold(0.0, f64::max);
     let traces: Vec<RunTrace> = group
         .iter()
         .enumerate()
         .map(|(i, dev)| RunTrace::of(dev, format!("gpu{i} ({})", dev.config().name)))
         .collect();
-    let report = MultiGpuReport {
+    Ok(GpuReport {
         triangles,
-        total_s,
+        total_s: preprocess_s + count_s,
         preprocess_s,
         count_s,
-        devices,
-        used_cpu_fallback: pre.used_cpu_fallback,
-        per_device_s,
         kernel,
+        used_cpu_fallback: pre.used_cpu_fallback,
+        peak_device_bytes: group.iter().map(Device::mem_peak).max().unwrap_or(0),
         sanitizer: merge_reports(
             group.iter().map(Device::sanitizer_report),
             SanitizerReport::merged,
@@ -212,8 +176,9 @@ pub fn run_multi_gpu_profiled(
             group.iter().map(Device::verifier_report),
             VerifierReport::merged,
         ),
-    };
-    Ok((report, traces))
+        profile: merged_profile(&traces),
+        traces,
+    })
 }
 
 #[cfg(test)]
@@ -242,10 +207,10 @@ mod tests {
         let want = count_forward(&g).unwrap();
         let opts = GpuOptions::new(DeviceConfig::tesla_c2050().with_unlimited_memory());
         for devices in [1, 2, 4] {
-            let report = run_multi_gpu(&g, &opts, devices).unwrap();
+            let report = run(&g, &opts, devices).unwrap();
             assert_eq!(report.triangles, want, "devices = {devices}");
-            assert_eq!(report.devices, devices);
-            assert_eq!(report.per_device_s.len(), devices);
+            assert_eq!(report.traces.len(), devices);
+            assert_eq!(report.profile.devices, devices);
             assert!(report.total_s > 0.0);
         }
     }
@@ -259,8 +224,8 @@ mod tests {
         // With more threads than edges the kernel is latency-bound and
         // striping cannot shrink the per-lane critical path.
         opts.launch = Some(LaunchConfig::new(2, 64));
-        let one = run_multi_gpu(&g, &opts, 1).unwrap();
-        let four = run_multi_gpu(&g, &opts, 4).unwrap();
+        let one = run(&g, &opts, 1).unwrap();
+        let four = run(&g, &opts, 4).unwrap();
         // Kernel stripes are a quarter of the work; allow broadcast costs.
         assert!(
             four.count_s < one.count_s,
@@ -288,7 +253,7 @@ mod tests {
             let mut opts = GpuOptions::new(dev.clone());
             opts.schedule = schedule;
             for devices in [1, 2, 3, 4] {
-                let report = run_multi_gpu(&g, &opts, devices).unwrap();
+                let report = run(&g, &opts, devices).unwrap();
                 assert_eq!(
                     report.triangles, want,
                     "schedule = {schedule}, devices = {devices}"
@@ -301,8 +266,8 @@ mod tests {
     fn single_device_multi_matches_pipeline_shape() {
         let g = dense_graph();
         let opts = GpuOptions::new(DeviceConfig::tesla_c2050().with_unlimited_memory());
-        let multi = run_multi_gpu(&g, &opts, 1).unwrap();
-        let single = crate::gpu::pipeline::run_gpu_pipeline(&g, &opts).unwrap();
+        let multi = run(&g, &opts, 1).unwrap();
+        let single = crate::gpu::pipeline::run(&g, &opts).unwrap();
         assert_eq!(multi.triangles, single.triangles);
     }
 }

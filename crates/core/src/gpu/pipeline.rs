@@ -11,9 +11,11 @@ use crate::count::GpuOptions;
 use crate::error::CoreError;
 use crate::gpu::prepared::PreparedGraph;
 
-/// Everything a single-GPU run reports: the count, the paper-style wall
-/// time, the phase breakdown the §III-E Amdahl analysis needs, and the
-/// kernel profile Table II reports.
+/// Everything a simulated-GPU run reports, on every topology (one card,
+/// striped multi-GPU, split subproblems, a sharded cluster): the count,
+/// the paper-style wall time, the preprocessing/counting breakdown the
+/// §III-E Amdahl analysis needs, the kernel profile Table II reports, and
+/// the per-phase profile and per-device traces behind them.
 #[derive(Clone, Debug)]
 pub struct GpuReport {
     pub triangles: u64,
@@ -23,24 +25,40 @@ pub struct GpuReport {
     /// Preprocessing (everything before the counting kernel, including the
     /// input copy — the paper's preprocessing phase starts at the copy).
     pub preprocess_s: f64,
-    /// Counting kernel + final reduction.
+    /// Counting kernel + final reduction (the slowest device's window on
+    /// multi-device topologies).
     pub count_s: f64,
-    /// Profile of the counting kernel itself.
+    /// The slowest counting launch (device 0's on multi-GPU stripes).
     pub kernel: KernelStats,
     /// Whether §III-D6 CPU preprocessing was needed (a † row).
     pub used_cpu_fallback: bool,
-    pub m_oriented: usize,
-    pub n: usize,
-    /// Device allocation high-water mark.
+    /// Device allocation high-water mark (the largest over devices or
+    /// subproblems).
     pub peak_device_bytes: u64,
-    /// Fraction of the run spent preprocessing (the §III-E Amdahl input).
-    pub preprocess_fraction: f64,
     /// Compute-sanitizer findings for the whole run, including the
-    /// teardown frees (`None` when the sanitizer was off).
+    /// teardown frees, merged in device (or run) order (`None` when the
+    /// sanitizer was off).
     pub sanitizer: Option<SanitizerReport>,
-    /// Static launch-verifier report for the whole run (`None` when the
-    /// verifier was off).
+    /// Static launch-verifier report for the whole run, merged the same
+    /// way (`None` when the verifier was off).
     pub verifier: Option<VerifierReport>,
+    /// Per-phase profile of the run, merged over devices or subproblems.
+    pub profile: ProfileReport,
+    /// One trace per simulated device. Empty for split runs, whose
+    /// subproblems run one after another on fresh devices and so have no
+    /// single device timeline.
+    pub traces: Vec<RunTrace>,
+}
+
+impl GpuReport {
+    /// Fraction of the run spent preprocessing (the §III-E Amdahl input).
+    pub fn preprocess_fraction(&self) -> f64 {
+        if self.total_s > 0.0 {
+            self.preprocess_s / self.total_s
+        } else {
+            0.0
+        }
+    }
 }
 
 /// Everything the profiler recorded about one device's run: the leaf
@@ -68,59 +86,36 @@ impl RunTrace {
     }
 }
 
-/// Run the full pipeline on a fresh simulated device.
-pub fn run_gpu_pipeline(g: &EdgeArray, opts: &GpuOptions) -> Result<GpuReport, CoreError> {
-    run_gpu_pipeline_profiled(g, opts).map(|(report, _)| report)
-}
-
-/// Like [`run_gpu_pipeline`] but also returns the full [`RunTrace`]: leaf
-/// ops, nested phase spans, and the per-phase counter report.
-///
-/// Implemented as one prepare/count/release round trip on a fresh device —
-/// the one-shot path and the serving path
-/// ([`crate::gpu::prepared::PreparedGraph`]) execute the same device
-/// operations by construction.
-pub fn run_gpu_pipeline_profiled(
-    g: &EdgeArray,
-    opts: &GpuOptions,
-) -> Result<(GpuReport, RunTrace), CoreError> {
+/// Run the full pipeline on a fresh simulated device: one
+/// prepare/count/release round trip, so the one-shot path and the serving
+/// path ([`PreparedGraph`]) execute the same device operations by
+/// construction.
+pub(crate) fn run(g: &EdgeArray, opts: &GpuOptions) -> Result<GpuReport, CoreError> {
     let mut prepared = PreparedGraph::prepare(g, opts)?;
     let preprocess_s = prepared.prepare_s();
     let counted = prepared.count()?;
     let host_seconds = prepared.host_seconds();
     let used_cpu_fallback = prepared.used_cpu_fallback();
-    let m_oriented = prepared.m_oriented();
-    let n = prepared.n();
     // Teardown stays inside the measured window, like the paper's protocol
     // (frees charge no simulated time, so the window is unchanged).
     let dev = prepared.release()?;
-    // Snapshot the sanitizer after release so the teardown frees (double
-    // frees, stale handles) are covered too.
-    let sanitizer = dev.sanitizer_report();
-    let verifier = dev.verifier_report();
-
     let total_s = dev.elapsed() + host_seconds;
-    let count_s = total_s - preprocess_s;
-    let report = GpuReport {
+    let trace = RunTrace::of(&dev, dev.config().name.to_string());
+    Ok(GpuReport {
         triangles: counted.triangles,
         total_s,
         preprocess_s,
-        count_s,
+        count_s: total_s - preprocess_s,
         kernel: counted.kernel,
         used_cpu_fallback,
-        m_oriented,
-        n,
         peak_device_bytes: dev.mem_peak(),
-        preprocess_fraction: if total_s > 0.0 {
-            preprocess_s / total_s
-        } else {
-            0.0
-        },
-        sanitizer,
-        verifier,
-    };
-    let trace = RunTrace::of(&dev, dev.config().name.to_string());
-    Ok((report, trace))
+        // Snapshot the sanitizer after release so the teardown frees
+        // (double frees, stale handles) are covered too.
+        sanitizer: dev.sanitizer_report(),
+        verifier: dev.verifier_report(),
+        profile: trace.profile.clone(),
+        traces: vec![trace],
+    })
 }
 
 #[cfg(test)]
@@ -139,14 +134,13 @@ mod tests {
     fn pipeline_counts_correctly() {
         let g = diamond();
         let opts = GpuOptions::new(DeviceConfig::gtx_980().with_unlimited_memory());
-        let report = run_gpu_pipeline(&g, &opts).unwrap();
+        let report = run(&g, &opts).unwrap();
         assert_eq!(report.triangles, 2);
-        assert_eq!(report.m_oriented, 5);
         assert!(!report.used_cpu_fallback);
         assert!(report.total_s > 0.0);
         assert!(report.preprocess_s > 0.0);
         assert!(report.count_s > 0.0);
-        assert!((0.0..=1.0).contains(&report.preprocess_fraction));
+        assert!((0.0..=1.0).contains(&report.preprocess_fraction()));
     }
 
     #[test]
@@ -173,7 +167,7 @@ mod tests {
                     opts.layout = layout;
                     opts.kernel = variant;
                     opts.use_texture_cache = cached;
-                    let report = run_gpu_pipeline(&g, &opts).unwrap();
+                    let report = run(&g, &opts).unwrap();
                     assert_eq!(
                         report.triangles, want,
                         "layout={layout:?} variant={variant:?} cached={cached}"
@@ -187,9 +181,9 @@ mod tests {
     fn pipeline_log_covers_every_phase() {
         let g = diamond();
         let opts = GpuOptions::new(DeviceConfig::gtx_980().with_unlimited_memory());
-        let (report, trace) = run_gpu_pipeline_profiled(&g, &opts).unwrap();
+        let report = run(&g, &opts).unwrap();
         assert_eq!(report.triangles, 2);
-        let log = &trace.log;
+        let log = &report.traces[0].log;
         let labels: Vec<&str> = log.iter().map(|op| op.label.as_str()).collect();
         assert!(labels.iter().any(|l| l.contains("htod")));
         assert!(labels.iter().any(|l| l.contains("thrust::sort")));
@@ -203,7 +197,7 @@ mod tests {
         let g = diamond();
         let mut opts = GpuOptions::new(DeviceConfig::gtx_980().with_unlimited_memory());
         opts.warp_split = 2;
-        let report = run_gpu_pipeline(&g, &opts).unwrap();
+        let report = run(&g, &opts).unwrap();
         assert_eq!(report.triangles, 2);
     }
 
@@ -227,7 +221,7 @@ mod tests {
         let capacity = (fallback + full) / 2 + result_bytes + 1024;
         let mut opts = GpuOptions::new(DeviceConfig::gtx_980().with_memory_capacity(capacity));
         opts.launch = Some(tc_simt::LaunchConfig::new(2, 64));
-        let report = run_gpu_pipeline(&big, &opts).unwrap();
+        let report = run(&big, &opts).unwrap();
         assert!(
             report.used_cpu_fallback,
             "capacity window must force the fallback"
@@ -246,8 +240,8 @@ mod tests {
         );
         let mut opts = GpuOptions::new(cfg);
         opts.launch = Some(tc_simt::LaunchConfig::new(2, 64));
-        let a = run_gpu_pipeline(&g, &opts).unwrap();
-        let b = run_gpu_pipeline(&g, &opts).unwrap();
+        let a = run(&g, &opts).unwrap();
+        let b = run(&g, &opts).unwrap();
         assert_eq!(a.triangles, b.triangles);
         assert!(a.peak_device_bytes > 0);
     }

@@ -11,7 +11,7 @@
 //! the kernel phases (`count-kernel` + `reduce`) and can be called any
 //! number of times.
 //!
-//! The one-shot pipeline ([`crate::gpu::pipeline::run_gpu_pipeline`]) is
+//! The one-shot pipeline (a [`crate::CountRequest`] on a single device) is
 //! itself implemented as `prepare` + one `count` + [`PreparedGraph::release`],
 //! so the two paths execute literally the same device operations — the
 //! equivalence tests hold them to byte-identical counts and kernel-span

@@ -203,7 +203,7 @@ pub fn preprocess_full_gpu_opts(
 /// Rank vertices by (descending degree, ascending id): the host mirror of
 /// the device rank sort. Returns (`rank[old] = new`, `old_of_new[new] =
 /// old`).
-fn degree_ranks(degrees: &[u32]) -> (Vec<u32>, Vec<u32>) {
+pub(crate) fn degree_ranks(degrees: &[u32]) -> (Vec<u32>, Vec<u32>) {
     let n = degrees.len();
     // Key (u32::MAX - deg) << 32 | v: ascending u64 order is exactly
     // (descending degree, ascending id), ready for the radix machinery.

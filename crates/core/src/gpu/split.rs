@@ -22,34 +22,12 @@
 //! `n1 = t1`, `n2 = t2 − (p−1)·t1`, `n3 = t3 − (p−2)·n2 − C(p−1,2)·n1`.
 
 use tc_graph::{Edge, EdgeArray};
-use tc_simt::{ProfileReport, SanitizerReport, VerifierReport};
+use tc_simt::{KernelStats, ProfileReport, SanitizerReport, VerifierReport};
 
 use crate::count::GpuOptions;
 use crate::error::CoreError;
 use crate::gpu::merge_reports;
-use crate::gpu::pipeline::run_gpu_pipeline_profiled;
-
-/// Outcome of a split run.
-#[derive(Clone, Debug)]
-pub struct SplitReport {
-    pub triangles: u64,
-    /// Sum of the modeled device times of all subproblems (they run
-    /// sequentially on one device — the point is capacity, not speed).
-    pub total_s: f64,
-    /// Number of subproblems executed (`p + C(p,2) + C(p,3)`).
-    pub subproblems: usize,
-    /// Largest single-subproblem arc count — the quantity that must fit.
-    pub max_subproblem_arcs: usize,
-    /// Merged compute-sanitizer findings across every executed subproblem,
-    /// in execution order (`None` when the sanitizer was off).
-    pub sanitizer: Option<SanitizerReport>,
-    /// Merged static launch-verifier reports across every executed
-    /// subproblem, in execution order (`None` when the verifier was off).
-    pub verifier: Option<VerifierReport>,
-    /// Per-phase profiles of every executed subproblem, merged in
-    /// execution order: counters sum across subproblems.
-    pub profile: ProfileReport,
-}
+use crate::gpu::pipeline::{self, GpuReport};
 
 /// Partition id: contiguous ranges keep the induced-subgraph extraction a
 /// single pass.
@@ -76,11 +54,11 @@ fn induced(g: &EdgeArray, n: usize, parts: usize, keep: &[usize]) -> EdgeArray {
 /// inclusion system above. `parts >= 3`; with `parts == 1` this degenerates
 /// to the plain pipeline, and `parts == 0` is a
 /// [`CoreError::InvalidBackend`].
-pub fn count_split(
-    g: &EdgeArray,
-    opts: &GpuOptions,
-    parts: usize,
-) -> Result<SplitReport, CoreError> {
+///
+/// The subproblems run one after another (the point is capacity, not
+/// speed), so the report's times are sums over them in run order, its
+/// profile merges theirs, and it has no per-device traces.
+pub(crate) fn run(g: &EdgeArray, opts: &GpuOptions, parts: usize) -> Result<GpuReport, CoreError> {
     if parts == 0 {
         return Err(CoreError::InvalidBackend(
             "a split run needs at least one part".into(),
@@ -88,37 +66,22 @@ pub fn count_split(
     }
     let n = g.num_nodes();
     if parts == 1 || n == 0 {
-        let (r, trace) = run_gpu_pipeline_profiled(g, opts)?;
-        return Ok(SplitReport {
-            triangles: r.triangles,
-            total_s: r.total_s,
-            subproblems: 1,
-            max_subproblem_arcs: g.num_arcs(),
-            sanitizer: r.sanitizer,
-            verifier: r.verifier,
-            profile: trace.profile,
-        });
+        let mut r = pipeline::run(g, opts)?;
+        r.traces.clear();
+        return Ok(r);
     }
 
-    let mut total_s = 0.0;
-    let mut subproblems = 0usize;
-    let mut max_arcs = 0usize;
-    let mut sub_sanitizer: Vec<Option<SanitizerReport>> = Vec::new();
-    let mut sub_verifier: Vec<Option<VerifierReport>> = Vec::new();
-    let mut sub_profiles: Vec<ProfileReport> = Vec::new();
+    // Every subproblem that ran (empty ones are skipped), in run order.
+    let mut subs: Vec<GpuReport> = Vec::new();
     let mut run = |keep: &[usize]| -> Result<u64, CoreError> {
         let sub = induced(g, n, parts, keep);
-        max_arcs = max_arcs.max(sub.num_arcs());
-        subproblems += 1;
         if sub.is_empty() {
             return Ok(0);
         }
-        let (r, trace) = run_gpu_pipeline_profiled(&sub, opts)?;
-        total_s += r.total_s;
-        sub_sanitizer.push(r.sanitizer);
-        sub_verifier.push(r.verifier);
-        sub_profiles.push(trace.profile);
-        Ok(r.triangles)
+        let r = pipeline::run(&sub, opts)?;
+        let triangles = r.triangles;
+        subs.push(r);
+        Ok(triangles)
     };
 
     let p = parts as u64;
@@ -148,14 +111,32 @@ pub fn count_split(
     } else {
         0
     };
-    Ok(SplitReport {
+    let sum = |f: fn(&GpuReport) -> f64| subs.iter().fold(0.0, |acc, r| acc + f(r));
+    let mut kernel: Option<&KernelStats> = None;
+    for r in &subs {
+        if kernel.is_none_or(|k| r.kernel.time_s > k.time_s) {
+            kernel = Some(&r.kernel);
+        }
+    }
+    let profiles: Vec<ProfileReport> = subs.iter().map(|r| r.profile.clone()).collect();
+    Ok(GpuReport {
         triangles: n1 + n2 + n3,
-        total_s,
-        subproblems,
-        max_subproblem_arcs: max_arcs,
-        sanitizer: merge_reports(sub_sanitizer, SanitizerReport::merged),
-        verifier: merge_reports(sub_verifier, VerifierReport::merged),
-        profile: ProfileReport::merged(&sub_profiles),
+        total_s: sum(|r| r.total_s),
+        preprocess_s: sum(|r| r.preprocess_s),
+        count_s: sum(|r| r.count_s),
+        kernel: kernel.cloned().unwrap_or_default(),
+        used_cpu_fallback: subs.iter().any(|r| r.used_cpu_fallback),
+        peak_device_bytes: subs.iter().map(|r| r.peak_device_bytes).max().unwrap_or(0),
+        sanitizer: merge_reports(
+            subs.iter().map(|r| r.sanitizer.clone()),
+            SanitizerReport::merged,
+        ),
+        verifier: merge_reports(
+            subs.iter().map(|r| r.verifier.clone()),
+            VerifierReport::merged,
+        ),
+        profile: ProfileReport::merged(&profiles),
+        traces: Vec::new(),
     })
 }
 
@@ -163,7 +144,6 @@ pub fn count_split(
 mod tests {
     use super::*;
     use crate::cpu::count_forward;
-    use crate::gpu::pipeline::run_gpu_pipeline;
     use tc_simt::DeviceConfig;
 
     fn messy_graph() -> EdgeArray {
@@ -190,7 +170,7 @@ mod tests {
         let want = count_forward(&g).unwrap();
         let opts = GpuOptions::new(DeviceConfig::gtx_980().with_unlimited_memory());
         for parts in [1usize, 2, 3, 4, 5] {
-            let r = count_split(&g, &opts, parts).unwrap();
+            let r = run(&g, &opts, parts).unwrap();
             assert_eq!(r.triangles, want, "parts = {parts}");
         }
     }
@@ -199,10 +179,11 @@ mod tests {
     fn subproblem_count_is_binomial_sum() {
         let g = messy_graph();
         let opts = GpuOptions::new(DeviceConfig::gtx_980().with_unlimited_memory());
-        let r = count_split(&g, &opts, 4).unwrap();
-        // 4 singles + 6 pairs + 4 triples
-        assert_eq!(r.subproblems, 14);
-        assert!(r.max_subproblem_arcs < g.num_arcs());
+        let r = run(&g, &opts, 4).unwrap();
+        // 4 singles + 6 pairs + 4 triples, each smaller than the whole.
+        assert_eq!(r.profile.devices, 14);
+        let whole = pipeline::run(&g, &opts).unwrap();
+        assert!(r.peak_device_bytes < whole.peak_device_bytes);
     }
 
     #[test]
@@ -219,10 +200,10 @@ mod tests {
         );
         opts.launch = Some(launch);
         assert!(
-            run_gpu_pipeline(&g, &opts).is_err(),
+            pipeline::run(&g, &opts).is_err(),
             "whole graph must not fit for this test to be meaningful"
         );
-        let r = count_split(&g, &opts, 6).unwrap();
+        let r = run(&g, &opts, 6).unwrap();
         assert_eq!(r.triangles, want);
     }
 
@@ -230,36 +211,25 @@ mod tests {
     fn split_profile_merges_every_subproblem() {
         let g = messy_graph();
         let opts = GpuOptions::new(DeviceConfig::gtx_980().with_unlimited_memory());
-        let r = count_split(&g, &opts, 3).unwrap();
+        let r = run(&g, &opts, 3).unwrap();
         // Re-run each subproblem in the split's execution order.
         let subsets: [&[usize]; 7] = [&[0], &[1], &[2], &[0, 1], &[0, 2], &[1, 2], &[0, 1, 2]];
         let mut lane_steps = 0;
         for keep in subsets {
-            let (_, trace) =
-                run_gpu_pipeline_profiled(&induced(&g, g.num_nodes(), 3, keep), &opts).unwrap();
-            lane_steps += trace.profile.totals.lane_steps;
+            let sub = pipeline::run(&induced(&g, g.num_nodes(), 3, keep), &opts).unwrap();
+            lane_steps += sub.profile.totals.lane_steps;
         }
         assert!(lane_steps > 0);
         assert_eq!(r.profile.totals.lane_steps, lane_steps);
         assert!(r.profile.span("count/count-kernel").is_some());
 
-        // `--profile` on a `/split:k` backend attaches the merged profile.
-        let backend = crate::count::Backend::GpuSplit {
-            options: opts,
-            parts: 3,
-        };
-        let counted = crate::count::CountRequest::new(backend)
-            .profile(true)
-            .run(&g)
-            .unwrap();
-        let profile = counted.profile.expect("split runs carry a profile");
-        assert_eq!(profile.totals.lane_steps, lane_steps);
+        assert!(r.traces.is_empty(), "split runs have no device timeline");
     }
 
     #[test]
     fn empty_graph_splits_to_zero() {
         let opts = GpuOptions::new(DeviceConfig::gtx_980().with_unlimited_memory());
-        let r = count_split(&EdgeArray::default(), &opts, 4).unwrap();
+        let r = run(&EdgeArray::default(), &opts, 4).unwrap();
         assert_eq!(r.triangles, 0);
     }
 
@@ -268,8 +238,8 @@ mod tests {
         let g = messy_graph();
         let want = count_forward(&g).unwrap();
         let opts = GpuOptions::new(DeviceConfig::gtx_980().with_unlimited_memory());
-        let r = count_split(&g, &opts, 2).unwrap();
+        let r = run(&g, &opts, 2).unwrap();
         assert_eq!(r.triangles, want);
-        assert_eq!(r.subproblems, 3); // 2 singles + 1 pair
+        assert_eq!(r.profile.devices, 3); // 2 singles + 1 pair
     }
 }

@@ -15,7 +15,8 @@
 //!   coefficients, and the transitivity ratio (the motivating application,
 //!   §I);
 //! * [`count`] — the front door: a [`CountRequest`] built around a
-//!   [`Backend`] selector;
+//!   [`Backend`] selector, the one one-shot entry point for every backend;
+//!   every simulated-GPU topology reports one [`GpuReport`];
 //! * [`approx`] — the approximation alternatives the paper cites (§V):
 //!   DOULION edge sparsification \[6\] and wedge sampling \[7\];
 //! * [`verify`] — brute-force reference counters used by the test suite.
@@ -28,12 +29,11 @@ pub mod count;
 pub mod cpu;
 pub mod error;
 pub mod gpu;
-pub mod truss;
 pub mod verify;
 
 pub use count::{Backend, CountRequest, GpuOptions, ParseBackendError, TriangleCount};
 pub use error::{CoreError, ErrorContext};
-pub use gpu::cluster::{ClusterPartition, ClusterReport, PreparedCluster};
+pub use gpu::cluster::{ClusterPartition, PreparedCluster};
 pub use gpu::pipeline::GpuReport;
 pub use gpu::prepared::{PreparedCount, PreparedGraph};
 pub use gpu::schedule::KernelSchedule;

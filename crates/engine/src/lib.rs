@@ -914,17 +914,18 @@ impl Engine {
     fn run_oneshot(&self, job: &Job) -> Result<JobResult, EngineError> {
         if !has_session(&job.backend) {
             let r = CountRequest::new(job.backend.clone())
-                .profile(job.profile)
                 .graph_name(&job.name)
                 .run(&job.graph)?;
+            // A session-less one-shot charges its whole run as the count
+            // stage.
             return Ok(JobResult {
                 triangles: r.triangles,
                 seconds: r.seconds,
-                prepare_s: r.gpu.as_ref().map_or(0.0, |g| g.preprocess_s),
-                count_s: r.gpu.as_ref().map_or(r.seconds, |g| g.count_s),
+                prepare_s: 0.0,
+                count_s: r.seconds,
                 cache_hit: false,
                 modeled: job.backend.is_modeled(),
-                profile: r.profile,
+                profile: r.gpu.filter(|_| job.profile).map(|g| g.profile),
                 prepare_trace: Vec::new(),
                 kernel_trace: Vec::new(),
             });
@@ -1142,6 +1143,27 @@ mod tests {
         assert_eq!(cpu.triangles, 2);
         assert!(!cpu.cache_hit);
         assert_eq!(report.jobs[0].backend, "forward");
+    }
+
+    #[test]
+    fn session_less_gpu_oneshots_charge_everything_to_count() {
+        let engine = Engine::new(small_config());
+        let g = diamond();
+        let mut jobs = Vec::new();
+        for token in ["2xc2050", "gtx980/split:2"] {
+            let backend: Backend = token.parse().unwrap();
+            jobs.push(Job::new(token, Arc::clone(&g), backend.clone()));
+            jobs.push(Job::new(format!("{token} profiled"), Arc::clone(&g), backend).profile(true));
+        }
+        let report = engine.run_batch(jobs);
+        for (i, record) in report.jobs.iter().enumerate() {
+            let r = record.result.as_ref().unwrap();
+            assert_eq!(r.triangles, 2, "{}", record.name);
+            assert_eq!(r.prepare_s, 0.0, "{}", record.name);
+            assert_eq!(r.count_s.to_bits(), r.seconds.to_bits(), "{}", record.name);
+            assert!(!r.cache_hit, "{}", record.name);
+            assert_eq!(r.profile.is_some(), i % 2 == 1, "{}", record.name);
+        }
     }
 
     #[test]

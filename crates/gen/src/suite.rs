@@ -89,12 +89,6 @@ impl GraphSpec {
         }
     }
 
-    /// Is this the analog of a paper row marked † (needed the CPU
-    /// preprocessing fallback on the Tesla C2050)?
-    pub fn daggered_in_paper(&self) -> bool {
-        matches!(self, GraphSpec::Orkut | GraphSpec::Kronecker(5))
-    }
-
     /// Generate the graph at the given scale. The per-spec seed is derived
     /// from the suite seed so rows are independent.
     pub fn generate(&self, scale: Scale, suite_seed: Seed) -> EdgeArray {
@@ -284,14 +278,6 @@ mod tests {
             let ratio = w[1].graph.num_nodes() as f64 / w[0].graph.num_nodes() as f64;
             assert!((1.5..=2.5).contains(&ratio), "node ratio {ratio}");
         }
-    }
-
-    #[test]
-    fn daggered_rows_are_the_largest() {
-        assert!(GraphSpec::Orkut.daggered_in_paper());
-        assert!(GraphSpec::Kronecker(5).daggered_in_paper());
-        assert!(!GraphSpec::Kronecker(0).daggered_in_paper());
-        assert!(!GraphSpec::Dblp.daggered_in_paper());
     }
 
     #[test]

@@ -1,13 +1,13 @@
 //! Conversions and relabelings between graph representations.
 //!
 //! The representation-specific conversions live on the types themselves
-//! ([`AdjacencyList::to_edge_array`], [`AdjacencyList::from_edge_array`],
+//! ([`crate::AdjacencyList::to_edge_array`], [`crate::AdjacencyList::from_edge_array`],
 //! [`crate::Csr::from_edge_array`]); this module adds vertex-relabeling utilities
 //! used by tests (triangle counts are isomorphism-invariant) and by the
 //! harness (arc shuffling, since the paper assumes "no particular order of
 //! the edges").
 
-use crate::{AdjacencyList, Edge, EdgeArray, VertexId};
+use crate::{Edge, EdgeArray, VertexId};
 
 /// Apply a vertex relabeling: arc `(u, v)` becomes `(perm[u], perm[v])`.
 /// `perm` must be a permutation of `0..g.num_nodes()`.
@@ -19,33 +19,6 @@ pub fn relabel(g: &EdgeArray, perm: &[VertexId]) -> EdgeArray {
             .map(|e| Edge::new(perm[e.u as usize], perm[e.v as usize]))
             .collect(),
     )
-}
-
-/// Compact the vertex-id space: vertices that occur in some arc are
-/// renumbered densely `0..k` preserving relative order; returns the new graph
-/// and the old→new map (`u32::MAX` for unused ids).
-pub fn renumber_dense(g: &EdgeArray) -> (EdgeArray, Vec<VertexId>) {
-    let n = g.num_nodes();
-    let mut used = vec![false; n];
-    for e in g.arcs() {
-        used[e.u as usize] = true;
-        used[e.v as usize] = true;
-    }
-    let mut map = vec![u32::MAX; n];
-    let mut next = 0u32;
-    for (v, &u) in used.iter().enumerate() {
-        if u {
-            map[v] = next;
-            next += 1;
-        }
-    }
-    let relabeled = EdgeArray::from_arcs_unchecked(
-        g.arcs()
-            .iter()
-            .map(|e| Edge::new(map[e.u as usize], map[e.v as usize]))
-            .collect(),
-    );
-    (relabeled, map)
 }
 
 /// Deterministically shuffle arc order with a Fisher–Yates pass driven by a
@@ -85,13 +58,6 @@ pub fn random_permutation(n: usize, seed: u64) -> Vec<VertexId> {
     perm
 }
 
-/// Convenience: edge array → adjacency list → edge array, asserting the
-/// round trip preserves the arc multiset. Used by the §III-A input-format
-/// experiment to measure conversion costs on equal footing.
-pub fn roundtrip_via_adjacency(g: &EdgeArray) -> EdgeArray {
-    AdjacencyList::from_edge_array(g).to_edge_array()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -124,18 +90,6 @@ mod tests {
     }
 
     #[test]
-    fn renumber_dense_compacts_gaps() {
-        let g = EdgeArray::from_undirected_pairs([(0, 10), (10, 20)]);
-        let (h, map) = renumber_dense(&g);
-        assert_eq!(h.num_nodes(), 3);
-        assert_eq!(map[0], 0);
-        assert_eq!(map[10], 1);
-        assert_eq!(map[20], 2);
-        assert_eq!(map[5], u32::MAX);
-        h.validate().unwrap();
-    }
-
-    #[test]
     fn shuffle_preserves_multiset_and_is_deterministic() {
         let mut a = sample();
         let mut b = sample();
@@ -156,11 +110,5 @@ mod tests {
         let mut sorted = p;
         sorted.sort_unstable();
         assert_eq!(sorted, (0..100).collect::<Vec<u32>>());
-    }
-
-    #[test]
-    fn roundtrip_via_adjacency_preserves_arcs() {
-        let g = sample();
-        assert_eq!(arc_multiset(&roundtrip_via_adjacency(&g)), arc_multiset(&g));
     }
 }

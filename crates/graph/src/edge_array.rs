@@ -42,18 +42,6 @@ impl Edge {
         ((self.u as u64) << 32) | self.v as u64
     }
 
-    /// Pack with the **second** vertex in the high half. On a little-endian
-    /// machine, reinterpreting the in-memory pair `{u, v}` as one `u64` puts
-    /// `v` in the high bits, so sorting those keys orders edges by the second
-    /// vertex with ties broken by the first — the "endianness" effect of
-    /// §III-D2. The paper accepts this slightly different (but symmetric, and
-    /// therefore equally usable) ordering because 64-bit radix sort is ~5x
-    /// faster than comparison-sorting pairs.
-    #[inline]
-    pub fn as_u64_second_major(self) -> u64 {
-        ((self.v as u64) << 32) | self.u as u64
-    }
-
     /// Unpack a key produced by [`Edge::as_u64_first_major`].
     #[inline]
     pub fn from_u64_first_major(key: u64) -> Self {
@@ -375,10 +363,6 @@ mod tests {
         // first-major key order == (u, v) lexicographic order
         let a = Edge::new(1, 9).as_u64_first_major();
         let b = Edge::new(2, 0).as_u64_first_major();
-        assert!(a < b);
-        // second-major key order sorts by v first
-        let a = Edge::new(9, 1).as_u64_second_major();
-        let b = Edge::new(0, 2).as_u64_second_major();
         assert!(a < b);
     }
 

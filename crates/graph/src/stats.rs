@@ -1,7 +1,7 @@
 //! Basic graph statistics (the "Nodes / Edges" columns of Table I, degree
 //! distributions, wedge counts for the transitivity ratio).
 
-use crate::{Csr, EdgeArray};
+use crate::EdgeArray;
 
 /// Summary statistics of a graph, as reported in Table I plus a few extras
 /// that drive the evaluation narrative (degree skew explains Table II's
@@ -20,11 +20,6 @@ impl GraphStats {
     pub fn from_edge_array(g: &EdgeArray) -> Self {
         let degrees = g.degrees();
         Self::from_degrees(&degrees, g.num_edges())
-    }
-
-    pub fn from_csr(csr: &Csr) -> Self {
-        let degrees: Vec<u32> = (0..csr.num_nodes() as u32).map(|v| csr.degree(v)).collect();
-        Self::from_degrees(&degrees, csr.num_arcs() / 2)
     }
 
     fn from_degrees(degrees: &[u32], num_edges: usize) -> Self {
@@ -102,13 +97,6 @@ mod tests {
         assert!((s.avg_degree - 2.0).abs() < 1e-12);
         // wedges: d = [2,2,3,1] -> 1 + 1 + 3 + 0 = 5
         assert_eq!(s.wedges, 5);
-    }
-
-    #[test]
-    fn stats_from_csr_match_edge_array() {
-        let g = triangle_plus_tail();
-        let csr = Csr::from_edge_array(&g).unwrap();
-        assert_eq!(GraphStats::from_csr(&csr), GraphStats::from_edge_array(&g));
     }
 
     #[test]

@@ -90,12 +90,6 @@ impl<'a> MemView<'a> {
         ])
     }
 
-    /// Load a little-endian `i32`.
-    #[inline]
-    pub fn read_i32(&self, addr: u64) -> i32 {
-        self.read_u32(addr) as i32
-    }
-
     /// Load a little-endian `u64`.
     #[inline]
     pub fn read_u64(&self, addr: u64) -> u64 {
@@ -175,7 +169,6 @@ mod tests {
         let mv = MemView::new(&bytes);
         assert_eq!(mv.read_u32(0), 1);
         assert_eq!(mv.read_u32(4), 0x7FFF_FFFF);
-        assert_eq!(mv.read_i32(4), i32::MAX);
         assert_eq!(mv.read_u64(0), 0x7FFF_FFFF_0000_0001);
     }
 

@@ -13,7 +13,6 @@
 
 use triangles::core::approx::{doulion, wedge_sampling};
 use triangles::core::count::{Backend, CountRequest, GpuOptions};
-use triangles::core::gpu::split::count_split;
 use triangles::gen::kronecker::Rmat;
 use triangles::gen::Seed;
 use triangles::simt::DeviceConfig;
@@ -38,7 +37,7 @@ fn main() {
         triangles::core::gpu::preprocess::fallback_path_peak_bytes(&graph) / 2 + 256 * 1024,
     );
     let opts = GpuOptions::new(small);
-    let whole = triangles::core::gpu::pipeline::run_gpu_pipeline(&graph, &opts);
+    let whole = CountRequest::new(Backend::Gpu(opts.clone())).run(&graph);
     println!(
         "whole graph on the small device: {}",
         match &whole {
@@ -46,11 +45,17 @@ fn main() {
             Ok(_) => "unexpectedly fits".into(),
         }
     );
-    let split = count_split(&graph, &opts, 6).expect("split run");
+    let split = CountRequest::new(Backend::GpuSplit {
+        options: opts,
+        parts: 6,
+    })
+    .run(&graph)
+    .expect("split run");
     assert_eq!(split.triangles, exact);
+    let report = split.gpu.expect("GPU runs report");
     println!(
-        "split into 6 ranges: {} triangles across {} subproblems, largest {} arcs ✓\n",
-        split.triangles, split.subproblems, split.max_subproblem_arcs
+        "split into 6 ranges: {} triangles across {} subproblems, peak {} device bytes ✓\n",
+        split.triangles, report.profile.devices, report.peak_device_bytes
     );
 
     // --- §VI direction 2: hybrid high-degree handling ----------------------
@@ -60,13 +65,13 @@ fn main() {
             threshold: Some(64),
         },
     ] {
-        let label = backend.label();
+        let token = backend.to_string();
         let n = CountRequest::new(backend)
             .run(&graph)
             .expect("hybrid")
             .triangles;
         assert_eq!(n, exact);
-        println!("{label:<24}: {n} ✓");
+        println!("{token:<24}: {n} ✓");
     }
 
     // --- §V alternative: approximation ------------------------------------

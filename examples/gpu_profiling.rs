@@ -6,12 +6,20 @@
 //! cargo run --release --example gpu_profiling
 //! ```
 
-use triangles::core::count::GpuOptions;
-use triangles::core::gpu::pipeline::run_gpu_pipeline;
-use triangles::core::{EdgeLayout, LoopVariant};
+use triangles::core::count::{Backend, CountRequest, GpuOptions};
+use triangles::core::{EdgeLayout, GpuReport, LoopVariant};
 use triangles::gen::barabasi_albert::BarabasiAlbert;
 use triangles::gen::Seed;
+use triangles::graph::EdgeArray;
 use triangles::simt::DeviceConfig;
+
+/// One simulated GTX 980 run of `graph` under `opts`.
+fn run(graph: &EdgeArray, opts: &GpuOptions) -> GpuReport {
+    let counted = CountRequest::new(Backend::Gpu(opts.clone()))
+        .run(graph)
+        .expect("pipeline");
+    counted.gpu.expect("GPU runs report")
+}
 
 fn main() {
     // Barabási–Albert: the workload with the lowest cache hit rate in
@@ -26,7 +34,7 @@ fn main() {
 
     let device = DeviceConfig::gtx_980().with_unlimited_memory();
     let published = GpuOptions::new(device);
-    let base = run_gpu_pipeline(&graph, &published).expect("pipeline");
+    let base = run(&graph, &published);
     println!("published configuration (SoA, read-avoiding loop, texture cache):");
     println!(
         "  kernel time          : {:>9.3} ms",
@@ -67,7 +75,7 @@ fn main() {
         ]
     };
     for (label, opts) in toggles {
-        let run = run_gpu_pipeline(&graph, &opts).expect("pipeline");
+        let run = run(&graph, &opts);
         assert_eq!(run.triangles, base.triangles);
         let delta = run.kernel.time_s / base.kernel.time_s;
         println!(

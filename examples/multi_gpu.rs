@@ -6,11 +6,21 @@
 //! cargo run --release --example multi_gpu
 //! ```
 
-use triangles::core::count::GpuOptions;
-use triangles::core::gpu::multi::run_multi_gpu;
+use triangles::core::count::{Backend, CountRequest, GpuOptions};
+use triangles::core::GpuReport;
 use triangles::gen::kronecker::Rmat;
 use triangles::gen::Seed;
+use triangles::graph::EdgeArray;
 use triangles::simt::DeviceConfig;
+
+/// One run of `graph` striped over `devices` simulated Tesla C2050s.
+fn striped(graph: &EdgeArray, devices: usize) -> GpuReport {
+    let options = GpuOptions::new(DeviceConfig::tesla_c2050().with_unlimited_memory());
+    let counted = CountRequest::new(Backend::MultiGpu { options, devices })
+        .run(graph)
+        .expect("multi gpu");
+    counted.gpu.expect("GPU runs report")
+}
 
 fn main() {
     // Kronecker graphs have the largest triangles-to-edges ratio of the
@@ -22,9 +32,8 @@ fn main() {
         graph.num_edges()
     );
 
-    let opts = GpuOptions::new(DeviceConfig::tesla_c2050().with_unlimited_memory());
-    let single = run_multi_gpu(&graph, &opts, 1).expect("1 gpu");
-    let f = single.preprocess_s / single.total_s;
+    let single = striped(&graph, 1);
+    let f = single.preprocess_fraction();
     println!(
         "single C2050: {:.3} ms total ({:.3} ms preprocessing, fraction {:.2})",
         single.total_s * 1e3,
@@ -37,7 +46,7 @@ fn main() {
         "devices", "total [ms]", "speedup", "amdahl ceiling"
     );
     for devices in [1usize, 2, 4] {
-        let run = run_multi_gpu(&graph, &opts, devices).expect("multi gpu");
+        let run = striped(&graph, devices);
         assert_eq!(run.triangles, single.triangles);
         let ceiling = 1.0 / (f + (1.0 - f) / devices as f64);
         println!(

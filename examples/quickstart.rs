@@ -36,7 +36,7 @@ fn main() {
     let gpu = CountRequest::new(Backend::gpu_gtx980())
         .run(&graph)
         .expect("gpu count");
-    let report = gpu.gpu.as_ref().expect("single-GPU run carries a report");
+    let report = gpu.gpu.as_ref().expect("GPU runs carry a report");
     println!(
         "gpu-sim (GTX 980) : {:>12} triangles in {:8.2} ms (simulated), speedup {:.1}x",
         gpu.triangles,
@@ -51,7 +51,7 @@ fn main() {
     );
     println!(
         "   preprocessing fraction: {:.2} (drives the multi-GPU ceiling, paper §III-E)",
-        report.preprocess_fraction
+        report.preprocess_fraction()
     );
 
     assert_eq!(cpu.triangles, gpu.triangles, "backends must agree");

@@ -140,6 +140,21 @@ for tid, events in threads.items():
         open_events.append((start, end, name))
 print(f"multi-GPU trace OK ({sum(map(len, threads.values()))} events, 4 threads)")
 PY
+# Every GPU topology reports through one `GpuReport`: each prints the
+# `gpu:` line, and its profile merges one report per device (split: per
+# subproblem run, 7 for three parts).
+for spec in gtx980/balanced:1 2xc2050/balanced+hash:2 gtx980/split:3/balanced:7 \
+    cluster:2x2/gtx980/balanced:4; do
+    backend="${spec%:*}"
+    devices="${spec##*:}"
+    ./target/release/tcount suite:dblp --backend "$backend" --profile /tmp/tc_topology_profile.json \
+        > /tmp/tc_topology_stdout.txt
+    grep -q "^  gpu: kernel" /tmp/tc_topology_stdout.txt \
+        || { echo "$backend: no gpu: line"; exit 1; }
+    python3 -c "import json, sys; d = json.load(open('/tmp/tc_topology_profile.json'))['devices']; \
+sys.exit(0 if d == $devices else f'$backend: {d} profiled devices, want $devices')"
+done
+echo "topology reports OK"
 
 echo "==> bench artifact is valid JSON"
 ./target/release/repro bench --scale smoke --out /tmp/tc_bench_smoke.json > /dev/null

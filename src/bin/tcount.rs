@@ -94,8 +94,8 @@
 use std::process::ExitCode;
 
 use triangles::core::clustering::{average_clustering, transitivity};
-use triangles::core::count::{Backend, CountRequest, TriangleCount};
-use triangles::core::gpu::pipeline::RunTrace;
+use triangles::core::count::{Backend, CountRequest};
+use triangles::core::gpu::pipeline::{GpuReport, RunTrace};
 use triangles::engine::{parse_jobfile, Admission, Engine, EngineConfig};
 use triangles::gen::Scale;
 use triangles::graph::{io, EdgeArray, GraphStats};
@@ -240,29 +240,20 @@ fn emit_profile(
     Ok(())
 }
 
-/// Run a GPU backend with profiling on, honoring `--trace` and
-/// `--profile`.
-fn run_gpu_observed(graph: &EdgeArray, args: &Args) -> Result<TriangleCount, String> {
-    if !args.backend.is_modeled() {
-        return Err("--trace/--profile require a simulated-GPU backend".into());
-    }
-    let result = CountRequest::new(args.backend.clone())
-        .profile(true)
-        .graph_name(&args.path)
-        .run(graph)
-        .map_err(|e| format!("counting: {e}"))?;
+/// Honor `--trace` and `--profile` from a GPU run's report.
+fn observe(report: &GpuReport, args: &Args) -> Result<(), String> {
     if let Some(path) = &args.trace {
         // Split subproblems run one after another on fresh devices, so
         // they merge into one profile but have no device timeline.
-        if result.traces.is_empty() {
+        if report.traces.is_empty() {
             return Err("--trace is not available on split backends".into());
         }
-        write_trace(&args.backend, &result.traces, path)?;
+        write_trace(&args.backend, &report.traces, path)?;
     }
-    if let (Some(profile), Some(file)) = (&result.profile, &args.profile) {
-        emit_profile(profile, file)?;
+    if let Some(file) = &args.profile {
+        emit_profile(&report.profile, file)?;
     }
-    Ok(result)
+    Ok(())
 }
 
 /// Resolve a `suite:<name>` pseudo-path to a generated smoke-scale suite
@@ -315,16 +306,16 @@ fn run(mut args: Args) -> Result<(), String> {
         stats.num_nodes, stats.num_edges, stats.max_degree, stats.avg_degree
     );
 
-    // Observability requests route GPU backends through the profiled
-    // pipeline variants.
-    let result = if args.trace.is_some() || args.profile.is_some() {
-        run_gpu_observed(&graph, &args)?
-    } else {
-        CountRequest::new(args.backend.clone())
-            .graph_name(&args.path)
-            .run(&graph)
-            .map_err(|e| format!("counting: {e}"))?
-    };
+    if (args.trace.is_some() || args.profile.is_some()) && !args.backend.is_modeled() {
+        return Err("--trace/--profile require a simulated-GPU backend".into());
+    }
+    let result = CountRequest::new(args.backend.clone())
+        .graph_name(&args.path)
+        .run(&graph)
+        .map_err(|e| format!("counting: {e}"))?;
+    if let Some(report) = &result.gpu {
+        observe(report, &args)?;
+    }
     println!(
         "triangles: {} ({} in {:.3} ms)",
         result.triangles,
@@ -337,7 +328,7 @@ fn run(mut args: Args) -> Result<(), String> {
             report.kernel.time_s * 1e3,
             report.kernel.tex.hit_rate() * 100.0,
             report.kernel.achieved_bandwidth_gbs,
-            report.preprocess_fraction,
+            report.preprocess_fraction(),
             if report.used_cpu_fallback {
                 " (CPU-preprocessing fallback)"
             } else {

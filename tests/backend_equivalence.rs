@@ -68,9 +68,9 @@ fn all_backends() -> Vec<Backend> {
 
 fn assert_all_agree(g: &EdgeArray, expected: u64, context: &str) {
     for backend in all_backends() {
-        let label = backend.label();
-        let got = count(g, backend).unwrap_or_else(|e| panic!("{context}/{label}: {e}"));
-        assert_eq!(got, expected, "{context}: backend {label} disagrees");
+        let token = backend.to_string();
+        let got = count(g, backend).unwrap_or_else(|e| panic!("{context}/{token}: {e}"));
+        assert_eq!(got, expected, "{context}: backend {token} disagrees");
     }
 }
 

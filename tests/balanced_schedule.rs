@@ -8,7 +8,6 @@ use std::sync::Arc;
 
 use triangles::core::count::{Backend, CountRequest, GpuOptions};
 use triangles::core::cpu::count_forward;
-use triangles::core::gpu::pipeline::run_gpu_pipeline_profiled;
 use triangles::core::gpu::schedule::KernelSchedule;
 use triangles::core::PreparedGraph;
 use triangles::engine::{parse_jobfile, Engine, EngineConfig, Job};
@@ -72,8 +71,11 @@ fn balanced_prepared_matches_oneshot_byte_for_byte() {
             opts.schedule = schedule;
             let context = format!("{}/{}", row.name, schedule);
 
-            let (oneshot, _) = run_gpu_pipeline_profiled(&row.graph, &opts)
-                .unwrap_or_else(|e| panic!("{context}: one-shot: {e}"));
+            let oneshot = CountRequest::new(Backend::Gpu(opts.clone()))
+                .run(&row.graph)
+                .unwrap_or_else(|e| panic!("{context}: one-shot: {e}"))
+                .gpu
+                .unwrap();
             let mut prepared = PreparedGraph::prepare(&row.graph, &opts)
                 .unwrap_or_else(|e| panic!("{context}: prepare: {e}"));
             let first = prepared.count().unwrap();

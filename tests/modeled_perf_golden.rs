@@ -20,16 +20,12 @@ mod common;
 
 use std::fmt::Write as _;
 
-use triangles::core::count::{Backend, GpuOptions};
-use triangles::core::gpu::cluster::run_cluster_profiled;
-use triangles::core::gpu::multi::run_multi_gpu_profiled;
-use triangles::core::gpu::pipeline::{run_gpu_pipeline, run_gpu_pipeline_profiled, RunTrace};
-use triangles::core::gpu::split::count_split;
-use triangles::core::KernelSchedule;
+use triangles::core::count::{Backend, CountRequest, GpuOptions};
+use triangles::core::gpu::pipeline::RunTrace;
+use triangles::core::{GpuReport, KernelSchedule};
 use triangles::gen::suite::{full_suite, Scale};
 use triangles::graph::EdgeArray;
-use triangles::simt::profiler::Counters;
-use triangles::simt::{ClusterTopology, DeviceConfig};
+use triangles::simt::DeviceConfig;
 
 const GOLDEN_PATH: &str = "tests/golden/modeled_perf.txt";
 
@@ -63,6 +59,14 @@ fn variants() -> [(&'static str, KernelSchedule, bool); 4] {
     ]
 }
 
+/// The report of a one-shot run through the [`CountRequest`] front door.
+fn gpu_run(g: &EdgeArray, backend: Backend) -> Result<GpuReport, String> {
+    let counted = CountRequest::new(backend)
+        .run(g)
+        .map_err(|e| e.to_string())?;
+    counted.gpu.ok_or_else(|| "not a GPU backend".into())
+}
+
 fn snapshot() -> String {
     let suite = full_suite(Scale::Smoke);
     let mut out = String::from(
@@ -78,7 +82,7 @@ fn snapshot() -> String {
                 let mut opts = GpuOptions::new(device.clone().with_unlimited_memory());
                 opts.schedule = schedule;
                 opts.reorder = reorder;
-                let report = run_gpu_pipeline(&row.graph, &opts)
+                let report = gpu_run(&row.graph, Backend::Gpu(opts))
                     .unwrap_or_else(|e| panic!("{name}/{dev_tok}/{sched_tok}: {e}"));
                 let k = &report.kernel;
                 writeln!(
@@ -143,19 +147,11 @@ fn launch_labels(traces: &[RunTrace]) -> String {
         .join(" ")
 }
 
-fn summed_counters(traces: &[RunTrace]) -> Counters {
-    let mut totals = Counters::default();
-    for t in traces {
-        totals.add(&t.profile.totals);
-    }
-    totals
-}
-
 /// One row per (graph, token): the count, the exact modeled wall time,
-/// the report's kernel stats, the summed profile counters and the
-/// counting launch labels of every device. Split runs expose no kernel
-/// stats or device logs (their subproblems run on fresh devices), so
-/// those rows pin the merged counters instead.
+/// the report's kernel stats, the merged profile's counters and the
+/// counting launch labels of every device. Split runs have no device
+/// traces (their subproblems run on fresh devices), so those rows print
+/// `-` for the kernel and the launches and pin the merged counters.
 fn topology_snapshot() -> String {
     let suite = full_suite(Scale::Smoke);
     let graph = |name: &str| {
@@ -176,68 +172,16 @@ fn topology_snapshot() -> String {
     );
     for (name, g) in &graphs {
         for token in TOPOLOGY_TOKENS {
-            let backend: Backend = token.parse().unwrap();
-            let ctx = format!("{name}/{token}");
-            let (triangles, total_s, kernel, counters, launches) = match &backend {
-                Backend::Gpu(opts) => {
-                    let (r, t) =
-                        run_gpu_pipeline_profiled(g, opts).unwrap_or_else(|e| panic!("{ctx}: {e}"));
-                    let traces = [t];
-                    let kernel = format!("{:?}", r.kernel);
-                    (
-                        r.triangles,
-                        r.total_s,
-                        kernel,
-                        summed_counters(&traces),
-                        launch_labels(&traces),
-                    )
-                }
-                Backend::MultiGpu { options, devices } => {
-                    let (r, traces) = run_multi_gpu_profiled(g, options, *devices)
-                        .unwrap_or_else(|e| panic!("{ctx}: {e}"));
-                    let kernel = format!("{:?}", r.kernel);
-                    (
-                        r.triangles,
-                        r.total_s,
-                        kernel,
-                        summed_counters(&traces),
-                        launch_labels(&traces),
-                    )
-                }
-                Backend::GpuSplit { options, parts } => {
-                    let r =
-                        count_split(g, options, *parts).unwrap_or_else(|e| panic!("{ctx}: {e}"));
-                    (
-                        r.triangles,
-                        r.total_s,
-                        "-".into(),
-                        r.profile.totals,
-                        "-".into(),
-                    )
-                }
-                Backend::Cluster {
-                    options,
-                    nodes,
-                    devices_per_node,
-                    partition,
-                } => {
-                    let topology = ClusterTopology::new(*nodes, *devices_per_node);
-                    let (r, traces) = run_cluster_profiled(g, options, topology, *partition)
-                        .unwrap_or_else(|e| panic!("{ctx}: {e}"));
-                    let kernel = format!("{:?}", r.kernel);
-                    (
-                        r.triangles,
-                        r.total_s,
-                        kernel,
-                        summed_counters(&traces),
-                        launch_labels(&traces),
-                    )
-                }
-                other => panic!("{other} is not a GPU topology"),
+            let r = gpu_run(g, token.parse().unwrap())
+                .unwrap_or_else(|e| panic!("{name}/{token}: {e}"));
+            let (kernel, launches) = if r.traces.is_empty() {
+                ("-".into(), "-".into())
+            } else {
+                (format!("{:?}", r.kernel), launch_labels(&r.traces))
             };
-            writeln!(out, "{name} {token}: {triangles} {total_s:?}").unwrap();
+            writeln!(out, "{name} {token}: {} {:?}", r.triangles, r.total_s).unwrap();
             writeln!(out, "  kernel {kernel}").unwrap();
-            writeln!(out, "  counters {counters:?}").unwrap();
+            writeln!(out, "  counters {:?}", r.profile.totals).unwrap();
             writeln!(out, "  launches {launches}").unwrap();
         }
     }
@@ -247,4 +191,44 @@ fn topology_snapshot() -> String {
 #[test]
 fn topology_perf_matches_the_golden_snapshot() {
     common::assert_golden(TOPOLOGY_GOLDEN_PATH, &topology_snapshot());
+}
+
+/// Every GPU topology reports one `GpuReport` through `CountRequest`:
+/// its wall time is the count's, it carries one trace per device (none
+/// for split, whose subproblems run on fresh devices) and a profile merged
+/// over every device or subproblem, and its sanitizer and verifier reports
+/// are the ones the count carries. A CPU backend reports none.
+#[test]
+fn every_topology_reports_through_count_request() {
+    let g = full_suite(Scale::Smoke)
+        .into_iter()
+        .find(|r| r.name == "watts-strogatz")
+        .expect("watts-strogatz in the smoke suite")
+        .graph;
+    // (traces, profiled devices) per token: split:3 runs 3 single-part,
+    // 3 pair and 1 triple subproblem.
+    let shapes = [(1, 1), (1, 1), (2, 2), (4, 4), (0, 7), (4, 4), (4, 4)];
+    for (token, (traces, devices)) in TOPOLOGY_TOKENS.into_iter().zip(shapes) {
+        for token in [token.to_string(), format!("{token}/sanitize/verify")] {
+            let counted = CountRequest::new(token.parse().unwrap())
+                .run(&g)
+                .unwrap_or_else(|e| panic!("{token}: {e}"));
+            assert_eq!(counted.backend, token);
+            let r = counted.gpu.as_ref().expect("GPU backends report");
+            assert_eq!(r.total_s.to_bits(), counted.seconds.to_bits(), "{token}");
+            assert_eq!(r.triangles, counted.triangles, "{token}");
+            assert_eq!(r.traces.len(), traces, "{token}");
+            assert_eq!(r.profile.devices, devices, "{token}");
+            assert_eq!(counted.sanitizer, r.sanitizer, "{token}");
+            assert_eq!(counted.verifier, r.verifier, "{token}");
+            let checked = token.ends_with("/verify");
+            assert_eq!(counted.sanitizer.is_some(), checked, "{token}");
+            assert_eq!(counted.verifier.is_some(), checked, "{token}");
+        }
+    }
+    let cpu = CountRequest::new("forward".parse().unwrap())
+        .run(&g)
+        .unwrap();
+    assert_eq!(cpu.backend, "forward");
+    assert!(cpu.gpu.is_none() && cpu.sanitizer.is_none() && cpu.verifier.is_none());
 }

@@ -9,7 +9,6 @@
 use std::sync::Arc;
 
 use triangles::core::count::{Backend, CountRequest, GpuOptions};
-use triangles::core::gpu::pipeline::run_gpu_pipeline_profiled;
 use triangles::core::{EdgeLayout, LoopVariant, PreparedCluster, PreparedCount, PreparedGraph};
 use triangles::engine::{parse_jobfile, Engine, EngineConfig, EngineError, Job};
 use triangles::gen::classic::complete;
@@ -32,8 +31,11 @@ fn prepared_matches_oneshot_on_every_suite_graph_and_device() {
             let context = format!("{}/{}", row.name, device.name);
             let opts = GpuOptions::new(device.clone().with_unlimited_memory());
 
-            let (report, trace) = run_gpu_pipeline_profiled(&row.graph, &opts)
-                .unwrap_or_else(|e| panic!("{context}: one-shot: {e}"));
+            let report = CountRequest::new(Backend::Gpu(opts.clone()))
+                .run(&row.graph)
+                .unwrap_or_else(|e| panic!("{context}: one-shot: {e}"))
+                .gpu
+                .unwrap();
             let mut prepared = PreparedGraph::prepare(&row.graph, &opts)
                 .unwrap_or_else(|e| panic!("{context}: prepare: {e}"));
             let counted = prepared
@@ -44,12 +46,12 @@ fn prepared_matches_oneshot_on_every_suite_graph_and_device() {
             assert_eq!(counted.kernel, report.kernel, "{context}: kernel stats");
             assert_eq!(
                 counted.profile.span("count/count-kernel"),
-                trace.profile.span("count/count-kernel"),
+                report.profile.span("count/count-kernel"),
                 "{context}: kernel span"
             );
             assert_eq!(
                 counted.profile.span("count/reduce"),
-                trace.profile.span("count/reduce"),
+                report.profile.span("count/reduce"),
                 "{context}: reduce span"
             );
             prepared.release().unwrap();
@@ -79,7 +81,11 @@ fn prepared_matches_oneshot_for_every_kernel_option() {
                         "layout={layout:?} variant={variant:?} cached={cached} split={split}"
                     );
 
-                    let (report, _) = run_gpu_pipeline_profiled(&g, &opts).unwrap();
+                    let report = CountRequest::new(Backend::Gpu(opts.clone()))
+                        .run(&g)
+                        .unwrap()
+                        .gpu
+                        .unwrap();
                     let mut prepared = PreparedGraph::prepare(&g, &opts).unwrap();
                     let counted = prepared.count().unwrap();
                     assert_eq!(counted.triangles, report.triangles, "{context}");

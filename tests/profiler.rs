@@ -4,7 +4,7 @@
 
 use triangles::bench::profile::request_traces;
 use triangles::core::count::{Backend, CountRequest, GpuOptions};
-use triangles::core::gpu::pipeline::{run_gpu_pipeline_profiled, RunTrace};
+use triangles::core::gpu::pipeline::RunTrace;
 use triangles::gen::{erdos_renyi, Seed};
 use triangles::simt::{Counters, DeviceConfig};
 use triangles::telemetry::{chrome_trace_json, RequestTrace, TraceSpan};
@@ -12,8 +12,10 @@ use triangles::telemetry::{chrome_trace_json, RequestTrace, TraceSpan};
 fn profiled_run() -> RunTrace {
     let g = erdos_renyi::gnm(200, 1_200, Seed(11));
     let opts = GpuOptions::new(DeviceConfig::gtx_980().with_unlimited_memory());
-    let (_, trace) = run_gpu_pipeline_profiled(&g, &opts).unwrap();
-    trace
+    let counted = CountRequest::new(Backend::Gpu(opts)).run(&g).unwrap();
+    let mut traces = counted.gpu.expect("GPU runs report").traces;
+    assert_eq!(traces.len(), 1);
+    traces.remove(0)
 }
 
 /// Fields of `Counters` as comparable scalar tuples (name, value, exact?)
@@ -170,8 +172,9 @@ fn multi_gpu_chrome_trace() -> (Vec<RunTrace>, Vec<RequestTrace>, String) {
     let backend: Backend = "4xc2050".parse().unwrap();
     let token = backend.to_string();
     let runs = CountRequest::new(backend)
-        .profile(true)
         .run(&g)
+        .unwrap()
+        .gpu
         .unwrap()
         .traces;
     let requests = request_traces(&token, &runs);
@@ -250,10 +253,10 @@ fn merged_multi_gpu_profile_conserves_counters() {
         options: opts,
         devices: 4,
     };
-    let counted = CountRequest::new(backend).profile(true).run(&g).unwrap();
-    let traces = &counted.traces;
+    let report = CountRequest::new(backend).run(&g).unwrap().gpu.unwrap();
+    let traces = &report.traces;
     assert_eq!(traces.len(), 4);
-    let merged = counted.profile.expect("profiled request");
+    let merged = &report.profile;
     assert_eq!(merged.devices, 4);
     let summed = traces.iter().fold(Counters::default(), |mut acc, t| {
         acc.add(&t.profile.totals);
