@@ -17,8 +17,7 @@
 //! `u_it == u_end`); the simulator's arena guarantees those loads are safe.
 
 use tc_simt::{
-    AccessContract, AffineFootprint, DeviceBuffer, Effect, Interval, Kernel, Lane, LaunchConfig,
-    MemView,
+    AccessContract, AffineFootprint, DeviceBuffer, Effect, Interval, Kernel, LaunchConfig, MemView,
 };
 
 use super::LoopVariant;
@@ -108,11 +107,9 @@ impl Kernel for CountKernel {
 
     fn spawn(&self, tid: usize, total: usize) -> CountLane {
         CountLane {
-            k: *self,
             i: self.offset + tid,
-            end: self.offset + self.count,
-            stride: total,
-            tid,
+            stride: u32::try_from(total).expect("grid fits u32 thread ids"),
+            tid: tid as u32,
             u_it: 0,
             u_end: 0,
             v_it: 0,
@@ -123,6 +120,199 @@ impl Kernel for CountKernel {
             v: 0,
             count: 0,
             phase: Phase::NextEdge,
+        }
+    }
+
+    fn step(&self, lane: &mut CountLane, mem: &MemView<'_>) -> Effect {
+        // Register-only transitions are folded into the next memory step, so
+        // every `step` returns exactly one chargeable effect.
+        loop {
+            match lane.phase {
+                Phase::NextEdge => {
+                    if lane.i >= self.offset + self.count {
+                        lane.phase = Phase::WriteResult;
+                        continue;
+                    }
+                    match self.arrays {
+                        KernelArrays::SoA { owner, .. } => {
+                            lane.u = mem.read_u32(owner.addr() + lane.i as u64 * 4);
+                            lane.phase = Phase::LoadEdge2;
+                            return self.read(owner.addr() + lane.i as u64 * 4, 4);
+                        }
+                        KernelArrays::AoS { arcs } => {
+                            let packed = mem.read_u64(arcs.addr() + lane.i as u64 * 8);
+                            lane.u = (packed >> 32) as u32;
+                            lane.v = packed as u32;
+                            lane.phase = Phase::LoadNodeU;
+                            return self.read(arcs.addr() + lane.i as u64 * 8, 8);
+                        }
+                        KernelArrays::Gathered { eu, .. } => {
+                            lane.u = mem.read_u32(eu.addr() + lane.i as u64 * 4);
+                            lane.phase = Phase::LoadEdge2;
+                            return self.read(eu.addr() + lane.i as u64 * 4, 4);
+                        }
+                    }
+                }
+                Phase::LoadEdge2 => {
+                    let second = match self.arrays {
+                        KernelArrays::SoA { nbr, .. } => nbr,
+                        KernelArrays::Gathered { ev, .. } => ev,
+                        KernelArrays::AoS { .. } => unreachable!(),
+                    };
+                    lane.v = mem.read_u32(second.addr() + lane.i as u64 * 4);
+                    lane.phase = Phase::LoadNodeU;
+                    return self.read(second.addr() + lane.i as u64 * 4, 4);
+                }
+                Phase::LoadNodeU => {
+                    let addr = self.node.addr() + lane.u as u64 * 4;
+                    lane.u_it = mem.read_u32(addr);
+                    lane.phase = Phase::LoadNodeUEnd;
+                    return self.read(addr, 4);
+                }
+                Phase::LoadNodeUEnd => {
+                    let addr = self.node.addr() + (lane.u as u64 + 1) * 4;
+                    lane.u_end = mem.read_u32(addr);
+                    lane.phase = Phase::LoadNodeV;
+                    return self.read(addr, 4);
+                }
+                Phase::LoadNodeV => {
+                    let addr = self.node.addr() + lane.v as u64 * 4;
+                    lane.v_it = mem.read_u32(addr);
+                    lane.phase = Phase::LoadNodeVEnd;
+                    return self.read(addr, 4);
+                }
+                Phase::LoadNodeVEnd => {
+                    let addr = self.node.addr() + (lane.v as u64 + 1) * 4;
+                    lane.v_end = mem.read_u32(addr);
+                    lane.phase = match self.variant {
+                        // `int a = edge[u_it], b = edge[v_it];` precedes the
+                        // loop test in the CUDA source.
+                        LoopVariant::FinalReadAvoiding => Phase::LoadA,
+                        LoopVariant::Preliminary => {
+                            if lane.u_it < lane.u_end && lane.v_it < lane.v_end {
+                                Phase::LoadA
+                            } else {
+                                lane.i += lane.stride as usize;
+                                Phase::NextEdge
+                            }
+                        }
+                    };
+                    return self.read(addr, 4);
+                }
+                Phase::LoadA => {
+                    let (x, read) = self.load_elem(mem, lane.u_it);
+                    lane.a = x;
+                    lane.phase = match self.variant {
+                        LoopVariant::FinalReadAvoiding => Phase::LoadB,
+                        LoopVariant::Preliminary => Phase::PrelimLoadB,
+                    };
+                    return read;
+                }
+                Phase::LoadB => {
+                    let (x, read) = self.load_elem(mem, lane.v_it);
+                    lane.b = x;
+                    lane.phase = Phase::Merge;
+                    return read;
+                }
+                Phase::Merge => {
+                    // Loop test first (matches the while condition).
+                    if lane.u_it >= lane.u_end || lane.v_it >= lane.v_end {
+                        lane.i += lane.stride as usize;
+                        lane.phase = Phase::NextEdge;
+                        continue;
+                    }
+                    debug_assert_eq!(self.variant, LoopVariant::FinalReadAvoiding);
+                    match lane.a.cmp(&lane.b) {
+                        std::cmp::Ordering::Less => {
+                            lane.u_it += 1;
+                            let (x, read) = self.load_elem(mem, lane.u_it);
+                            lane.a = x;
+                            return read;
+                        }
+                        std::cmp::Ordering::Greater => {
+                            lane.v_it += 1;
+                            let (x, read) = self.load_elem(mem, lane.v_it);
+                            lane.b = x;
+                            return read;
+                        }
+                        std::cmp::Ordering::Equal => {
+                            lane.count += 1;
+                            lane.u_it += 1;
+                            lane.v_it += 1;
+                            let (x, read) = self.load_elem(mem, lane.u_it);
+                            lane.a = x;
+                            lane.phase = Phase::MatchReloadB;
+                            return read;
+                        }
+                    }
+                }
+                Phase::MatchReloadB => {
+                    let (x, read) = self.load_elem(mem, lane.v_it);
+                    lane.b = x;
+                    lane.phase = Phase::Merge;
+                    return read;
+                }
+                Phase::PrelimLoadB => {
+                    // Preliminary variant: we just loaded `a`; load `b`, then
+                    // compare and advance with *no* carried registers.
+                    let (x, read) = self.load_elem(mem, lane.v_it);
+                    lane.b = x;
+                    match lane.a.cmp(&lane.b) {
+                        std::cmp::Ordering::Less => lane.u_it += 1,
+                        std::cmp::Ordering::Greater => lane.v_it += 1,
+                        std::cmp::Ordering::Equal => {
+                            lane.count += 1;
+                            lane.u_it += 1;
+                            lane.v_it += 1;
+                        }
+                    }
+                    lane.phase = if lane.u_it < lane.u_end && lane.v_it < lane.v_end {
+                        Phase::LoadA
+                    } else {
+                        lane.i += lane.stride as usize;
+                        Phase::NextEdge
+                    };
+                    return read;
+                }
+                Phase::WriteResult => {
+                    lane.phase = Phase::Finished;
+                    return Effect::Write {
+                        addr: self.result.addr() + lane.tid as u64 * 8,
+                        bytes: 8,
+                        value: lane.count,
+                    };
+                }
+                Phase::Finished => return Effect::Done,
+            }
+        }
+    }
+}
+
+impl CountKernel {
+    /// Address and width of neighbour-array element `idx`.
+    #[inline]
+    fn elem(&self, idx: u32) -> (u64, u32) {
+        match self.arrays {
+            KernelArrays::SoA { nbr, .. } => (nbr.addr() + idx as u64 * 4, 4),
+            KernelArrays::AoS { arcs } => (arcs.addr() + idx as u64 * 8, 8),
+            KernelArrays::Gathered { adj, .. } => (adj.addr() + idx as u64 * 4, 4),
+        }
+    }
+
+    /// Load neighbour-array element `idx` (low half in AoS), with the read
+    /// effect that charges it.
+    #[inline]
+    fn load_elem(&self, mem: &MemView<'_>, idx: u32) -> (u32, Effect) {
+        let (addr, bytes) = self.elem(idx);
+        (mem.read_u32(addr), self.read(addr, bytes))
+    }
+
+    #[inline]
+    fn read(&self, addr: u64, bytes: u32) -> Effect {
+        Effect::Read {
+            addr,
+            bytes,
+            cached: self.use_texture_cache,
         }
     }
 }
@@ -148,13 +338,12 @@ enum Phase {
     Finished,
 }
 
-/// One thread of [`CountKernel`].
+/// One thread of [`CountKernel`]: its registers only. Everything uniform
+/// across the grid lives in the kernel, which steps the lane.
 pub struct CountLane {
-    k: CountKernel,
     i: usize,
-    end: usize,
-    stride: usize,
-    tid: usize,
+    stride: u32,
+    tid: u32,
     u_it: u32,
     u_end: u32,
     v_it: u32,
@@ -165,203 +354,6 @@ pub struct CountLane {
     v: u32,
     count: u64,
     phase: Phase,
-}
-
-impl CountLane {
-    /// Address and width of neighbour-array element `idx`.
-    #[inline]
-    fn elem(&self, idx: u32) -> (u64, u32) {
-        match self.k.arrays {
-            KernelArrays::SoA { nbr, .. } => (nbr.addr() + idx as u64 * 4, 4),
-            KernelArrays::AoS { arcs } => (arcs.addr() + idx as u64 * 8, 8),
-            KernelArrays::Gathered { adj, .. } => (adj.addr() + idx as u64 * 4, 4),
-        }
-    }
-
-    /// Load neighbour-array element `idx` (low half in AoS).
-    #[inline]
-    fn read_elem(&self, mem: &MemView<'_>, idx: u32) -> u32 {
-        match self.k.arrays {
-            KernelArrays::SoA { nbr, .. } => mem.read_u32(nbr.addr() + idx as u64 * 4),
-            KernelArrays::AoS { arcs } => mem.read_u32(arcs.addr() + idx as u64 * 8),
-            KernelArrays::Gathered { adj, .. } => mem.read_u32(adj.addr() + idx as u64 * 4),
-        }
-    }
-
-    #[inline]
-    fn read(&self, addr: u64, bytes: u32) -> Effect {
-        Effect::Read {
-            addr,
-            bytes,
-            cached: self.k.use_texture_cache,
-        }
-    }
-}
-
-impl Lane for CountLane {
-    fn step(&mut self, mem: &MemView<'_>) -> Effect {
-        // Register-only transitions are folded into the next memory step, so
-        // every `step` returns exactly one chargeable effect.
-        loop {
-            match self.phase {
-                Phase::NextEdge => {
-                    if self.i >= self.end {
-                        self.phase = Phase::WriteResult;
-                        continue;
-                    }
-                    match self.k.arrays {
-                        KernelArrays::SoA { owner, .. } => {
-                            self.u = mem.read_u32(owner.addr() + self.i as u64 * 4);
-                            self.phase = Phase::LoadEdge2;
-                            return self.read(owner.addr() + self.i as u64 * 4, 4);
-                        }
-                        KernelArrays::AoS { arcs } => {
-                            let packed = mem.read_u64(arcs.addr() + self.i as u64 * 8);
-                            self.u = (packed >> 32) as u32;
-                            self.v = packed as u32;
-                            self.phase = Phase::LoadNodeU;
-                            return self.read(arcs.addr() + self.i as u64 * 8, 8);
-                        }
-                        KernelArrays::Gathered { eu, .. } => {
-                            self.u = mem.read_u32(eu.addr() + self.i as u64 * 4);
-                            self.phase = Phase::LoadEdge2;
-                            return self.read(eu.addr() + self.i as u64 * 4, 4);
-                        }
-                    }
-                }
-                Phase::LoadEdge2 => {
-                    let second = match self.k.arrays {
-                        KernelArrays::SoA { nbr, .. } => nbr,
-                        KernelArrays::Gathered { ev, .. } => ev,
-                        KernelArrays::AoS { .. } => unreachable!(),
-                    };
-                    self.v = mem.read_u32(second.addr() + self.i as u64 * 4);
-                    self.phase = Phase::LoadNodeU;
-                    return self.read(second.addr() + self.i as u64 * 4, 4);
-                }
-                Phase::LoadNodeU => {
-                    let addr = self.k.node.addr() + self.u as u64 * 4;
-                    self.u_it = mem.read_u32(addr);
-                    self.phase = Phase::LoadNodeUEnd;
-                    return self.read(addr, 4);
-                }
-                Phase::LoadNodeUEnd => {
-                    let addr = self.k.node.addr() + (self.u as u64 + 1) * 4;
-                    self.u_end = mem.read_u32(addr);
-                    self.phase = Phase::LoadNodeV;
-                    return self.read(addr, 4);
-                }
-                Phase::LoadNodeV => {
-                    let addr = self.k.node.addr() + self.v as u64 * 4;
-                    self.v_it = mem.read_u32(addr);
-                    self.phase = Phase::LoadNodeVEnd;
-                    return self.read(addr, 4);
-                }
-                Phase::LoadNodeVEnd => {
-                    let addr = self.k.node.addr() + (self.v as u64 + 1) * 4;
-                    self.v_end = mem.read_u32(addr);
-                    self.phase = match self.k.variant {
-                        // `int a = edge[u_it], b = edge[v_it];` precedes the
-                        // loop test in the CUDA source.
-                        LoopVariant::FinalReadAvoiding => Phase::LoadA,
-                        LoopVariant::Preliminary => {
-                            if self.u_it < self.u_end && self.v_it < self.v_end {
-                                Phase::LoadA
-                            } else {
-                                self.i += self.stride;
-                                Phase::NextEdge
-                            }
-                        }
-                    };
-                    return self.read(addr, 4);
-                }
-                Phase::LoadA => {
-                    self.a = self.read_elem(mem, self.u_it);
-                    let (addr, bytes) = self.elem(self.u_it);
-                    self.phase = match self.k.variant {
-                        LoopVariant::FinalReadAvoiding => Phase::LoadB,
-                        LoopVariant::Preliminary => Phase::PrelimLoadB,
-                    };
-                    return self.read(addr, bytes);
-                }
-                Phase::LoadB => {
-                    self.b = self.read_elem(mem, self.v_it);
-                    let (addr, bytes) = self.elem(self.v_it);
-                    self.phase = Phase::Merge;
-                    return self.read(addr, bytes);
-                }
-                Phase::Merge => {
-                    // Loop test first (matches the while condition).
-                    if self.u_it >= self.u_end || self.v_it >= self.v_end {
-                        self.i += self.stride;
-                        self.phase = Phase::NextEdge;
-                        continue;
-                    }
-                    debug_assert_eq!(self.k.variant, LoopVariant::FinalReadAvoiding);
-                    match self.a.cmp(&self.b) {
-                        std::cmp::Ordering::Less => {
-                            self.u_it += 1;
-                            self.a = self.read_elem(mem, self.u_it);
-                            let (addr, bytes) = self.elem(self.u_it);
-                            return self.read(addr, bytes);
-                        }
-                        std::cmp::Ordering::Greater => {
-                            self.v_it += 1;
-                            self.b = self.read_elem(mem, self.v_it);
-                            let (addr, bytes) = self.elem(self.v_it);
-                            return self.read(addr, bytes);
-                        }
-                        std::cmp::Ordering::Equal => {
-                            self.count += 1;
-                            self.u_it += 1;
-                            self.v_it += 1;
-                            self.a = self.read_elem(mem, self.u_it);
-                            let (addr, bytes) = self.elem(self.u_it);
-                            self.phase = Phase::MatchReloadB;
-                            return self.read(addr, bytes);
-                        }
-                    }
-                }
-                Phase::MatchReloadB => {
-                    self.b = self.read_elem(mem, self.v_it);
-                    let (addr, bytes) = self.elem(self.v_it);
-                    self.phase = Phase::Merge;
-                    return self.read(addr, bytes);
-                }
-                Phase::PrelimLoadB => {
-                    // Preliminary variant: we just loaded `a`; load `b`, then
-                    // compare and advance with *no* carried registers.
-                    self.b = self.read_elem(mem, self.v_it);
-                    let (addr, bytes) = self.elem(self.v_it);
-                    match self.a.cmp(&self.b) {
-                        std::cmp::Ordering::Less => self.u_it += 1,
-                        std::cmp::Ordering::Greater => self.v_it += 1,
-                        std::cmp::Ordering::Equal => {
-                            self.count += 1;
-                            self.u_it += 1;
-                            self.v_it += 1;
-                        }
-                    }
-                    self.phase = if self.u_it < self.u_end && self.v_it < self.v_end {
-                        Phase::LoadA
-                    } else {
-                        self.i += self.stride;
-                        Phase::NextEdge
-                    };
-                    return self.read(addr, bytes);
-                }
-                Phase::WriteResult => {
-                    self.phase = Phase::Finished;
-                    return Effect::Write {
-                        addr: self.k.result.addr() + self.tid as u64 * 8,
-                        bytes: 8,
-                        value: self.count,
-                    };
-                }
-                Phase::Finished => return Effect::Done,
-            }
-        }
-    }
 }
 
 #[cfg(test)]

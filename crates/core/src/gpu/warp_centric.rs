@@ -43,8 +43,7 @@ use std::cell::RefCell;
 use std::rc::Rc;
 
 use tc_simt::{
-    AccessContract, AffineFootprint, DeviceBuffer, Effect, Interval, Kernel, Lane, LaunchConfig,
-    MemView,
+    AccessContract, AffineFootprint, DeviceBuffer, Effect, Interval, Kernel, LaunchConfig, MemView,
 };
 
 /// Per-virtual-warp hash-table scratch stride in `u32` slots (16 KB): the
@@ -212,6 +211,262 @@ impl Kernel for WarpCentricKernel {
             })
             .collect()
     }
+
+    fn step(&self, lane: &mut WarpCentricLane, mem: &MemView<'_>) -> Effect {
+        loop {
+            match lane.phase {
+                Phase::NextEdge => {
+                    if lane.edge >= self.offset + self.count {
+                        lane.phase = Phase::WriteResult;
+                        continue;
+                    }
+                    let addr = self.edge_u.addr_of(lane.edge);
+                    lane.u = mem.read_u32(addr);
+                    lane.phase = Phase::LoadEdge2;
+                    return self.read(addr);
+                }
+                Phase::LoadEdge2 => {
+                    let addr = self.edge_v.addr_of(lane.edge);
+                    lane.v = mem.read_u32(addr);
+                    lane.phase = Phase::LoadNodeU;
+                    return self.read(addr);
+                }
+                Phase::LoadNodeU => {
+                    let addr = self.node.addr_of(lane.u as usize);
+                    lane.short_it = mem.read_u32(addr);
+                    lane.phase = Phase::LoadNodeUEnd;
+                    return self.read(addr);
+                }
+                Phase::LoadNodeUEnd => {
+                    let addr = self.node.addr_of(lane.u as usize + 1);
+                    lane.short_end = mem.read_u32(addr);
+                    lane.phase = Phase::LoadNodeV;
+                    return self.read(addr);
+                }
+                Phase::LoadNodeV => {
+                    let addr = self.node.addr_of(lane.v as usize);
+                    lane.long_lo = mem.read_u32(addr);
+                    lane.phase = Phase::LoadNodeVEnd;
+                    return self.read(addr);
+                }
+                Phase::LoadNodeVEnd => {
+                    let addr = self.node.addr_of(lane.v as usize + 1);
+                    lane.long_hi = mem.read_u32(addr);
+                    // Walk the shorter list, search/chunk the longer one.
+                    if lane.long_hi - lane.long_lo < lane.short_end - lane.short_it {
+                        std::mem::swap(&mut lane.short_it, &mut lane.long_lo);
+                        std::mem::swap(&mut lane.short_end, &mut lane.long_hi);
+                    }
+                    match self.strategy {
+                        IntersectStrategy::BinarySearch => {
+                            // This lane's stripe of the shorter list.
+                            lane.short_it += lane.role;
+                            lane.phase = Phase::LoadNeedle;
+                        }
+                        IntersectStrategy::ChunkScan => {
+                            // Every lane scans the full shorter list in
+                            // lockstep; the chunk walk starts at the
+                            // longer list's head.
+                            lane.chunk_base = lane.long_lo;
+                            lane.phase = Phase::ChunkLoad;
+                        }
+                        IntersectStrategy::Hash => self.hash_setup(lane, mem),
+                    }
+                    return self.read(addr);
+                }
+                Phase::LoadNeedle => {
+                    if lane.short_it >= lane.short_end {
+                        self.advance_edge(lane);
+                        lane.phase = Phase::NextEdge;
+                        continue;
+                    }
+                    let addr = self.adj.addr_of(lane.short_it as usize);
+                    lane.needle = mem.read_u32(addr);
+                    lane.bs_lo = lane.long_lo;
+                    lane.bs_hi = lane.long_hi;
+                    lane.phase = Phase::Probe;
+                    return self.read(addr);
+                }
+                Phase::Probe => {
+                    if lane.bs_lo >= lane.bs_hi {
+                        // Not found; next stripe element.
+                        lane.short_it += self.virtual_warp;
+                        lane.phase = Phase::LoadNeedle;
+                        continue;
+                    }
+                    let mid = lane.bs_lo + (lane.bs_hi - lane.bs_lo) / 2;
+                    let addr = self.adj.addr_of(mid as usize);
+                    let val = mem.read_u32(addr);
+                    match lane.needle.cmp(&val) {
+                        std::cmp::Ordering::Equal => {
+                            lane.count += 1;
+                            lane.short_it += self.virtual_warp;
+                            lane.phase = Phase::LoadNeedle;
+                        }
+                        std::cmp::Ordering::Less => lane.bs_hi = mid,
+                        std::cmp::Ordering::Greater => lane.bs_lo = mid + 1,
+                    }
+                    return self.read(addr);
+                }
+                Phase::ChunkLoad => {
+                    if lane.chunk_base >= lane.long_hi || lane.short_it >= lane.short_end {
+                        // Either list exhausted: no more matches possible.
+                        self.advance_edge(lane);
+                        lane.phase = Phase::NextEdge;
+                        continue;
+                    }
+                    // The W lanes read W consecutive elements — one or two
+                    // coalesced line transactions. Slots past the end clamp
+                    // to the last element but must never count a match.
+                    let slot = lane.chunk_base + lane.role;
+                    lane.chunk_dead = slot >= lane.long_hi;
+                    let idx = slot.min(lane.long_hi - 1);
+                    let addr = self.adj.addr_of(idx as usize);
+                    lane.chunk_val = mem.read_u32(addr);
+                    // The chunk's last element is the scan's advance bound.
+                    // The lane holding it just loaded it, so every other
+                    // lane gets it by register shuffle (`__shfl_sync`) —
+                    // no extra memory traffic.
+                    let last = (lane.chunk_base + self.virtual_warp).min(lane.long_hi) - 1;
+                    lane.chunk_last = mem.read_u32(self.adj.addr_of(last as usize));
+                    lane.phase = Phase::Scan;
+                    return self.read(addr);
+                }
+                Phase::Scan => {
+                    if lane.short_it >= lane.short_end {
+                        self.advance_edge(lane);
+                        lane.phase = Phase::NextEdge;
+                        continue;
+                    }
+                    // Lockstep vectorized read: the whole virtual warp loads
+                    // the same up-to-four consecutive shorter-list elements
+                    // (an `int4`-style load — one effect, one or two line
+                    // transactions for `4 × W` comparisons). Adjacency lists
+                    // are strictly sorted, so each loaded value is consumed
+                    // by exactly one chunk: values `< chunk_last` stay in
+                    // this chunk, a value `== chunk_last` is consumed here
+                    // and ends the chunk, values above wait for the next.
+                    let valid = 4.min(lane.short_end - lane.short_it);
+                    let addr = self.adj.addr_of(lane.short_it as usize);
+                    let mut consumed = 0u32;
+                    let mut hit_last = false;
+                    for j in 0..valid {
+                        let s_val = mem.read_u32(self.adj.addr_of((lane.short_it + j) as usize));
+                        if s_val > lane.chunk_last {
+                            break;
+                        }
+                        consumed += 1;
+                        if !lane.chunk_dead && s_val == lane.chunk_val {
+                            lane.count += 1;
+                        }
+                        if s_val == lane.chunk_last {
+                            hit_last = true;
+                            break;
+                        }
+                    }
+                    lane.short_it += consumed;
+                    if consumed < valid || hit_last {
+                        // Later shorter-list elements exceed this chunk.
+                        lane.chunk_base += self.virtual_warp;
+                        lane.phase = Phase::ChunkLoad;
+                    }
+                    return Effect::Read {
+                        addr,
+                        bytes: 4 * valid,
+                        cached: self.use_texture_cache,
+                    };
+                }
+                Phase::HashBuildLoad => {
+                    if lane.hb_round >= lane.hb_rounds {
+                        lane.phase = Phase::HashProbeLoad;
+                        continue;
+                    }
+                    // Coalesced: in round `r` lane `role` loads build
+                    // element `short_it + r·W + role` — consecutive
+                    // addresses across the virtual warp. Lanes past the
+                    // list end stay predicated off for the whole round so
+                    // the warp's step count (and hence its coalescing)
+                    // never drifts.
+                    let i = lane.short_it + lane.hb_round * self.virtual_warp + lane.role;
+                    lane.phase = Phase::HashBuildWalk;
+                    if i >= lane.short_end {
+                        lane.hb_active = false;
+                        return Effect::Compute { cycles: 1 };
+                    }
+                    lane.hb_active = true;
+                    let addr = self.adj.addr_of(i as usize);
+                    lane.hb_x = mem.read_u32(addr);
+                    lane.walk_slot = hash_slot(lane.hb_x, lane.table_shift);
+                    lane.walk_len = lane.build_walk(i - lane.short_it);
+                    return self.read(addr);
+                }
+                Phase::HashBuildWalk => {
+                    lane.phase = Phase::HashBuildInsert;
+                    if !lane.hb_active {
+                        return Effect::Compute { cycles: 1 };
+                    }
+                    return lane.walk_effect();
+                }
+                Phase::HashBuildInsert => {
+                    lane.hb_round += 1;
+                    lane.phase = Phase::HashBuildLoad;
+                    if !lane.hb_active {
+                        return Effect::Compute { cycles: 1 };
+                    }
+                    // The element's final slot: chain start advanced by
+                    // the walk length, circularly.
+                    let slot = (lane.walk_slot + lane.walk_len).wrapping_sub(1) & lane.table_mask;
+                    return Effect::SharedWrite {
+                        addr: lane.scratch_base + slot as u64 * 4,
+                        bytes: 4,
+                        value: lane.hb_x as u64,
+                        spilled: lane.table_spilled,
+                    };
+                }
+                Phase::HashProbeLoad => {
+                    if lane.pr_round >= lane.pr_rounds {
+                        self.advance_edge(lane);
+                        lane.phase = Phase::NextEdge;
+                        continue;
+                    }
+                    let i = lane.long_lo + lane.pr_round * self.virtual_warp + lane.role;
+                    lane.phase = Phase::HashProbeWalk;
+                    if i >= lane.long_hi {
+                        lane.pr_active = false;
+                        return Effect::Compute { cycles: 1 };
+                    }
+                    lane.pr_active = true;
+                    let addr = self.adj.addr_of(i as usize);
+                    let y = mem.read_u32(addr);
+                    let (len, found) = lane.hash_probe(y);
+                    lane.walk_slot = hash_slot(y, lane.table_shift);
+                    lane.walk_len = len;
+                    lane.probe_found = found;
+                    return self.read(addr);
+                }
+                Phase::HashProbeWalk => {
+                    lane.pr_round += 1;
+                    lane.phase = Phase::HashProbeLoad;
+                    if !lane.pr_active {
+                        return Effect::Compute { cycles: 1 };
+                    }
+                    if lane.probe_found {
+                        lane.count += 1;
+                    }
+                    return lane.walk_effect();
+                }
+                Phase::WriteResult => {
+                    lane.phase = Phase::Finished;
+                    return Effect::Write {
+                        addr: self.result.addr_of(lane.tid),
+                        bytes: 8,
+                        value: lane.count,
+                    };
+                }
+                Phase::Finished => return Effect::Done,
+            }
+        }
+    }
 }
 
 impl WarpCentricKernel {
@@ -227,7 +482,6 @@ impl WarpCentricKernel {
         let vw = tid / w;
         let hash = self.strategy == IntersectStrategy::Hash;
         WarpCentricLane {
-            k: *self,
             // Hash bins deal edges in HASH_RUN-long runs round-robin over
             // the virtual warps (build-list amortization); the other
             // strategies grid-stride one edge at a time.
@@ -276,6 +530,89 @@ impl WarpCentricKernel {
             pr_active: false,
             probe_found: false,
         }
+    }
+
+    #[inline]
+    fn read(&self, addr: u64) -> Effect {
+        Effect::Read {
+            addr,
+            bytes: 4,
+            cached: self.use_texture_cache,
+        }
+    }
+
+    /// Advance to this lane's next edge: grid stride normally, run-blocked
+    /// dealing under the hash strategy.
+    #[inline]
+    fn advance_edge(&self, lane: &mut WarpCentricLane) {
+        if self.strategy == IntersectStrategy::Hash {
+            lane.run_off += 1;
+            if lane.run_off == HASH_RUN {
+                lane.run_off = 0;
+                lane.run_block += lane.edge_stride;
+            }
+            lane.edge = self.offset + lane.run_block * HASH_RUN + lane.run_off;
+        } else {
+            lane.edge += lane.edge_stride;
+        }
+    }
+
+    /// Decide how the hash strategy handles the current edge and set the
+    /// next phase: build (or reuse) a table over `short_it..short_end`,
+    /// or fall back to the chunk scan when the table cannot fit the
+    /// scratch stride. Functional table construction happens here with
+    /// free reads; the build phases replay this lane's stripe of it as
+    /// charged effects.
+    fn hash_setup(&self, lane: &mut WarpCentricLane, mem: &MemView<'_>) {
+        let s = lane.short_end - lane.short_it;
+        if s == 0 {
+            self.advance_edge(lane);
+            lane.phase = Phase::NextEdge;
+            return;
+        }
+        let slots = (2 * s).next_power_of_two().max(8);
+        if slots > HASH_TABLE_SLOTS {
+            // Too big for the scratch window: chunk-scan this edge.
+            lane.chunk_base = lane.long_lo;
+            lane.phase = Phase::ChunkLoad;
+            return;
+        }
+        let w = self.virtual_warp;
+        lane.pr_round = 0;
+        lane.pr_rounds = (lane.long_hi - lane.long_lo).div_ceil(w);
+        if lane.built_span == (lane.short_it, lane.short_end) {
+            // Same build list as the previous edge: reuse the table
+            // (vertex-centric amortization), skip straight to probing.
+            lane.phase = Phase::HashProbeLoad;
+            return;
+        }
+        lane.built_span = (lane.short_it, lane.short_end);
+        lane.table_mask = slots - 1;
+        lane.table_shift = 32 - slots.trailing_zeros();
+        lane.table_spilled = slots > self.shared_slots;
+        // The first lane of the virtual warp to reach a new span builds it.
+        let mut t = lane.table().borrow_mut();
+        if t.span != lane.built_span {
+            t.span = lane.built_span;
+            t.slots.clear();
+            t.slots.resize(slots as usize, HASH_SENTINEL);
+            t.walks.clear();
+            for i in lane.short_it..lane.short_end {
+                let x = mem.read_u32(self.adj.addr_of(i as usize));
+                let mut slot = hash_slot(x, lane.table_shift);
+                let mut len = 1u32;
+                while t.slots[slot as usize] != HASH_SENTINEL {
+                    slot = (slot + 1) & lane.table_mask;
+                    len += 1;
+                }
+                t.slots[slot as usize] = x;
+                t.walks.push(len);
+            }
+        }
+        drop(t);
+        lane.hb_round = 0;
+        lane.hb_rounds = s.div_ceil(w);
+        lane.phase = Phase::HashBuildLoad;
     }
 }
 
@@ -341,9 +678,9 @@ enum Phase {
     Finished,
 }
 
-/// One lane of a virtual warp.
+/// One lane of a virtual warp: its registers only. Everything uniform
+/// across the grid lives in the kernel, which steps the lane.
 pub struct WarpCentricLane {
-    k: WarpCentricKernel,
     edge: usize,
     edge_stride: usize,
     role: u32,
@@ -414,89 +751,6 @@ pub struct WarpCentricLane {
 }
 
 impl WarpCentricLane {
-    #[inline]
-    fn read(&self, addr: u64) -> Effect {
-        Effect::Read {
-            addr,
-            bytes: 4,
-            cached: self.k.use_texture_cache,
-        }
-    }
-
-    /// Advance to this lane's next edge: grid stride normally, run-blocked
-    /// dealing under the hash strategy.
-    #[inline]
-    fn advance_edge(&mut self) {
-        if self.k.strategy == IntersectStrategy::Hash {
-            self.run_off += 1;
-            if self.run_off == HASH_RUN {
-                self.run_off = 0;
-                self.run_block += self.edge_stride;
-            }
-            self.edge = self.k.offset + self.run_block * HASH_RUN + self.run_off;
-        } else {
-            self.edge += self.edge_stride;
-        }
-    }
-
-    /// Decide how the hash strategy handles the current edge and set the
-    /// next phase: build (or reuse) a table over `short_it..short_end`,
-    /// or fall back to the chunk scan when the table cannot fit the
-    /// scratch stride. Functional table construction happens here with
-    /// free reads; the build phases replay this lane's stripe of it as
-    /// charged effects.
-    fn hash_setup(&mut self, mem: &MemView<'_>) {
-        let s = self.short_end - self.short_it;
-        if s == 0 {
-            self.advance_edge();
-            self.phase = Phase::NextEdge;
-            return;
-        }
-        let slots = (2 * s).next_power_of_two().max(8);
-        if slots > HASH_TABLE_SLOTS {
-            // Too big for the scratch window: chunk-scan this edge.
-            self.chunk_base = self.long_lo;
-            self.phase = Phase::ChunkLoad;
-            return;
-        }
-        let w = self.k.virtual_warp;
-        self.pr_round = 0;
-        self.pr_rounds = (self.long_hi - self.long_lo).div_ceil(w);
-        if self.built_span == (self.short_it, self.short_end) {
-            // Same build list as the previous edge: reuse the table
-            // (vertex-centric amortization), skip straight to probing.
-            self.phase = Phase::HashProbeLoad;
-            return;
-        }
-        self.built_span = (self.short_it, self.short_end);
-        self.table_mask = slots - 1;
-        self.table_shift = 32 - slots.trailing_zeros();
-        self.table_spilled = slots > self.k.shared_slots;
-        // The first lane of the virtual warp to reach a new span builds it.
-        let mut t = self.table().borrow_mut();
-        if t.span != self.built_span {
-            t.span = self.built_span;
-            t.slots.clear();
-            t.slots.resize(slots as usize, HASH_SENTINEL);
-            t.walks.clear();
-            for i in self.short_it..self.short_end {
-                let x = mem.read_u32(self.k.adj.addr_of(i as usize));
-                let mut slot = hash_slot(x, self.table_shift);
-                let mut len = 1u32;
-                while t.slots[slot as usize] != HASH_SENTINEL {
-                    slot = (slot + 1) & self.table_mask;
-                    len += 1;
-                }
-                t.slots[slot as usize] = x;
-                t.walks.push(len);
-            }
-        }
-        drop(t);
-        self.hb_round = 0;
-        self.hb_rounds = s.div_ceil(w);
-        self.phase = Phase::HashBuildLoad;
-    }
-
     /// The virtual warp's table, holding this lane's build span.
     fn table(&self) -> &RefCell<HashTable> {
         self.table.as_deref().expect("hash lanes carry a table")
@@ -546,264 +800,6 @@ impl WarpCentricLane {
     }
 }
 
-impl Lane for WarpCentricLane {
-    fn step(&mut self, mem: &MemView<'_>) -> Effect {
-        loop {
-            match self.phase {
-                Phase::NextEdge => {
-                    if self.edge >= self.k.offset + self.k.count {
-                        self.phase = Phase::WriteResult;
-                        continue;
-                    }
-                    let addr = self.k.edge_u.addr_of(self.edge);
-                    self.u = mem.read_u32(addr);
-                    self.phase = Phase::LoadEdge2;
-                    return self.read(addr);
-                }
-                Phase::LoadEdge2 => {
-                    let addr = self.k.edge_v.addr_of(self.edge);
-                    self.v = mem.read_u32(addr);
-                    self.phase = Phase::LoadNodeU;
-                    return self.read(addr);
-                }
-                Phase::LoadNodeU => {
-                    let addr = self.k.node.addr_of(self.u as usize);
-                    self.short_it = mem.read_u32(addr);
-                    self.phase = Phase::LoadNodeUEnd;
-                    return self.read(addr);
-                }
-                Phase::LoadNodeUEnd => {
-                    let addr = self.k.node.addr_of(self.u as usize + 1);
-                    self.short_end = mem.read_u32(addr);
-                    self.phase = Phase::LoadNodeV;
-                    return self.read(addr);
-                }
-                Phase::LoadNodeV => {
-                    let addr = self.k.node.addr_of(self.v as usize);
-                    self.long_lo = mem.read_u32(addr);
-                    self.phase = Phase::LoadNodeVEnd;
-                    return self.read(addr);
-                }
-                Phase::LoadNodeVEnd => {
-                    let addr = self.k.node.addr_of(self.v as usize + 1);
-                    self.long_hi = mem.read_u32(addr);
-                    // Walk the shorter list, search/chunk the longer one.
-                    if self.long_hi - self.long_lo < self.short_end - self.short_it {
-                        std::mem::swap(&mut self.short_it, &mut self.long_lo);
-                        std::mem::swap(&mut self.short_end, &mut self.long_hi);
-                    }
-                    match self.k.strategy {
-                        IntersectStrategy::BinarySearch => {
-                            // This lane's stripe of the shorter list.
-                            self.short_it += self.role;
-                            self.phase = Phase::LoadNeedle;
-                        }
-                        IntersectStrategy::ChunkScan => {
-                            // Every lane scans the full shorter list in
-                            // lockstep; the chunk walk starts at the
-                            // longer list's head.
-                            self.chunk_base = self.long_lo;
-                            self.phase = Phase::ChunkLoad;
-                        }
-                        IntersectStrategy::Hash => self.hash_setup(mem),
-                    }
-                    return self.read(addr);
-                }
-                Phase::LoadNeedle => {
-                    if self.short_it >= self.short_end {
-                        self.advance_edge();
-                        self.phase = Phase::NextEdge;
-                        continue;
-                    }
-                    let addr = self.k.adj.addr_of(self.short_it as usize);
-                    self.needle = mem.read_u32(addr);
-                    self.bs_lo = self.long_lo;
-                    self.bs_hi = self.long_hi;
-                    self.phase = Phase::Probe;
-                    return self.read(addr);
-                }
-                Phase::Probe => {
-                    if self.bs_lo >= self.bs_hi {
-                        // Not found; next stripe element.
-                        self.short_it += self.k.virtual_warp;
-                        self.phase = Phase::LoadNeedle;
-                        continue;
-                    }
-                    let mid = self.bs_lo + (self.bs_hi - self.bs_lo) / 2;
-                    let addr = self.k.adj.addr_of(mid as usize);
-                    let val = mem.read_u32(addr);
-                    match self.needle.cmp(&val) {
-                        std::cmp::Ordering::Equal => {
-                            self.count += 1;
-                            self.short_it += self.k.virtual_warp;
-                            self.phase = Phase::LoadNeedle;
-                        }
-                        std::cmp::Ordering::Less => self.bs_hi = mid,
-                        std::cmp::Ordering::Greater => self.bs_lo = mid + 1,
-                    }
-                    return self.read(addr);
-                }
-                Phase::ChunkLoad => {
-                    if self.chunk_base >= self.long_hi || self.short_it >= self.short_end {
-                        // Either list exhausted: no more matches possible.
-                        self.advance_edge();
-                        self.phase = Phase::NextEdge;
-                        continue;
-                    }
-                    // The W lanes read W consecutive elements — one or two
-                    // coalesced line transactions. Slots past the end clamp
-                    // to the last element but must never count a match.
-                    let slot = self.chunk_base + self.role;
-                    self.chunk_dead = slot >= self.long_hi;
-                    let idx = slot.min(self.long_hi - 1);
-                    let addr = self.k.adj.addr_of(idx as usize);
-                    self.chunk_val = mem.read_u32(addr);
-                    // The chunk's last element is the scan's advance bound.
-                    // The lane holding it just loaded it, so every other
-                    // lane gets it by register shuffle (`__shfl_sync`) —
-                    // no extra memory traffic.
-                    let last = (self.chunk_base + self.k.virtual_warp).min(self.long_hi) - 1;
-                    self.chunk_last = mem.read_u32(self.k.adj.addr_of(last as usize));
-                    self.phase = Phase::Scan;
-                    return self.read(addr);
-                }
-                Phase::Scan => {
-                    if self.short_it >= self.short_end {
-                        self.advance_edge();
-                        self.phase = Phase::NextEdge;
-                        continue;
-                    }
-                    // Lockstep vectorized read: the whole virtual warp loads
-                    // the same up-to-four consecutive shorter-list elements
-                    // (an `int4`-style load — one effect, one or two line
-                    // transactions for `4 × W` comparisons). Adjacency lists
-                    // are strictly sorted, so each loaded value is consumed
-                    // by exactly one chunk: values `< chunk_last` stay in
-                    // this chunk, a value `== chunk_last` is consumed here
-                    // and ends the chunk, values above wait for the next.
-                    let valid = 4.min(self.short_end - self.short_it);
-                    let addr = self.k.adj.addr_of(self.short_it as usize);
-                    let mut consumed = 0u32;
-                    let mut hit_last = false;
-                    for j in 0..valid {
-                        let s_val = mem.read_u32(self.k.adj.addr_of((self.short_it + j) as usize));
-                        if s_val > self.chunk_last {
-                            break;
-                        }
-                        consumed += 1;
-                        if !self.chunk_dead && s_val == self.chunk_val {
-                            self.count += 1;
-                        }
-                        if s_val == self.chunk_last {
-                            hit_last = true;
-                            break;
-                        }
-                    }
-                    self.short_it += consumed;
-                    if consumed < valid || hit_last {
-                        // Later shorter-list elements exceed this chunk.
-                        self.chunk_base += self.k.virtual_warp;
-                        self.phase = Phase::ChunkLoad;
-                    }
-                    return Effect::Read {
-                        addr,
-                        bytes: 4 * valid,
-                        cached: self.k.use_texture_cache,
-                    };
-                }
-                Phase::HashBuildLoad => {
-                    if self.hb_round >= self.hb_rounds {
-                        self.phase = Phase::HashProbeLoad;
-                        continue;
-                    }
-                    // Coalesced: in round `r` lane `role` loads build
-                    // element `short_it + r·W + role` — consecutive
-                    // addresses across the virtual warp. Lanes past the
-                    // list end stay predicated off for the whole round so
-                    // the warp's step count (and hence its coalescing)
-                    // never drifts.
-                    let i = self.short_it + self.hb_round * self.k.virtual_warp + self.role;
-                    self.phase = Phase::HashBuildWalk;
-                    if i >= self.short_end {
-                        self.hb_active = false;
-                        return Effect::Compute { cycles: 1 };
-                    }
-                    self.hb_active = true;
-                    let addr = self.k.adj.addr_of(i as usize);
-                    self.hb_x = mem.read_u32(addr);
-                    self.walk_slot = hash_slot(self.hb_x, self.table_shift);
-                    self.walk_len = self.build_walk(i - self.short_it);
-                    return self.read(addr);
-                }
-                Phase::HashBuildWalk => {
-                    self.phase = Phase::HashBuildInsert;
-                    if !self.hb_active {
-                        return Effect::Compute { cycles: 1 };
-                    }
-                    return self.walk_effect();
-                }
-                Phase::HashBuildInsert => {
-                    self.hb_round += 1;
-                    self.phase = Phase::HashBuildLoad;
-                    if !self.hb_active {
-                        return Effect::Compute { cycles: 1 };
-                    }
-                    // The element's final slot: chain start advanced by
-                    // the walk length, circularly.
-                    let slot = (self.walk_slot + self.walk_len).wrapping_sub(1) & self.table_mask;
-                    return Effect::SharedWrite {
-                        addr: self.scratch_base + slot as u64 * 4,
-                        bytes: 4,
-                        value: self.hb_x as u64,
-                        spilled: self.table_spilled,
-                    };
-                }
-                Phase::HashProbeLoad => {
-                    if self.pr_round >= self.pr_rounds {
-                        self.advance_edge();
-                        self.phase = Phase::NextEdge;
-                        continue;
-                    }
-                    let i = self.long_lo + self.pr_round * self.k.virtual_warp + self.role;
-                    self.phase = Phase::HashProbeWalk;
-                    if i >= self.long_hi {
-                        self.pr_active = false;
-                        return Effect::Compute { cycles: 1 };
-                    }
-                    self.pr_active = true;
-                    let addr = self.k.adj.addr_of(i as usize);
-                    let y = mem.read_u32(addr);
-                    let (len, found) = self.hash_probe(y);
-                    self.walk_slot = hash_slot(y, self.table_shift);
-                    self.walk_len = len;
-                    self.probe_found = found;
-                    return self.read(addr);
-                }
-                Phase::HashProbeWalk => {
-                    self.pr_round += 1;
-                    self.phase = Phase::HashProbeLoad;
-                    if !self.pr_active {
-                        return Effect::Compute { cycles: 1 };
-                    }
-                    if self.probe_found {
-                        self.count += 1;
-                    }
-                    return self.walk_effect();
-                }
-                Phase::WriteResult => {
-                    self.phase = Phase::Finished;
-                    return Effect::Write {
-                        addr: self.k.result.addr_of(self.tid),
-                        bytes: 8,
-                        value: self.count,
-                    };
-                }
-                Phase::Finished => return Effect::Done,
-            }
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -812,6 +808,21 @@ mod tests {
     use crate::gpu::LoopVariant;
     use tc_graph::EdgeArray;
     use tc_simt::{Device, DeviceConfig, LaunchConfig};
+
+    /// Lanes hold only their thread's registers; the kernel steps them.
+    /// A kernel copy in every lane would more than double the bytes the
+    /// executor walks per warp step.
+    #[test]
+    fn lanes_hold_registers_only() {
+        use crate::gpu::count_kernel::CountLane;
+        use std::mem::size_of;
+        assert!(size_of::<CountLane>() <= 64, "{}", size_of::<CountLane>());
+        assert!(
+            size_of::<WarpCentricLane>() <= 176,
+            "{}",
+            size_of::<WarpCentricLane>()
+        );
+    }
 
     fn run_warp_centric(g: &EdgeArray, w: u32) -> (u64, f64) {
         run_with_strategy(g, w, IntersectStrategy::BinarySearch)

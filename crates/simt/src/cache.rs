@@ -32,25 +32,27 @@ impl CacheStats {
     }
 }
 
-/// One way of a set: its line tag and the stamp of its last access.
-#[derive(Clone, Copy, Debug)]
-struct Way {
-    /// `u64::MAX` = invalid (a line index never reaches it).
-    tag: u64,
-    /// Monotone per-access stamp for LRU.
-    stamp: u64,
-}
+/// Marks an invalid way's tag. Tags are line indices shifted past the set
+/// bits; [`Cache::access`] rejects an address whose tag would reach it.
+const INVALID: u32 = u32::MAX;
 
 /// A set-associative cache with true-LRU replacement.
 #[derive(Clone, Debug)]
 pub struct Cache {
-    /// `ways[set * ways_per_set + way]`.
-    ways: Vec<Way>,
+    /// Set `s` occupies `sets[2·s·ways ..][..2·ways]`: its `ways` tags,
+    /// then the `ways` stamps of their last accesses. An invalid way holds
+    /// tag [`INVALID`] and stamp 0.
+    sets: Vec<u32>,
     /// `sets - 1`; the set count is a power of two.
     set_mask: u64,
+    /// `log2(sets)`: a tag is the line index past its set bits.
+    set_bits: u32,
     ways_per_set: usize,
     line_shift: u32,
-    tick: u64,
+    /// Stamp of the latest access. Stamps only order the ways of one set,
+    /// so before it would wrap, [`Cache::renumber`] replaces each set's
+    /// stamps by their ranks.
+    tick: u32,
     stats: CacheStats,
 }
 
@@ -67,14 +69,16 @@ impl Cache {
         let raw_sets = (lines / ways).max(1);
         let sets = 1u32 << (31 - raw_sets.leading_zeros());
         debug_assert!(sets.is_power_of_two());
-        let invalid = Way {
-            tag: u64::MAX,
-            stamp: 0,
-        };
+        let ways = ways as usize;
+        let mut data = vec![0; 2 * ways * sets as usize];
+        for set in data.chunks_exact_mut(2 * ways) {
+            set[..ways].fill(INVALID);
+        }
         Cache {
-            ways: vec![invalid; (sets * ways) as usize],
+            sets: data,
             set_mask: sets as u64 - 1,
-            ways_per_set: ways as usize,
+            set_bits: sets.trailing_zeros(),
+            ways_per_set: ways,
             line_shift: line_bytes.trailing_zeros(),
             tick: 0,
             stats: CacheStats::default(),
@@ -83,34 +87,50 @@ impl Cache {
 
     /// Probe the line containing `addr`; fill on miss. Returns `true` on hit.
     ///
-    /// One scan over the set finds either the hit or the victim: the first
-    /// way holding the minimum stamp, i.e. the least recently used one
-    /// (invalid ways carry stamp 0 and so fill first, lowest way first).
+    /// The victim of a miss is the first way holding the minimum stamp,
+    /// i.e. the least recently used one (invalid ways carry stamp 0 and so
+    /// fill first, lowest way first).
     #[inline]
     pub fn access(&mut self, addr: u64) -> bool {
+        if self.tick == u32::MAX {
+            self.renumber();
+        }
         self.tick += 1;
         self.stats.accesses += 1;
         let line = addr >> self.line_shift;
-        let base = (line & self.set_mask) as usize * self.ways_per_set;
-        let set = &mut self.ways[base..base + self.ways_per_set];
-        let mut victim = 0;
-        let mut oldest = u64::MAX;
-        for (w, way) in set.iter_mut().enumerate() {
-            if way.tag == line {
-                way.stamp = self.tick;
-                self.stats.hits += 1;
-                return true;
-            }
-            if way.stamp < oldest {
-                oldest = way.stamp;
-                victim = w;
+        let tag = line >> self.set_bits;
+        assert!(tag < INVALID as u64, "address {addr:#x} past the tag range");
+        let ways = self.ways_per_set;
+        let base = (line & self.set_mask) as usize * 2 * ways;
+        let set = &mut self.sets[base..base + 2 * ways];
+        let (tag, tick) = (tag as u32, self.tick);
+        let hit = match ways {
+            4 => probe::<4>(set, tag, tick),
+            8 => probe::<8>(set, tag, tick),
+            16 => probe::<16>(set, tag, tick),
+            _ => probe_any(set, tag, tick),
+        };
+        self.stats.hits += hit as u64;
+        hit
+    }
+
+    /// Replace every set's stamps by their ranks within the set (invalid
+    /// ways keep 0), so the tick restarts low with each set's recency
+    /// order, and hence every later LRU decision, unchanged.
+    #[cold]
+    fn renumber(&mut self) {
+        let ways = self.ways_per_set;
+        let mut order: Vec<usize> = Vec::with_capacity(ways);
+        for set in self.sets.chunks_exact_mut(2 * ways) {
+            let stamps = &mut set[ways..];
+            order.clear();
+            order.extend((0..ways).filter(|&w| stamps[w] != 0));
+            order.sort_unstable_by_key(|&w| stamps[w]);
+            for (rank, &w) in order.iter().enumerate() {
+                stamps[w] = rank as u32 + 1;
             }
         }
-        set[victim] = Way {
-            tag: line,
-            stamp: self.tick,
-        };
-        false
+        self.tick = ways as u32;
     }
 
     #[inline]
@@ -126,6 +146,60 @@ impl Cache {
     pub fn num_sets(&self) -> u32 {
         (self.set_mask + 1) as u32
     }
+
+    /// Start the tick at `tick`, so a short trace crosses a renumbering.
+    #[cfg(test)]
+    fn with_tick(mut self, tick: u32) -> Self {
+        self.tick = tick;
+        self
+    }
+}
+
+/// Probe one `W`-way set (`W` tags, then `W` stamps) for `tag`, stamping
+/// the hit way or refilling the victim with `tick`. The tag compare builds
+/// a branch-free hit mask; a tag sits in at most one way of its set.
+/// `W` is at most 32, the width of the masks.
+#[inline(always)]
+fn probe<const W: usize>(set: &mut [u32], tag: u32, tick: u32) -> bool {
+    const { assert!(W <= 32) };
+    let (tags, stamps) = set.split_at_mut(W);
+    let tags: &mut [u32; W] = tags.try_into().expect("W tags");
+    let stamps: &mut [u32; W] = stamps.try_into().expect("W stamps");
+    let mut hits = 0u32;
+    for (w, &t) in tags.iter().enumerate() {
+        hits |= u32::from(t == tag) << w;
+    }
+    if hits != 0 {
+        stamps[hits.trailing_zeros() as usize] = tick;
+        return true;
+    }
+    // The victim: the first way holding the minimum stamp, again as a mask.
+    let oldest = stamps.iter().fold(u32::MAX, |m, &s| m.min(s));
+    let mut lru = 0u32;
+    for (w, &stamp) in stamps.iter().enumerate() {
+        lru |= u32::from(stamp == oldest) << w;
+    }
+    let victim = lru.trailing_zeros() as usize;
+    tags[victim] = tag;
+    stamps[victim] = tick;
+    false
+}
+
+/// [`probe`] for any associativity.
+fn probe_any(set: &mut [u32], tag: u32, tick: u32) -> bool {
+    let (tags, stamps) = set.split_at_mut(set.len() / 2);
+    if let Some(w) = tags.iter().position(|&t| t == tag) {
+        stamps[w] = tick;
+        return true;
+    }
+    let oldest = *stamps.iter().min().expect("a set has ways");
+    let victim = stamps
+        .iter()
+        .position(|&s| s == oldest)
+        .expect("a way is oldest");
+    tags[victim] = tag;
+    stamps[victim] = tick;
+    false
 }
 
 #[cfg(test)]
@@ -290,17 +364,23 @@ mod tests {
         for (i, &(capacity, ways, line)) in geometries.iter().enumerate() {
             let probe = Cache::new(capacity, ways, line);
             for trace in traces(&probe, capacity, line, 17 + i as u64) {
-                let mut cache = Cache::new(capacity, ways, line);
-                let mut reference = ReferenceLru::new(capacity, ways, line);
-                assert_eq!(cache.num_sets() as usize, reference.sets.len());
-                for (t, &addr) in trace.iter().enumerate() {
-                    assert_eq!(
-                        cache.access(addr),
-                        reference.access(addr),
-                        "{capacity} B / {ways} ways / {line} B line: access {t} at {addr}"
-                    );
+                // From a fresh tick, from one that wraps at access 1001,
+                // and from one that wraps at the first access.
+                for start in [0, u32::MAX - 1000, u32::MAX] {
+                    let mut cache = Cache::new(capacity, ways, line).with_tick(start);
+                    let mut reference = ReferenceLru::new(capacity, ways, line);
+                    assert_eq!(cache.num_sets() as usize, reference.sets.len());
+                    for (t, &addr) in trace.iter().enumerate() {
+                        assert_eq!(
+                            cache.access(addr),
+                            reference.access(addr),
+                            "{capacity} B / {ways} ways / {line} B line, tick from {start}: \
+                             access {t} at {addr}"
+                        );
+                    }
+                    assert_eq!(cache.stats(), reference.stats);
+                    assert!(cache.tick < u32::MAX - 1000 || start == 0);
                 }
-                assert_eq!(cache.stats(), reference.stats);
             }
         }
     }

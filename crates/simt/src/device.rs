@@ -607,7 +607,7 @@ fn commit_if_changed(arena: &mut Arena, w: &PendingWrite) -> bool {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::kernel::{Effect, Lane, MemView};
+    use crate::kernel::{Effect, MemView};
 
     #[test]
     fn copies_roundtrip_and_charge_time() {
@@ -691,36 +691,8 @@ mod tests {
 
     struct AddLane {
         tid: usize,
-        k: AddKernel,
         loaded: Option<u32>,
         done: bool,
-    }
-
-    impl Lane for AddLane {
-        fn step(&mut self, mem: &MemView<'_>) -> Effect {
-            if self.done || self.tid >= self.k.n {
-                return Effect::Done;
-            }
-            match self.loaded {
-                None => {
-                    let addr = self.k.input.addr_of(self.tid);
-                    self.loaded = Some(mem.read_u32(addr));
-                    Effect::Read {
-                        addr,
-                        bytes: 4,
-                        cached: true,
-                    }
-                }
-                Some(v) => {
-                    self.done = true;
-                    Effect::Write {
-                        addr: self.k.output.addr_of(self.tid),
-                        bytes: 4,
-                        value: u64::from(v + self.k.add),
-                    }
-                }
-            }
-        }
     }
 
     impl Kernel for AddKernel {
@@ -728,9 +700,32 @@ mod tests {
         fn spawn(&self, tid: usize, _total: usize) -> AddLane {
             AddLane {
                 tid,
-                k: *self,
                 loaded: None,
                 done: false,
+            }
+        }
+        fn step(&self, lane: &mut AddLane, mem: &MemView<'_>) -> Effect {
+            if lane.done || lane.tid >= self.n {
+                return Effect::Done;
+            }
+            match lane.loaded {
+                None => {
+                    let addr = self.input.addr_of(lane.tid);
+                    lane.loaded = Some(mem.read_u32(addr));
+                    Effect::Read {
+                        addr,
+                        bytes: 4,
+                        cached: true,
+                    }
+                }
+                Some(v) => {
+                    lane.done = true;
+                    Effect::Write {
+                        addr: self.output.addr_of(lane.tid),
+                        bytes: 4,
+                        value: u64::from(v + self.add),
+                    }
+                }
             }
         }
     }

@@ -24,10 +24,10 @@
 
 use crate::arena::Arena;
 use crate::cache::{Cache, CacheStats};
-use crate::coalesce::coalesce_into;
+use crate::coalesce::FirstTouch;
 use crate::config::DeviceConfig;
 use crate::error::SimtError;
-use crate::kernel::{Effect, Kernel, Lane, MemView};
+use crate::kernel::{Effect, Kernel, MemView};
 use crate::sanitizer::{LaneChecker, RawViolation, ShadowView};
 use crate::verifier::Access;
 
@@ -381,7 +381,6 @@ struct WarpSim<L> {
     lanes: Vec<L>,
     active: Vec<bool>,
     live: usize,
-    ready_at: f64,
     block_slot: usize,
     /// Global thread id of lane 0 of this warp (sanitizer attribution).
     tid_base: usize,
@@ -403,7 +402,7 @@ fn simulate_sm<K: Kernel>(
     let mut tex = Cache::new(cfg.tex_cache_bytes, cfg.tex_cache_ways, cfg.line_bytes);
     let mut l2 = Cache::new(cfg.l2_slice_bytes(), cfg.l2_cache_ways, cfg.line_bytes);
 
-    let spawn_block = |block: u32, at: f64, slot: usize| -> Vec<WarpSim<K::Lane>> {
+    let spawn_block = |block: u32, slot: usize| -> Vec<WarpSim<K::Lane>> {
         (0..warps_per_block)
             .map(|w| {
                 let global_warp = block as usize * warps_per_block as usize + w as usize;
@@ -414,7 +413,6 @@ fn simulate_sm<K: Kernel>(
                     active: vec![true; lanes.len()],
                     live: lanes.len(),
                     lanes,
-                    ready_at: at,
                     block_slot: slot,
                     tid_base: global_warp * lanes_per_warp,
                 }
@@ -422,13 +420,17 @@ fn simulate_sm<K: Kernel>(
             .collect()
     };
 
-    // Admit the initial resident set.
+    // Admit the initial resident set. `ready[i]` is the cycle warp `i` may
+    // issue again, infinite once it retired; a dense array keeps the
+    // per-step scan short.
     let mut next_block = 0usize;
     let mut warps: Vec<WarpSim<K::Lane>> = Vec::new();
+    let mut ready: Vec<f64> = Vec::new();
     let mut block_live_warps: Vec<u32> = Vec::new();
     while next_block < blocks.len() && block_live_warps.len() < resident_blocks {
         let slot = block_live_warps.len();
-        warps.extend(spawn_block(blocks[next_block], 0.0, slot));
+        warps.extend(spawn_block(blocks[next_block], slot));
+        ready.resize(warps.len(), 0.0);
         block_live_warps.push(warps_per_block);
         next_block += 1;
     }
@@ -451,31 +453,30 @@ fn simulate_sm<K: Kernel>(
     let mut checker = check.map(LaneChecker::new);
     let observing = checker.is_some() || trace;
 
-    let mut effects: Vec<Effect> = Vec::with_capacity(lanes_per_warp);
     let mut reads_cached: Vec<(u64, u32)> = Vec::with_capacity(lanes_per_warp);
     let mut reads_uncached: Vec<(u64, u32)> = Vec::with_capacity(lanes_per_warp);
-    let mut lines: Vec<u64> = Vec::with_capacity(lanes_per_warp * 2);
+    let mut first_touch = FirstTouch::default();
+    let line_shift = cfg.line_bytes.trailing_zeros();
     let mut shared_words: Vec<u64> = Vec::with_capacity(lanes_per_warp * 4);
     let mut bank_counts: Vec<u32> = vec![0; cfg.shared_banks.max(1) as usize];
 
     loop {
-        // Pick the ready warp with the earliest ready time (stable tie-break
+        // Pick the live warp with the earliest ready time (stable tie-break
         // on index keeps the simulation deterministic).
-        let mut chosen: Option<usize> = None;
-        for (i, w) in warps.iter().enumerate() {
-            if w.live > 0 && chosen.is_none_or(|c| w.ready_at < warps[c].ready_at) {
-                chosen = Some(i);
+        let (mut wi, mut earliest) = (0, f64::INFINITY);
+        for (i, &at) in ready.iter().enumerate() {
+            if at < earliest {
+                (wi, earliest) = (i, at);
             }
         }
-        let Some(wi) = chosen else {
+        if earliest == f64::INFINITY {
             break; // every admitted warp retired, and admission is eager
-        };
+        }
 
-        let now = warps[wi].ready_at.max(alu_clock);
+        let now = earliest.max(alu_clock);
         warp_steps += 1;
 
         // Lockstep: step every active lane once.
-        effects.clear();
         reads_cached.clear();
         reads_uncached.clear();
         shared_words.clear();
@@ -488,7 +489,7 @@ fn simulate_sm<K: Kernel>(
                 if !w.active[li] {
                     continue;
                 }
-                let eff = w.lanes[li].step(&mem);
+                let eff = kernel.step(&mut w.lanes[li], &mem);
                 lane_steps += 1;
                 kinds_seen[eff.kind() as usize] = true;
                 if observing {
@@ -566,7 +567,7 @@ fn simulate_sm<K: Kernel>(
         // load-to-use latency replayed once per serialized bank conflict.
         let mut latency = compute_latency as f64;
         if !shared_words.is_empty() {
-            let degree = bank_conflict_degree(&mut shared_words, &mut bank_counts);
+            let degree = bank_conflict_degree(&shared_words, &mut first_touch, &mut bank_counts);
             latency = latency.max((degree as u64 * cfg.shared_latency as u64) as f64);
             shared_conflict_cycles +=
                 ((degree.saturating_sub(1)) as u64 * cfg.shared_latency as u64) as f64;
@@ -575,9 +576,9 @@ fn simulate_sm<K: Kernel>(
         // Memory cost: coalesce, probe caches, charge the memory pipeline.
         let mut txns = write_txns;
         if !reads_cached.is_empty() {
-            coalesce_into(&reads_cached, cfg.line_bytes, &mut lines);
+            let lines = first_touch.coalesce(&reads_cached, line_shift);
             txns += lines.len() as u64;
-            for &line in &lines {
+            for &line in lines {
                 let lat = if tex.access(line) {
                     cfg.tex_hit_latency
                 } else if l2.access(line) {
@@ -590,9 +591,9 @@ fn simulate_sm<K: Kernel>(
             }
         }
         if !reads_uncached.is_empty() {
-            coalesce_into(&reads_uncached, cfg.line_bytes, &mut lines);
+            let lines = first_touch.coalesce(&reads_uncached, line_shift);
             txns += lines.len() as u64;
-            for &line in &lines {
+            for &line in lines {
                 let lat = if l2.access(line) {
                     cfg.l2_hit_latency
                 } else {
@@ -614,15 +615,17 @@ fn simulate_sm<K: Kernel>(
 
         // Retire and admit.
         if warps[wi].live == 0 {
+            ready[wi] = f64::INFINITY;
             let slot = warps[wi].block_slot;
             block_live_warps[slot] -= 1;
             if block_live_warps[slot] == 0 && next_block < blocks.len() {
-                warps.extend(spawn_block(blocks[next_block], completion, slot));
+                warps.extend(spawn_block(blocks[next_block], slot));
+                ready.resize(warps.len(), completion);
                 block_live_warps[slot] = warps_per_block;
                 next_block += 1;
             }
         } else {
-            warps[wi].ready_at = completion;
+            ready[wi] = completion;
         }
     }
 
@@ -680,22 +683,28 @@ fn lane_access(eff: &Effect, lane: u32) -> Option<Access> {
 fn push_shared_words(words: &mut Vec<u64>, addr: u64, bytes: u32) {
     let first = addr / 4;
     let last = (addr + bytes.max(1) as u64 - 1) / 4;
-    words.extend(first..=last);
+    words.extend(first..last + 1);
 }
 
 /// Worst per-bank count of *distinct* words across one warp step's shared
 /// accesses — the number of serialized replays the step needs. Duplicate
-/// words from different lanes broadcast for free.
-fn bank_conflict_degree(words: &mut Vec<u64>, counts: &mut [u32]) -> u32 {
-    words.sort_unstable();
-    words.dedup();
-    counts.iter_mut().for_each(|c| *c = 0);
+/// words from different lanes broadcast for free; `seen` drops them.
+fn bank_conflict_degree(words: &[u64], seen: &mut FirstTouch, counts: &mut [u32]) -> u32 {
+    seen.clear();
+    counts.fill(0);
     let banks = counts.len() as u64;
+    // Every preset has a power-of-two bank count: mask instead of divide.
+    let mask = banks.is_power_of_two().then_some(banks - 1);
     let mut degree = 0u32;
-    for &w in words.iter() {
-        let b = (w % banks) as usize;
-        counts[b] += 1;
-        degree = degree.max(counts[b]);
+    for &w in words {
+        if seen.insert(w) {
+            let b = match mask {
+                Some(m) => w & m,
+                None => w % banks,
+            } as usize;
+            counts[b] += 1;
+            degree = degree.max(counts[b]);
+        }
     }
     degree
 }
@@ -722,43 +731,7 @@ mod tests {
     struct DoubleLane {
         stride: usize,
         i: usize,
-        n: usize,
-        input: DeviceBuffer<u32>,
-        output: DeviceBuffer<u32>,
         state: DoubleState,
-        pending: u32,
-    }
-
-    impl Lane for DoubleLane {
-        fn step(&mut self, mem: &MemView<'_>) -> Effect {
-            match self.state {
-                DoubleState::Load => {
-                    if self.i >= self.n {
-                        self.state = DoubleState::Finished;
-                        return Effect::Done;
-                    }
-                    let addr = self.input.addr_of(self.i);
-                    self.pending = mem.read_u32(addr);
-                    self.state = DoubleState::Store(self.pending * 2);
-                    Effect::Read {
-                        addr,
-                        bytes: 4,
-                        cached: true,
-                    }
-                }
-                DoubleState::Store(v) => {
-                    let addr = self.output.addr_of(self.i);
-                    self.i += self.stride;
-                    self.state = DoubleState::Load;
-                    Effect::Write {
-                        addr,
-                        bytes: 4,
-                        value: v as u64,
-                    }
-                }
-                DoubleState::Finished => Effect::Done,
-            }
-        }
     }
 
     impl Kernel for DoubleKernel {
@@ -767,11 +740,35 @@ mod tests {
             DoubleLane {
                 stride: total,
                 i: tid,
-                n: self.n,
-                input: self.input,
-                output: self.output,
                 state: DoubleState::Load,
-                pending: 0,
+            }
+        }
+        fn step(&self, lane: &mut DoubleLane, mem: &MemView<'_>) -> Effect {
+            match lane.state {
+                DoubleState::Load => {
+                    if lane.i >= self.n {
+                        lane.state = DoubleState::Finished;
+                        return Effect::Done;
+                    }
+                    let addr = self.input.addr_of(lane.i);
+                    lane.state = DoubleState::Store(mem.read_u32(addr) * 2);
+                    Effect::Read {
+                        addr,
+                        bytes: 4,
+                        cached: true,
+                    }
+                }
+                DoubleState::Store(v) => {
+                    let addr = self.output.addr_of(lane.i);
+                    lane.i += lane.stride;
+                    lane.state = DoubleState::Load;
+                    Effect::Write {
+                        addr,
+                        bytes: 4,
+                        value: v as u64,
+                    }
+                }
+                DoubleState::Finished => Effect::Done,
             }
         }
     }
@@ -935,23 +932,6 @@ mod tests {
             remaining: u32,
             addr: u64,
         }
-        impl Lane for DivergentLane {
-            fn step(&mut self, _mem: &MemView<'_>) -> Effect {
-                if self.remaining == 0 {
-                    return Effect::Done;
-                }
-                self.remaining -= 1;
-                if self.even {
-                    Effect::Compute { cycles: 2 }
-                } else {
-                    Effect::Read {
-                        addr: self.addr,
-                        bytes: 4,
-                        cached: true,
-                    }
-                }
-            }
-        }
         impl Kernel for DivergentKernel {
             type Lane = DivergentLane;
             fn spawn(&self, tid: usize, _total: usize) -> DivergentLane {
@@ -959,6 +939,21 @@ mod tests {
                     even: tid.is_multiple_of(2),
                     remaining: 16,
                     addr: self.input.addr_of(tid % self.input.len()),
+                }
+            }
+            fn step(&self, lane: &mut DivergentLane, _mem: &MemView<'_>) -> Effect {
+                if lane.remaining == 0 {
+                    return Effect::Done;
+                }
+                lane.remaining -= 1;
+                if lane.even {
+                    Effect::Compute { cycles: 2 }
+                } else {
+                    Effect::Read {
+                        addr: lane.addr,
+                        bytes: 4,
+                        cached: true,
+                    }
                 }
             }
         }
@@ -1007,25 +1002,23 @@ mod tests {
             addr: u64,
             left: u32,
         }
-        impl Lane for SharedLane {
-            fn step(&mut self, _mem: &MemView<'_>) -> Effect {
-                if self.left == 0 {
-                    return Effect::Done;
-                }
-                self.left -= 1;
-                Effect::SharedRead {
-                    addr: self.addr,
-                    bytes: 4,
-                    spilled: false,
-                }
-            }
-        }
         impl Kernel for SharedKernel {
             type Lane = SharedLane;
             fn spawn(&self, tid: usize, _total: usize) -> SharedLane {
                 SharedLane {
                     addr: self.base + tid as u64 * self.word_stride * 4,
                     left: 64,
+                }
+            }
+            fn step(&self, lane: &mut SharedLane, _mem: &MemView<'_>) -> Effect {
+                if lane.left == 0 {
+                    return Effect::Done;
+                }
+                lane.left -= 1;
+                Effect::SharedRead {
+                    addr: lane.addr,
+                    bytes: 4,
+                    spilled: false,
                 }
             }
         }
@@ -1075,44 +1068,6 @@ mod tests {
         struct MixedLane {
             tid: u64,
             step: u32,
-            k: (u64, u64, u64, u64),
-        }
-        impl Lane for MixedLane {
-            fn step(&mut self, _mem: &MemView<'_>) -> Effect {
-                let (input, half_init, output, table) = self.k;
-                let t = self.tid;
-                self.step += 1;
-                match self.step {
-                    1 => Effect::Read {
-                        addr: input + 4 * t,
-                        bytes: 4,
-                        cached: true,
-                    },
-                    2 => Effect::Read {
-                        addr: half_init + 4 * (t % 64),
-                        bytes: 4,
-                        cached: false,
-                    },
-                    3 => Effect::SharedWrite {
-                        addr: table + 4 * (t % 100),
-                        bytes: 4,
-                        value: t,
-                        spilled: t.is_multiple_of(3),
-                    },
-                    4 => Effect::SharedRead {
-                        addr: table + 4 * t,
-                        bytes: 8,
-                        spilled: t.is_multiple_of(5),
-                    },
-                    5 => Effect::Write {
-                        addr: output + 4 * t,
-                        bytes: 4,
-                        value: t,
-                    },
-                    6 => Effect::Compute { cycles: 4 },
-                    _ => Effect::Done,
-                }
-            }
         }
         impl Kernel for MixedKernel {
             type Lane = MixedLane;
@@ -1120,12 +1075,40 @@ mod tests {
                 MixedLane {
                     tid: tid as u64,
                     step: 0,
-                    k: (
-                        self.input.addr(),
-                        self.half_init.addr(),
-                        self.output.addr(),
-                        self.table.addr(),
-                    ),
+                }
+            }
+            fn step(&self, lane: &mut MixedLane, _mem: &MemView<'_>) -> Effect {
+                let t = lane.tid;
+                lane.step += 1;
+                match lane.step {
+                    1 => Effect::Read {
+                        addr: self.input.addr() + 4 * t,
+                        bytes: 4,
+                        cached: true,
+                    },
+                    2 => Effect::Read {
+                        addr: self.half_init.addr() + 4 * (t % 64),
+                        bytes: 4,
+                        cached: false,
+                    },
+                    3 => Effect::SharedWrite {
+                        addr: self.table.addr() + 4 * (t % 100),
+                        bytes: 4,
+                        value: t,
+                        spilled: t.is_multiple_of(3),
+                    },
+                    4 => Effect::SharedRead {
+                        addr: self.table.addr() + 4 * t,
+                        bytes: 8,
+                        spilled: t.is_multiple_of(5),
+                    },
+                    5 => Effect::Write {
+                        addr: self.output.addr() + 4 * t,
+                        bytes: 4,
+                        value: t,
+                    },
+                    6 => Effect::Compute { cycles: 4 },
+                    _ => Effect::Done,
                 }
             }
         }
@@ -1207,16 +1190,21 @@ mod tests {
         struct RewriteLane {
             tid: u64,
             k: u64,
-            window: u64,
-            freed: u64,
         }
-        impl Lane for RewriteLane {
-            fn step(&mut self, _mem: &MemView<'_>) -> Effect {
-                let (t, k) = (self.tid, self.k);
+        impl Kernel for RewriteKernel {
+            type Lane = RewriteLane;
+            fn spawn(&self, tid: usize, _total: usize) -> RewriteLane {
+                RewriteLane {
+                    tid: tid as u64,
+                    k: 0,
+                }
+            }
+            fn step(&self, lane: &mut RewriteLane, _mem: &MemView<'_>) -> Effect {
+                let (t, k) = (lane.tid, lane.k);
                 if k == STORES {
                     return Effect::Done;
                 }
-                self.k += 1;
+                lane.k += 1;
                 let bytes = if (t + k) % 3 == 0 { 8 } else { 4 };
                 // Word offsets 0..=14 keep every 8-byte store in the window.
                 let addr = if (7 * t + k) % 11 == 0 {
@@ -1234,17 +1222,6 @@ mod tests {
                         value,
                         spilled: k % 4 == 1,
                     }
-                }
-            }
-        }
-        impl Kernel for RewriteKernel {
-            type Lane = RewriteLane;
-            fn spawn(&self, tid: usize, _total: usize) -> RewriteLane {
-                RewriteLane {
-                    tid: tid as u64,
-                    k: 0,
-                    window: self.window,
-                    freed: self.freed,
                 }
             }
         }
@@ -1315,6 +1292,64 @@ mod tests {
                 );
             } else {
                 assert_eq!((committed, rejected), (writes.len(), 0));
+            }
+        }
+    }
+
+    /// The sort + dedup bank model the first-touch set replaced, kept as
+    /// the reference.
+    fn sorted_bank_conflict_degree(words: &[u64], banks: usize) -> u32 {
+        let mut words = words.to_vec();
+        words.sort_unstable();
+        words.dedup();
+        let mut counts = vec![0u32; banks];
+        let mut degree = 0;
+        for &w in &words {
+            let b = (w % banks as u64) as usize;
+            counts[b] += 1;
+            degree = degree.max(counts[b]);
+        }
+        degree
+    }
+
+    #[test]
+    fn bank_conflict_degree_matches_the_sort_and_dedup_model() {
+        let mut rng = 0xBA4C_u64;
+        let mut next = |bound: u64| {
+            rng = rng
+                .wrapping_mul(6364136223846793005)
+                .wrapping_add(1442695040888963407);
+            (rng >> 33) % bound
+        };
+        let mut cases: Vec<Vec<u64>> = vec![
+            Vec::new(),
+            // Conflict-free, broadcast, and the textbook 32-way conflict.
+            (0..32).collect(),
+            vec![9; 32],
+            (0..32).map(|i| 1000 + 32 * i).collect(),
+            // Chain walks over consecutive words, overlapping across lanes,
+            // more distinct words than the set's filter has slots.
+            (0..32).flat_map(|l| (l * 7..l * 7 + 40).rev()).collect(),
+        ];
+        for _ in 0..300 {
+            let lanes = 1 + next(32);
+            let span = 1 + next(1 << 14);
+            let mut words = Vec::new();
+            for _ in 0..lanes {
+                let start = next(span);
+                words.extend(start..start + 1 + next(6));
+            }
+            cases.push(words);
+        }
+        let mut seen = FirstTouch::default();
+        for banks in [32usize, 16, 7] {
+            let mut counts = vec![0u32; banks];
+            for (i, words) in cases.iter().enumerate() {
+                assert_eq!(
+                    bank_conflict_degree(words, &mut seen, &mut counts),
+                    sorted_bank_conflict_degree(words, banks),
+                    "case {i}, {banks} banks"
+                );
             }
         }
     }

@@ -1,10 +1,12 @@
 //! The kernel programming model: per-thread resumable state machines.
 //!
-//! A simulated kernel is a [`Kernel`] that spawns one [`Lane`] per thread.
-//! Each scheduling event, the warp executor calls [`Lane::step`] on every
-//! active lane in lockstep; the lane performs the *functional* part of one
-//! instruction (reading device memory through the [`MemView`], updating its
-//! private state) and returns the [`Effect`] to charge for *timing* —
+//! A simulated kernel is a [`Kernel`] that spawns one lane per thread. A
+//! lane holds only its thread's registers; the kernel value carries
+//! everything uniform across the grid (buffer addresses, launch knobs).
+//! Each scheduling event, the warp executor calls [`Kernel::step`] on every
+//! active lane in lockstep; the step performs the *functional* part of one
+//! instruction (reading device memory through the [`MemView`], updating the
+//! lane's registers) and returns the [`Effect`] to charge for *timing* —
 //! exactly the split a cycle-level simulator needs. Divergence appears
 //! naturally when lanes of one warp return different effect kinds.
 
@@ -78,58 +80,33 @@ impl<'a> MemView<'a> {
         MemView { data }
     }
 
-    /// Load a little-endian `u32` at a device address.
+    /// Load a little-endian `u32` at a device address (one bounds check).
     #[inline]
     pub fn read_u32(&self, addr: u64) -> u32 {
         let i = addr as usize;
-        u32::from_le_bytes([
-            self.data[i],
-            self.data[i + 1],
-            self.data[i + 2],
-            self.data[i + 3],
-        ])
+        u32::from_le_bytes(self.data[i..i + 4].try_into().expect("4 bytes"))
     }
 
-    /// Load a little-endian `u64`.
+    /// Load a little-endian `u64` (one bounds check).
     #[inline]
     pub fn read_u64(&self, addr: u64) -> u64 {
-        let lo = self.read_u32(addr) as u64;
-        let hi = self.read_u32(addr + 4) as u64;
-        (hi << 32) | lo
+        let i = addr as usize;
+        u64::from_le_bytes(self.data[i..i + 8].try_into().expect("8 bytes"))
     }
 }
 
-/// One simulated thread. A warp's lanes are created, stepped and dropped
-/// on one host thread.
-pub trait Lane {
-    /// Execute the next instruction. Must return [`Effect::Done`] forever
-    /// once finished.
-    fn step(&mut self, mem: &MemView<'_>) -> Effect;
-}
-
-/// One-shot lane: returns a fixed effect on its first step, `Done` after.
-/// The seeded-bug kernels of the sanitizer and verifier self-tests are
-/// built from it.
-pub(crate) struct OneShotLane {
-    pub(crate) effect: Option<Effect>,
-}
-
-impl Lane for OneShotLane {
-    fn step(&mut self, _mem: &MemView<'_>) -> Effect {
-        self.effect.take().unwrap_or(Effect::Done)
-    }
-}
-
-/// A launchable kernel: a lane factory.
+/// A launchable kernel: a lane factory and the program its lanes run.
 ///
 /// A launch's result — its stats and its stores — must be a pure function
 /// of the kernel value, the [`crate::LaunchConfig`] and the arena bytes:
-/// lanes may read device memory only through the [`MemView`] and carry
-/// no state between launches. The device's launch memo relies on it to
-/// replay a repeated launch, and keys it on the kernel's [`Hash`], which
+/// steps may read device memory only through the [`MemView`], and lanes
+/// carry no state between launches. The device's launch memo relies on it
+/// to replay a repeated launch, and keys it on the kernel's [`Hash`], which
 /// every kernel derives over all of its fields.
 pub trait Kernel: Sync + std::hash::Hash {
-    type Lane: Lane;
+    /// One thread's registers. A warp's lanes are created, stepped and
+    /// dropped on one host thread.
+    type Lane;
 
     /// Create the lane for global thread `tid` of `total` (`total` is the
     /// active thread count — the grid-stride denominator).
@@ -145,6 +122,10 @@ pub trait Kernel: Sync + std::hash::Hash {
             .map(|tid| self.spawn(tid, total))
             .collect()
     }
+
+    /// Execute `lane`'s next instruction. Must return [`Effect::Done`]
+    /// forever once the lane has finished.
+    fn step(&self, lane: &mut Self::Lane, mem: &MemView<'_>) -> Effect;
 
     /// The kernel's declared [`crate::verifier::AccessContract`] for this launch geometry,
     /// if it carries one. Kernels without a contract cannot launch on a

@@ -65,7 +65,7 @@ pub use config::DeviceConfig;
 pub use device::{Device, TimedOp};
 pub use error::SimtError;
 pub use executor::{KernelStats, LaunchConfig};
-pub use kernel::{Effect, Kernel, Lane, MemView};
+pub use kernel::{Effect, Kernel, MemView};
 pub use memo::LaunchTally;
 pub use pool::{DeviceLease, DevicePool, PoolTicket};
 pub use profiler::{Counters, ProfileReport, Span};

@@ -866,7 +866,7 @@ pub mod selftest {
     use crate::config::DeviceConfig;
     use crate::device::Device;
     use crate::executor::LaunchConfig;
-    use crate::kernel::{Effect, Kernel, OneShotLane};
+    use crate::kernel::{Effect, Kernel, MemView};
 
     /// Outcome of one seeded-bug kernel.
     #[derive(Clone, Debug)]
@@ -889,17 +889,18 @@ pub mod selftest {
     }
 
     impl Kernel for OobReadKernel {
-        type Lane = OneShotLane;
-        fn spawn(&self, tid: usize, _total: usize) -> OneShotLane {
-            OneShotLane {
-                effect: (tid == 0).then_some(Effect::Read {
-                    // 64 bytes past the logical end: well beyond GUARD_BYTES,
-                    // but still inside the arena's 256 B span padding.
-                    addr: self.data.addr() + self.data.byte_len() + 64,
-                    bytes: 4,
-                    cached: true,
-                }),
-            }
+        type Lane = Option<Effect>;
+        fn spawn(&self, tid: usize, _total: usize) -> Option<Effect> {
+            (tid == 0).then_some(Effect::Read {
+                // 64 bytes past the logical end: well beyond GUARD_BYTES,
+                // but still inside the arena's 256 B span padding.
+                addr: self.data.addr() + self.data.byte_len() + 64,
+                bytes: 4,
+                cached: true,
+            })
+        }
+        fn step(&self, lane: &mut Option<Effect>, _mem: &MemView<'_>) -> Effect {
+            lane.take().unwrap_or(Effect::Done)
         }
     }
 
@@ -910,15 +911,16 @@ pub mod selftest {
     }
 
     impl Kernel for UninitReadKernel {
-        type Lane = OneShotLane;
-        fn spawn(&self, tid: usize, _total: usize) -> OneShotLane {
-            OneShotLane {
-                effect: (tid == 0).then_some(Effect::Read {
-                    addr: self.data.addr(),
-                    bytes: 4,
-                    cached: true,
-                }),
-            }
+        type Lane = Option<Effect>;
+        fn spawn(&self, tid: usize, _total: usize) -> Option<Effect> {
+            (tid == 0).then_some(Effect::Read {
+                addr: self.data.addr(),
+                bytes: 4,
+                cached: true,
+            })
+        }
+        fn step(&self, lane: &mut Option<Effect>, _mem: &MemView<'_>) -> Effect {
+            lane.take().unwrap_or(Effect::Done)
         }
     }
 
@@ -930,15 +932,16 @@ pub mod selftest {
     }
 
     impl Kernel for RaceKernel {
-        type Lane = OneShotLane;
-        fn spawn(&self, tid: usize, _total: usize) -> OneShotLane {
-            OneShotLane {
-                effect: Some(Effect::Write {
-                    addr: self.result.addr(),
-                    bytes: 8,
-                    value: tid as u64,
-                }),
-            }
+        type Lane = Option<Effect>;
+        fn spawn(&self, tid: usize, _total: usize) -> Option<Effect> {
+            Some(Effect::Write {
+                addr: self.result.addr(),
+                bytes: 8,
+                value: tid as u64,
+            })
+        }
+        fn step(&self, lane: &mut Option<Effect>, _mem: &MemView<'_>) -> Effect {
+            lane.take().unwrap_or(Effect::Done)
         }
     }
 
@@ -952,15 +955,16 @@ pub mod selftest {
     }
 
     impl Kernel for HashOobProbeKernel {
-        type Lane = OneShotLane;
-        fn spawn(&self, tid: usize, _total: usize) -> OneShotLane {
-            OneShotLane {
-                effect: (tid == 0).then_some(Effect::SharedRead {
-                    addr: self.table.addr() + self.table.byte_len() + 64,
-                    bytes: 4,
-                    spilled: false,
-                }),
-            }
+        type Lane = Option<Effect>;
+        fn spawn(&self, tid: usize, _total: usize) -> Option<Effect> {
+            (tid == 0).then_some(Effect::SharedRead {
+                addr: self.table.addr() + self.table.byte_len() + 64,
+                bytes: 4,
+                spilled: false,
+            })
+        }
+        fn step(&self, lane: &mut Option<Effect>, _mem: &MemView<'_>) -> Effect {
+            lane.take().unwrap_or(Effect::Done)
         }
     }
 

@@ -782,7 +782,7 @@ pub mod selftest {
     use crate::config::DeviceConfig;
     use crate::device::Device;
     use crate::executor::LaunchConfig;
-    use crate::kernel::{Effect, Kernel, OneShotLane};
+    use crate::kernel::{Effect, Kernel, MemView};
     use crate::sanitizer::SanitizerMode;
 
     /// Outcome of one seeded-lie kernel.
@@ -808,15 +808,16 @@ pub mod selftest {
     }
 
     impl Kernel for NarrowFootprintKernel {
-        type Lane = OneShotLane;
-        fn spawn(&self, tid: usize, _total: usize) -> OneShotLane {
-            OneShotLane {
-                effect: (tid == 0).then_some(Effect::Read {
-                    addr: self.data.addr_of(self.data.len() - 1),
-                    bytes: 4,
-                    cached: true,
-                }),
-            }
+        type Lane = Option<Effect>;
+        fn spawn(&self, tid: usize, _total: usize) -> Option<Effect> {
+            (tid == 0).then_some(Effect::Read {
+                addr: self.data.addr_of(self.data.len() - 1),
+                bytes: 4,
+                cached: true,
+            })
+        }
+        fn step(&self, lane: &mut Option<Effect>, _mem: &MemView<'_>) -> Effect {
+            lane.take().unwrap_or(Effect::Done)
         }
         fn contract(&self, _lc: LaunchConfig, _total: usize) -> Option<AccessContract> {
             Some(AccessContract {
@@ -835,15 +836,16 @@ pub mod selftest {
     }
 
     impl Kernel for FalseDisjointKernel {
-        type Lane = OneShotLane;
-        fn spawn(&self, tid: usize, _total: usize) -> OneShotLane {
-            OneShotLane {
-                effect: Some(Effect::Write {
-                    addr: self.result.addr(),
-                    bytes: 8,
-                    value: tid as u64,
-                }),
-            }
+        type Lane = Option<Effect>;
+        fn spawn(&self, tid: usize, _total: usize) -> Option<Effect> {
+            Some(Effect::Write {
+                addr: self.result.addr(),
+                bytes: 8,
+                value: tid as u64,
+            })
+        }
+        fn step(&self, lane: &mut Option<Effect>, _mem: &MemView<'_>) -> Effect {
+            lane.take().unwrap_or(Effect::Done)
         }
         fn contract(&self, _lc: LaunchConfig, total: usize) -> Option<AccessContract> {
             Some(AccessContract {
@@ -865,16 +867,17 @@ pub mod selftest {
     }
 
     impl Kernel for BudgetLieKernel {
-        type Lane = OneShotLane;
-        fn spawn(&self, tid: usize, _total: usize) -> OneShotLane {
-            OneShotLane {
-                effect: (tid == 0).then_some(Effect::SharedWrite {
-                    addr: self.table.addr() + 128,
-                    bytes: 4,
-                    value: 7,
-                    spilled: false,
-                }),
-            }
+        type Lane = Option<Effect>;
+        fn spawn(&self, tid: usize, _total: usize) -> Option<Effect> {
+            (tid == 0).then_some(Effect::SharedWrite {
+                addr: self.table.addr() + 128,
+                bytes: 4,
+                value: 7,
+                spilled: false,
+            })
+        }
+        fn step(&self, lane: &mut Option<Effect>, _mem: &MemView<'_>) -> Effect {
+            lane.take().unwrap_or(Effect::Done)
         }
         fn contract(&self, _lc: LaunchConfig, total: usize) -> Option<AccessContract> {
             Some(AccessContract {
@@ -901,15 +904,16 @@ pub mod selftest {
     }
 
     impl Kernel for StaticOobKernel {
-        type Lane = OneShotLane;
-        fn spawn(&self, tid: usize, _total: usize) -> OneShotLane {
-            OneShotLane {
-                effect: (tid == 0).then_some(Effect::Read {
-                    addr: self.data.addr(),
-                    bytes: 4,
-                    cached: true,
-                }),
-            }
+        type Lane = Option<Effect>;
+        fn spawn(&self, tid: usize, _total: usize) -> Option<Effect> {
+            (tid == 0).then_some(Effect::Read {
+                addr: self.data.addr(),
+                bytes: 4,
+                cached: true,
+            })
+        }
+        fn step(&self, lane: &mut Option<Effect>, _mem: &MemView<'_>) -> Effect {
+            lane.take().unwrap_or(Effect::Done)
         }
         fn contract(&self, _lc: LaunchConfig, _total: usize) -> Option<AccessContract> {
             Some(AccessContract {

@@ -93,6 +93,14 @@ cargo build --release --workspace
 echo "==> cargo test"
 cargo test --workspace --release -q
 
+echo "==> simulator hot-path models under --release"
+# The benchmark measures the release build, where integer overflow wraps
+# instead of panicking. The cache's u32 LRU tick (renumbered before it
+# wraps) and the first-touch set's u32 generation (reset when it wraps)
+# are tested across their rollover here, in that build, beside the
+# executor that uses both.
+cargo test --release -q -p tc-simt --lib -- cache:: coalesce:: executor::
+
 echo "==> modeled-perf golden snapshot"
 # The simulator is deterministic: kernel cycle counts and cache counters
 # must match tests/golden/modeled_perf.txt exactly (TC_BLESS=1 regenerates).

@@ -24,7 +24,15 @@ fn fixture_file() -> (PathBuf, u64) {
     let dir = std::env::temp_dir().join("tcount_cli_test");
     std::fs::create_dir_all(&dir).unwrap();
     let path = dir.join("fixture.txt");
-    io::write_text(&g, &path).unwrap();
+    // The tests run in parallel and share the fixture: write a private copy
+    // and rename it into place, so no test reads a half-written file.
+    let tmp = dir.join(format!(
+        "fixture.{}.{:?}.tmp",
+        std::process::id(),
+        std::thread::current().id()
+    ));
+    io::write_text(&g, &tmp).unwrap();
+    std::fs::rename(&tmp, &path).unwrap();
     (path, expected)
 }
 

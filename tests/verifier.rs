@@ -220,7 +220,7 @@ fn seeded_lies_are_detected_with_byte_identical_reports() {
 fn proven_launches_stream_memcheck_and_initcheck_without_a_log() {
     use triangles::simt::{
         AccessContract, AffineFootprint, Device, DeviceBuffer, DeviceConfig, Effect, FindingKind,
-        Interval, Kernel, Lane, LaunchConfig, MemView, SanitizerMode,
+        Interval, Kernel, LaunchConfig, MemView, SanitizerMode,
     };
 
     const N: usize = 200;
@@ -238,42 +238,31 @@ fn proven_launches_stream_memcheck_and_initcheck_without_a_log() {
     struct LyingLane {
         tid: usize,
         step: u32,
-        src: DeviceBuffer<u32>,
-        blank: DeviceBuffer<u32>,
-        out: DeviceBuffer<u32>,
     }
-    impl Lane for LyingLane {
-        fn step(&mut self, _mem: &MemView<'_>) -> Effect {
-            self.step += 1;
+    impl Kernel for LyingKernel {
+        type Lane = LyingLane;
+        fn spawn(&self, tid: usize, _total: usize) -> LyingLane {
+            LyingLane { tid, step: 0 }
+        }
+        fn step(&self, lane: &mut LyingLane, _mem: &MemView<'_>) -> Effect {
+            lane.step += 1;
             let read = |addr| Effect::Read {
                 addr,
                 bytes: 4,
                 cached: true,
             };
-            match self.step {
-                1 => read(self.src.addr_of(self.tid % N)),
-                2 if self.tid % 397 == 5 => read(self.src.addr() + 4 * (N as u64 + 3)),
+            match lane.step {
+                1 => read(self.src.addr_of(lane.tid % N)),
+                2 if lane.tid % 397 == 5 => read(self.src.addr() + 4 * (N as u64 + 3)),
                 2 => Effect::Compute { cycles: 2 },
-                3 if self.tid % 611 == 7 => read(self.blank.addr_of(self.tid % M)),
+                3 if lane.tid % 611 == 7 => read(self.blank.addr_of(lane.tid % M)),
                 3 => Effect::Compute { cycles: 2 },
                 4 => Effect::Write {
-                    addr: self.out.addr_of(self.tid),
+                    addr: self.out.addr_of(lane.tid),
                     bytes: 4,
-                    value: self.tid as u64,
+                    value: lane.tid as u64,
                 },
                 _ => Effect::Done,
-            }
-        }
-    }
-    impl Kernel for LyingKernel {
-        type Lane = LyingLane;
-        fn spawn(&self, tid: usize, _total: usize) -> LyingLane {
-            LyingLane {
-                tid,
-                step: 0,
-                src: self.src,
-                blank: self.blank,
-                out: self.out,
             }
         }
         fn contract(&self, _lc: LaunchConfig, total: usize) -> Option<AccessContract> {
