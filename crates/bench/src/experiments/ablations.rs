@@ -73,7 +73,7 @@ fn warp_centric_kernel_ms(g: &EdgeArray, device: &DeviceConfig) -> f64 {
     let mut dev = Device::new(device.clone());
     dev.preinit_context();
     dev.reset_clock();
-    let pre = preprocess_full_gpu(&mut dev, g, false).expect("preprocess");
+    let pre = preprocess_full_gpu(&mut dev, g, false, false).expect("preprocess");
     let lc = dev.config().paper_launch();
     let total = lc.active_threads(dev.config().warp_size);
     let result = dev.alloc::<u64>(total).expect("result buffer");

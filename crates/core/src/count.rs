@@ -40,15 +40,13 @@ pub struct GpuOptions {
     /// relabeling; a pure layout change — counts are unaffected).
     pub reorder: bool,
     /// Compute-sanitizer mode for the run (memcheck/initcheck/racecheck
-    /// over the simulated memory path; `Off` is a true no-op). The
-    /// effective mode is the stricter of this and the device config's own
-    /// `sanitizer` field.
+    /// over the simulated memory path; `Off` is a true no-op), installed
+    /// on every device of the run.
     pub sanitizer: SanitizerMode,
     /// Static kernel-launch verifier: prove every launch's declared access
     /// contract in-bounds and race-free before it runs, and check analytic
     /// host passes against the allocation map. Host-side only — modeled
-    /// time is untouched. The effective setting is this OR the device
-    /// config's own `verifier` field.
+    /// time is untouched. Switched on or off on every device of the run.
     pub verify: bool,
 }
 

@@ -47,7 +47,7 @@ use crate::count::GpuOptions;
 use crate::error::{CoreError, ErrorContext};
 use crate::gpu::count_kernel::KernelArrays;
 use crate::gpu::pipeline::{GpuReport, RunTrace};
-use crate::gpu::prepared::{CountMark, PreparedCount};
+use crate::gpu::prepared::{bring_up, CountMark, PreparedCount};
 use crate::gpu::preprocess::degree_ranks;
 use crate::gpu::schedule::{
     alloc_hash_scratch, build_plan_from_host, dispatch_bins, free_plan, BinPlan, Bins, DispatchCtx,
@@ -295,16 +295,10 @@ impl PreparedCluster {
                 "the cluster path dispatches gathered endpoint arrays (SoA only)".into(),
             ));
         }
-        // The per-run sanitizer request folds into the device preset so
-        // every shard device installs its shadow map at construction.
-        let mut cfg = opts.device.clone();
-        cfg.sanitizer = cfg.sanitizer.max(opts.sanitizer);
-        cfg.verifier = cfg.verifier || opts.verify;
-        let mut cluster = Cluster::homogeneous(topology, Interconnect::default(), &cfg);
-        if opts.preinit_context {
-            cluster.preinit_all();
+        let mut cluster = Cluster::homogeneous(topology, Interconnect::default(), &opts.device);
+        for i in 0..cluster.len() {
+            bring_up(cluster.device_mut(i), opts);
         }
-        cluster.reset_clocks();
 
         let lc = opts.launch_config(cluster.device(0).config());
         let total_threads = lc.active_threads(cluster.device(0).config().warp_size);

@@ -7,24 +7,20 @@
 //! exposes exactly the quantities needed to check that.
 
 use tc_graph::EdgeArray;
-use tc_simt::{
-    Cluster, ClusterTopology, Device, Interconnect, KernelStats, SanitizerReport, VerifierReport,
-};
+use tc_simt::{Device, KernelStats, SanitizerReport, VerifierReport};
 
 use crate::count::GpuOptions;
 use crate::error::CoreError;
-use crate::gpu::count_kernel::KernelArrays;
 use crate::gpu::pipeline::{GpuReport, RunTrace};
-use crate::gpu::preprocess::preprocess_auto;
-use crate::gpu::schedule::{
-    alloc_hash_scratch, build_plan, dispatch_bins, Bins, DispatchCtx, Stripe,
-};
+use crate::gpu::prepared::PreparedGraph;
+use crate::gpu::schedule::Stripe;
 use crate::gpu::EdgeLayout;
 use crate::gpu::{merge_reports, merged_profile};
 
 /// Run the §III-E scheme on `devices` identical simulated cards, with one
 /// [`RunTrace`] per device (trace thread `gpu0`, `gpu1`, …) and their
-/// profiles merged.
+/// profiles merged. Device 0 is a [`PreparedGraph`]; the rest are its
+/// replicas. One host, `devices` cards: the interconnect is never charged.
 pub(crate) fn run(
     g: &EdgeArray,
     opts: &GpuOptions,
@@ -40,122 +36,37 @@ pub(crate) fn run(
             "the multi-GPU scheme broadcasts the production SoA layout".into(),
         ));
     }
-    // Fold the per-run sanitizer request into the device preset so every
-    // striped device installs its shadow map at construction.
-    let mut cfg = opts.device.clone();
-    cfg.sanitizer = cfg.sanitizer.max(opts.sanitizer);
-    cfg.verifier = cfg.verifier || opts.verify;
-    // One host, `devices` cards: a one-node cluster, which never charges
-    // the interconnect.
-    let mut group = Cluster::homogeneous(
-        ClusterTopology::new(1, devices),
-        Interconnect::default(),
-        &cfg,
-    );
-    if opts.preinit_context {
-        group.preinit_all();
-    }
-    group.reset_clocks();
-
-    // Preprocess on device 0 only, reserving room for its result array.
-    let lc = opts.launch_config(group.device(0).config());
-    let total_threads = lc.active_threads(group.device(0).config().warp_size);
-    group.device_mut(0).push_phase("preprocess");
-    let pre = preprocess_auto(
-        group.device_mut(0),
-        g,
-        false,
-        total_threads as u64 * 8,
-        opts.reorder,
-    );
-    group.device_mut(0).pop_phase();
-    let pre = pre?;
-
-    // The balanced bin plan, built and charged on device 0 like the
-    // preprocessing it extends.
-    group.device_mut(0).push_phase("schedule");
-    let plan = build_plan(group.device_mut(0), &pre, opts.schedule);
-    group.device_mut(0).pop_phase();
-    let plan = plan?;
-    let preprocess_s = group.device(0).elapsed() + pre.host_seconds;
-
-    // Broadcast the shared arrays (plus the gathered bin-ordered edge
-    // copies under a balanced plan). Target clocks start accumulating here.
-    let t_before: Vec<f64> = group.iter().map(Device::elapsed).collect();
-    for i in 0..devices {
-        group.device_mut(i).push_phase("broadcast");
-    }
-    let nbr = group.broadcast(0, &pre.nbr)?;
-    let owner = group.broadcast(0, &pre.owner)?;
-    let node = group.broadcast(0, &pre.node)?;
-    let gathered = match &plan {
-        Some(plan) => Some((group.broadcast(0, &plan.eu)?, group.broadcast(0, &plan.ev)?)),
-        None => None,
-    };
-    for i in 0..devices {
-        group.device_mut(i).pop_phase();
-    }
+    // Preprocess (and plan a balanced schedule) on device 0 only, then
+    // broadcast its resident arrays to the replicas.
+    let mut head = PreparedGraph::prepare(g, opts)?;
+    let preprocess_s = head.prepare_s();
+    let head_fallback = head.used_cpu_fallback();
+    let head_t0 = head.device().elapsed();
+    let replicas = head.replicate(devices - 1)?;
 
     // Each device counts its stripe — of the whole edge array under the
     // paper's scheme, of every occupied bin under a balanced plan (so each
     // device sees the same light/heavy mix and the stripes stay even).
     let mut triangles = 0u64;
     let mut kernel = KernelStats::default();
-    for i in 0..devices {
-        let dev = group.device_mut(i);
-        dev.push_phase("count");
-        let result = dev.alloc::<u64>(total_threads)?;
-        // Each device runs its own stripe of every bin with the full
-        // launch geometry, so each needs its own hash-table scratch.
-        let hash_scratch = alloc_hash_scratch(dev, plan.as_ref(), total_threads)?;
-        let (arrays, bins, tag) = match (&plan, &gathered) {
-            (Some(plan), Some((eu, ev))) => {
-                let arrays = KernelArrays::Gathered {
-                    eu: eu[i],
-                    ev: ev[i],
-                    adj: nbr[i],
-                };
-                (arrays, Bins::Plan(&plan.bins), "bin stripe")
-            }
-            _ => {
-                let arrays = KernelArrays::SoA {
-                    nbr: nbr[i],
-                    owner: owner[i],
-                };
-                (arrays, Bins::Whole(pre.m), "stripe")
-            }
-        };
-        let ctx = DispatchCtx {
-            opts,
-            lc,
-            node: node[i],
-            result,
-            hash_scratch,
-            tag,
-        };
-        let stripe = Stripe {
-            index: i,
-            of: devices,
-        };
-        let (partial, slowest) = dispatch_bins(dev, arrays, bins, stripe, &ctx)?;
+    let mut count_s = 0.0f64;
+    let mut devs = Vec::with_capacity(devices);
+    for (index, mut session) in std::iter::once(head).chain(replicas).enumerate() {
+        let stripe = Stripe { index, of: devices };
+        let (partial, slowest) = session.count_stripe(Some(stripe))?;
         triangles += partial;
-        if i == 0 {
+        if index == 0 {
             kernel = slowest.unwrap_or_default();
         }
-        if let Some(scratch) = hash_scratch {
-            dev.free(scratch)?;
-        }
-        dev.free(result)?;
-        dev.pop_phase();
+        let dev = session.release()?;
+        // Each device's broadcast-plus-count window — device 0's after its
+        // preprocessing, a replica's since its bring-up; the slowest
+        // bounds the run.
+        let t0 = if index == 0 { head_t0 } else { 0.0 };
+        count_s = count_s.max(dev.elapsed() - t0);
+        devs.push(dev);
     }
-
-    // Each device's broadcast-plus-count window; the slowest bounds the run.
-    let count_s = group
-        .iter()
-        .zip(&t_before)
-        .map(|(dev, t0)| dev.elapsed() - t0)
-        .fold(0.0, f64::max);
-    let traces: Vec<RunTrace> = group
+    let traces: Vec<RunTrace> = devs
         .iter()
         .enumerate()
         .map(|(i, dev)| RunTrace::of(dev, format!("gpu{i} ({})", dev.config().name)))
@@ -166,14 +77,16 @@ pub(crate) fn run(
         preprocess_s,
         count_s,
         kernel,
-        used_cpu_fallback: pre.used_cpu_fallback,
-        peak_device_bytes: group.iter().map(Device::mem_peak).max().unwrap_or(0),
+        used_cpu_fallback: head_fallback,
+        peak_device_bytes: devs.iter().map(Device::mem_peak).max().unwrap_or(0),
+        // Snapshot the checkers after release so the teardown frees are
+        // covered too, as on a single device.
         sanitizer: merge_reports(
-            group.iter().map(Device::sanitizer_report),
+            devs.iter().map(Device::sanitizer_report),
             SanitizerReport::merged,
         ),
         verifier: merge_reports(
-            group.iter().map(Device::verifier_report),
+            devs.iter().map(Device::verifier_report),
             VerifierReport::merged,
         ),
         profile: merged_profile(&traces),

@@ -30,6 +30,27 @@ use crate::gpu::schedule::{
 };
 use crate::gpu::EdgeLayout;
 
+/// Bring `dev` up for a measured session under `opts` — the one bring-up
+/// of every device a GPU topology runs on (a single or pooled device, the
+/// multi-GPU replicas, the cluster shards): create the context when asked,
+/// recycle the device, and switch the sanitizer and the verifier to what
+/// `opts` asks for.
+pub(crate) fn bring_up(dev: &mut Device, opts: &GpuOptions) {
+    if opts.preinit_context {
+        dev.preinit_context();
+    }
+    // Recycle rather than just reset: a pooled device whose previous
+    // session freed everything rewinds its arena, so this session's
+    // addresses — and therefore its modeled cache behavior — match a cold
+    // device exactly.
+    dev.recycle();
+    // Installed after the recycle, before the first copy, the checkers
+    // cover the whole measured session — preprocessing, scheduling,
+    // counting, release.
+    dev.set_sanitizer_mode(opts.sanitizer);
+    dev.set_verifier(opts.verify);
+}
+
 /// A graph preprocessed onto a device, ready to serve counts.
 #[derive(Debug)]
 pub struct PreparedGraph {
@@ -135,22 +156,7 @@ impl PreparedGraph {
         g: &EdgeArray,
         opts: &GpuOptions,
     ) -> Result<PreparedGraph, CoreError> {
-        if opts.preinit_context {
-            dev.preinit_context();
-        }
-        // Recycle rather than just reset: a pooled device whose previous
-        // session freed everything rewinds its arena, so this session's
-        // addresses — and therefore its modeled cache behavior — match a
-        // cold device exactly.
-        dev.recycle();
-        // The effective sanitizer mode is the stricter of the request's and
-        // the device config's. Installing it here (after the recycle, before
-        // the first copy) puts the whole measured session — preprocessing,
-        // scheduling, counting, release — under the shadow.
-        dev.set_sanitizer_mode(opts.sanitizer.max(dev.config().sanitizer));
-        // Likewise the static launch verifier: on when either the request
-        // or the device config asks for it.
-        dev.set_verifier(opts.verify || dev.config().verifier);
+        bring_up(&mut dev, opts);
 
         // Launch geometry is fixed up front so preprocessing can reserve
         // room for the result array in its capacity plan.
@@ -218,41 +224,7 @@ impl PreparedGraph {
     /// then reports the slowest bin's launch (the representative stripe).
     pub fn count(&mut self) -> Result<PreparedCount, CoreError> {
         let mark = CountMark::of(&self.dev);
-        self.dev.push_phase("count");
-        let (arrays, bins, tag) = match &self.plan {
-            None => {
-                let arrays = match self.opts.layout {
-                    EdgeLayout::SoA => KernelArrays::SoA {
-                        nbr: self.pre.nbr,
-                        owner: self.pre.owner,
-                    },
-                    EdgeLayout::AoS => KernelArrays::AoS {
-                        arcs: self.pre.arcs_aos.expect("AoS layout retains packed arcs"),
-                    },
-                };
-                (arrays, Bins::Whole(self.pre.m), "")
-            }
-            Some(plan) => {
-                let arrays = KernelArrays::Gathered {
-                    eu: plan.eu,
-                    ev: plan.ev,
-                    adj: self.pre.nbr,
-                };
-                (arrays, Bins::Plan(&plan.bins), "bin")
-            }
-        };
-        let ctx = DispatchCtx {
-            opts: &self.opts,
-            lc: self.lc,
-            node: self.pre.node,
-            result: self.result,
-            hash_scratch: self.hash_scratch,
-            tag,
-        };
-        let counted = dispatch_bins(&mut self.dev, arrays, bins, Stripe::WHOLE, &ctx);
-        self.dev.pop_phase();
-        let (triangles, slowest) = counted
-            .map_err(|e| e.with_context(ErrorContext::at(self.dev.config().name, "count")))?;
+        let (triangles, slowest) = self.count_stripe(None)?;
         self.counts_served += 1;
         let (count_s, profile, trace) = mark.window(&self.dev);
         Ok(PreparedCount {
@@ -263,6 +235,125 @@ impl PreparedGraph {
             kernel: slowest.unwrap_or_default(),
             profile,
             trace,
+        })
+    }
+
+    /// Count under a `count` phase: the whole session, or one device's
+    /// §III-E `stripe` of every bin (launch labels tagged `stripe`).
+    /// Returns the partial count and the slowest launch (`None` when
+    /// nothing launched).
+    pub(crate) fn count_stripe(
+        &mut self,
+        stripe: Option<Stripe>,
+    ) -> Result<(u64, Option<KernelStats>), CoreError> {
+        let tag = match (self.plan.is_some(), stripe.is_some()) {
+            (false, false) => "",
+            (false, true) => "stripe",
+            (true, false) => "bin",
+            (true, true) => "bin stripe",
+        };
+        self.dev.push_phase("count");
+        let (arrays, bins) = match &self.plan {
+            None => {
+                let arrays = match self.opts.layout {
+                    EdgeLayout::SoA => KernelArrays::SoA {
+                        nbr: self.pre.nbr,
+                        owner: self.pre.owner,
+                    },
+                    EdgeLayout::AoS => KernelArrays::AoS {
+                        arcs: self.pre.arcs_aos.expect("AoS layout retains packed arcs"),
+                    },
+                };
+                (arrays, Bins::Whole(self.pre.m))
+            }
+            Some(plan) => {
+                let arrays = KernelArrays::Gathered {
+                    eu: plan.eu,
+                    ev: plan.ev,
+                    adj: self.pre.nbr,
+                };
+                (arrays, Bins::Plan(&plan.bins))
+            }
+        };
+        let ctx = DispatchCtx {
+            opts: &self.opts,
+            lc: self.lc,
+            node: self.pre.node,
+            result: self.result,
+            hash_scratch: self.hash_scratch,
+            tag,
+        };
+        let stripe = stripe.unwrap_or(Stripe::WHOLE);
+        let counted = dispatch_bins(&mut self.dev, arrays, bins, stripe, &ctx);
+        self.dev.pop_phase();
+        counted.map_err(|e| e.with_context(ErrorContext::at(self.dev.config().name, "count")))
+    }
+
+    /// Replicate this session onto `replicas` fresh devices for the §III-E
+    /// stripes. Each replica is brought up like this one, receives copies
+    /// of the resident arrays (`nbr`, `owner`, `node`, and the plan's
+    /// gathered `eu`/`ev`) under its `broadcast` phase, then its own result
+    /// array and hash scratch. This device's `broadcast` span stays empty:
+    /// the arrays are already here, only read back once for the copies.
+    pub(crate) fn replicate(&mut self, replicas: usize) -> Result<Vec<PreparedGraph>, CoreError> {
+        self.dev.push_phase("broadcast");
+        let mut arrays = vec![
+            self.dev.peek(&self.pre.nbr),
+            self.dev.peek(&self.pre.owner),
+            self.dev.peek(&self.pre.node),
+        ];
+        if let Some(plan) = &self.plan {
+            arrays.extend([self.dev.peek(&plan.eu), self.dev.peek(&plan.ev)]);
+        }
+        self.dev.pop_phase();
+        (0..replicas)
+            .map(|_| {
+                let mut dev = Device::new(self.opts.device.clone());
+                bring_up(&mut dev, &self.opts);
+                let name = dev.config().name;
+                self.replica_on(dev, &arrays)
+                    .map_err(|e| e.with_context(ErrorContext::at(name, "broadcast")))
+            })
+            .collect()
+    }
+
+    /// One replica of this session on the brought-up `dev`, from the
+    /// host copies of its arrays in [`PreparedGraph::replicate`] order.
+    fn replica_on(&self, mut dev: Device, arrays: &[Vec<u32>]) -> Result<PreparedGraph, CoreError> {
+        dev.push_phase("broadcast");
+        let copies = arrays
+            .iter()
+            .map(|a| dev.htod_copy(a))
+            .collect::<Result<Vec<_>, _>>()?;
+        dev.pop_phase();
+        let pre = Preprocessed {
+            nbr: copies[0],
+            owner: copies[1],
+            node: copies[2],
+            arcs_aos: None,
+            relabel: None,
+            ..self.pre
+        };
+        let plan = self.plan.as_ref().map(|plan| BinPlan {
+            eu: copies[3],
+            ev: copies[4],
+            bins: plan.bins.clone(),
+        });
+        let total_threads = self.lc.active_threads(dev.config().warp_size);
+        let result = dev.alloc::<u64>(total_threads)?;
+        let hash_scratch = alloc_hash_scratch(&mut dev, plan.as_ref(), total_threads)?;
+        Ok(PreparedGraph {
+            prepare_s: dev.elapsed(),
+            prepare_trace: relative_spans(dev.spans(), dev.time_log(), 0, 0),
+            dev,
+            pre,
+            opts: self.opts.clone(),
+            lc: self.lc,
+            result,
+            plan,
+            hash_scratch,
+            digest: self.digest,
+            counts_served: 0,
         })
     }
 
@@ -457,6 +548,27 @@ mod tests {
         assert_eq!(warm_count.kernel, cold_count.kernel);
         assert_eq!(warm_count.profile.totals, cold_count.profile.totals);
         warm.release().unwrap();
+    }
+
+    #[test]
+    fn a_recycled_device_takes_each_sessions_own_checkers() {
+        let g = diamond();
+        let mut checked = opts();
+        checked.sanitizer = tc_simt::SanitizerMode::Check;
+        checked.verify = true;
+        let mut first = PreparedGraph::prepare(&g, &checked).unwrap();
+        first.count().unwrap();
+        assert!(first.sanitizer_report().is_some() && first.verifier_report().is_some());
+        // The same device serving a plain session runs neither checker.
+        let dev = first.release().unwrap();
+        let mut plain = PreparedGraph::prepare_on(dev, &g, &opts()).unwrap();
+        plain.count().unwrap();
+        assert!(plain.sanitizer_report().is_none());
+        assert!(plain.verifier_report().is_none());
+        // And back: a checked session on it starts from empty reports.
+        let dev = plain.release().unwrap();
+        let again = PreparedGraph::prepare_on(dev, &g, &checked).unwrap();
+        assert_eq!(again.verifier_report().unwrap().launches_checked, 0);
     }
 
     #[test]

@@ -110,9 +110,9 @@ pub fn preprocess_auto(
     let full = full_path_peak_bytes(g) + node_bytes(g) + reserve_bytes + extra;
     let fallback = fallback_path_peak_bytes(g) + node_bytes(g) + reserve_bytes + extra;
     if dev.fits(full) {
-        Ok(preprocess_full_gpu_opts(dev, g, keep_aos, reorder)?)
+        Ok(preprocess_full_gpu(dev, g, keep_aos, reorder)?)
     } else if dev.fits(fallback) {
-        Ok(preprocess_cpu_fallback_opts(dev, g, keep_aos, reorder)?)
+        Ok(preprocess_cpu_fallback(dev, g, keep_aos, reorder)?)
     } else {
         Err(CoreError::GraphTooLargeForDevice {
             required_bytes: fallback,
@@ -125,20 +125,11 @@ fn node_bytes(g: &EdgeArray) -> u64 {
     (g.num_nodes() as u64 + 1) * 4
 }
 
-/// The eight-step full-GPU path with the production defaults (no reorder).
-pub fn preprocess_full_gpu(
-    dev: &mut Device,
-    g: &EdgeArray,
-    keep_aos: bool,
-) -> Result<Preprocessed, SimtError> {
-    preprocess_full_gpu_opts(dev, g, keep_aos, false)
-}
-
 /// The eight-step full-GPU path. Each step runs inside a named profiler
 /// phase (`push_phase`/`pop_phase`) so `--profile` reports and nested
 /// traces show the §III-B breakdown. With `reorder`, step 2b relabels the
 /// arcs by degree-descending rank before the sort.
-pub fn preprocess_full_gpu_opts(
+pub fn preprocess_full_gpu(
     dev: &mut Device,
     g: &EdgeArray,
     keep_aos: bool,
@@ -288,21 +279,12 @@ fn reorder_pass(
 /// Xeon and keeps the † rows' penalty in the paper's proportions.
 pub const HOST_PREPROCESS_NS_PER_ARC: f64 = 6.0;
 
-/// §III-D6 with the production defaults (no reorder).
-pub fn preprocess_cpu_fallback(
-    dev: &mut Device,
-    g: &EdgeArray,
-    keep_aos: bool,
-) -> Result<Preprocessed, SimtError> {
-    preprocess_cpu_fallback_opts(dev, g, keep_aos, false)
-}
-
 /// §III-D6: degrees and orientation on the host, the rest on the device.
 /// With `reorder`, the relabeling also runs on the host (one extra
 /// streaming pass in the charge model) and only the inverse permutation is
 /// uploaded; the orientation predicate compares relabeled ids so the
 /// output matches the full-GPU reorder path exactly.
-pub fn preprocess_cpu_fallback_opts(
+pub fn preprocess_cpu_fallback(
     dev: &mut Device,
     g: &EdgeArray,
     keep_aos: bool,
@@ -437,7 +419,7 @@ mod tests {
     fn full_gpu_path_matches_cpu_reference() {
         let g = diamond();
         let mut dev = device();
-        let p = preprocess_full_gpu(&mut dev, &g, false).unwrap();
+        let p = preprocess_full_gpu(&mut dev, &g, false, false).unwrap();
         assert!(!p.used_cpu_fallback);
         assert_matches_reference(&dev, &p, &g);
     }
@@ -446,7 +428,7 @@ mod tests {
     fn fallback_path_matches_cpu_reference() {
         let g = diamond();
         let mut dev = device();
-        let p = preprocess_cpu_fallback(&mut dev, &g, false).unwrap();
+        let p = preprocess_cpu_fallback(&mut dev, &g, false, false).unwrap();
         assert!(p.used_cpu_fallback);
         assert_matches_reference(&dev, &p, &g);
     }
@@ -466,8 +448,8 @@ mod tests {
         let g = EdgeArray::from_undirected_pairs(pairs);
         let mut d1 = device();
         let mut d2 = device();
-        let p1 = preprocess_full_gpu(&mut d1, &g, false).unwrap();
-        let p2 = preprocess_cpu_fallback(&mut d2, &g, false).unwrap();
+        let p1 = preprocess_full_gpu(&mut d1, &g, false, false).unwrap();
+        let p2 = preprocess_cpu_fallback(&mut d2, &g, false, false).unwrap();
         assert_eq!(d1.peek(&p1.node), d2.peek(&p2.node));
         assert_eq!(d1.peek(&p1.nbr), d2.peek(&p2.nbr));
         assert_matches_reference(&d1, &p1, &g);
@@ -511,7 +493,7 @@ mod tests {
     fn keep_aos_retains_packed_arcs() {
         let g = diamond();
         let mut dev = device();
-        let p = preprocess_full_gpu(&mut dev, &g, true).unwrap();
+        let p = preprocess_full_gpu(&mut dev, &g, true, false).unwrap();
         let aos = p.arcs_aos.expect("requested AoS retention");
         let packed = dev.peek(&aos);
         let nbr = dev.peek(&p.nbr);
@@ -526,7 +508,7 @@ mod tests {
         let g = diamond();
         let mut dev = device();
         let before = dev.mem_used();
-        let p = preprocess_full_gpu(&mut dev, &g, false).unwrap();
+        let p = preprocess_full_gpu(&mut dev, &g, false, false).unwrap();
         assert!(dev.mem_used() > before);
         free_preprocessed(&mut dev, &p).unwrap();
         assert_eq!(dev.mem_used(), before);
@@ -536,7 +518,7 @@ mod tests {
     fn empty_graph_preprocesses_cleanly() {
         let g = EdgeArray::default();
         let mut dev = device();
-        let p = preprocess_full_gpu(&mut dev, &g, false).unwrap();
+        let p = preprocess_full_gpu(&mut dev, &g, false, false).unwrap();
         assert_eq!(p.m, 0);
         assert_eq!(p.n, 0);
         assert_eq!(dev.peek(&p.node), vec![0]);
@@ -560,7 +542,7 @@ mod tests {
         let g = random_graph(61, 300, 99);
         let degrees = g.degrees();
         let mut dev = device();
-        let p = preprocess_full_gpu_opts(&mut dev, &g, false, true).unwrap();
+        let p = preprocess_full_gpu(&mut dev, &g, false, true).unwrap();
         let relabel = dev.peek(&p.relabel.expect("reorder keeps the inverse permutation"));
         assert_eq!(relabel.len(), g.num_nodes());
         // relabel[new] walks vertices in (descending degree, ascending id)
@@ -582,9 +564,9 @@ mod tests {
     fn reorder_is_a_pure_relabeling() {
         let g = random_graph(97, 400, 12345);
         let mut plain_dev = device();
-        let plain = preprocess_full_gpu(&mut plain_dev, &g, false).unwrap();
+        let plain = preprocess_full_gpu(&mut plain_dev, &g, false, false).unwrap();
         let mut dev = device();
-        let p = preprocess_full_gpu_opts(&mut dev, &g, false, true).unwrap();
+        let p = preprocess_full_gpu(&mut dev, &g, false, true).unwrap();
         assert_eq!(p.m, plain.m);
         assert_eq!(p.n, plain.n);
         let relabel = dev.peek(&p.relabel.unwrap());
@@ -615,8 +597,8 @@ mod tests {
         let g = random_graph(97, 400, 777);
         let mut d1 = device();
         let mut d2 = device();
-        let p1 = preprocess_full_gpu_opts(&mut d1, &g, false, true).unwrap();
-        let p2 = preprocess_cpu_fallback_opts(&mut d2, &g, false, true).unwrap();
+        let p1 = preprocess_full_gpu(&mut d1, &g, false, true).unwrap();
+        let p2 = preprocess_cpu_fallback(&mut d2, &g, false, true).unwrap();
         assert_eq!(d1.peek(&p1.node), d2.peek(&p2.node));
         assert_eq!(d1.peek(&p1.nbr), d2.peek(&p2.nbr));
         assert_eq!(d1.peek(&p1.relabel.unwrap()), d2.peek(&p2.relabel.unwrap()));
@@ -627,13 +609,13 @@ mod tests {
         let g = diamond();
         let mut dev = device();
         let before = dev.mem_used();
-        let p = preprocess_full_gpu_opts(&mut dev, &g, false, true).unwrap();
+        let p = preprocess_full_gpu(&mut dev, &g, false, true).unwrap();
         assert!(p.relabel.is_some());
         free_preprocessed(&mut dev, &p).unwrap();
         assert_eq!(dev.mem_used(), before);
 
         let empty = EdgeArray::default();
-        let p = preprocess_full_gpu_opts(&mut dev, &empty, false, true).unwrap();
+        let p = preprocess_full_gpu(&mut dev, &empty, false, true).unwrap();
         assert!(p.relabel.is_none());
         assert_eq!(p.m, 0);
     }

@@ -83,12 +83,6 @@ impl KernelSchedule {
     /// size of every device preset).
     pub const WIDTHS: [u32; 5] = [2, 4, 8, 16, 32];
 
-    /// Is this the default schedule (no binning pass, no token suffix)?
-    #[inline]
-    pub fn is_default(&self) -> bool {
-        matches!(self, KernelSchedule::ThreadPerEdge)
-    }
-
     /// The token suffix appended to a backend device token (`""` for the
     /// default schedule).
     ///

@@ -842,7 +842,7 @@ mod tests {
         let mut dev = Device::new(DeviceConfig::gtx_980().with_unlimited_memory());
         dev.preinit_context();
         dev.reset_clock();
-        let pre = preprocess_full_gpu(&mut dev, g, false).unwrap();
+        let pre = preprocess_full_gpu(&mut dev, g, false, false).unwrap();
         let lc = LaunchConfig::new(16, 64);
         let total = lc.active_threads(32);
         let result = dev.alloc::<u64>(total).unwrap();
@@ -871,7 +871,7 @@ mod tests {
         let mut dev = Device::new(DeviceConfig::gtx_980().with_unlimited_memory());
         dev.preinit_context();
         dev.reset_clock();
-        let pre = preprocess_full_gpu(&mut dev, g, false).unwrap();
+        let pre = preprocess_full_gpu(&mut dev, g, false, false).unwrap();
         let lc = LaunchConfig::new(16, 64);
         let total = lc.active_threads(32);
         let result = dev.alloc::<u64>(total).unwrap();
@@ -1057,7 +1057,7 @@ mod tests {
         let mut dev = Device::new(DeviceConfig::gtx_980().with_unlimited_memory());
         dev.preinit_context();
         dev.reset_clock();
-        let pre = preprocess_full_gpu(&mut dev, &g, false).unwrap();
+        let pre = preprocess_full_gpu(&mut dev, &g, false, false).unwrap();
         let lc = LaunchConfig::new(16, 64);
         let total = lc.active_threads(32);
         let result = dev.alloc::<u64>(total).unwrap();

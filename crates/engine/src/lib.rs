@@ -516,10 +516,6 @@ impl Engine {
         &self.config
     }
 
-    pub fn pool(&self) -> &DevicePool {
-        &self.pool
-    }
-
     /// The engine's lifetime metrics registry (accumulates across
     /// batches). Snapshot it any time; [`Engine::run_batch`] attaches a
     /// snapshot to every report.
@@ -862,7 +858,7 @@ impl Engine {
     fn prepare_entry(&self, job: &Job) -> Result<CacheEntry, CoreError> {
         match &job.backend {
             Backend::Gpu(opts) => {
-                let (device, ticket) = self.pool.acquire(&opts.device).detach();
+                let (device, ticket) = self.pool.acquire(&opts.device);
                 let prepared = PreparedGraph::prepare_on(device, &job.graph, opts)?;
                 Ok(CacheEntry::Single {
                     prepared: Box::new(prepared),

@@ -9,23 +9,16 @@
 //!
 //! Determinism: every helper partitions work into contiguous index ranges
 //! and combines the per-range results **in index order**, so the output is
-//! identical regardless of thread count — including the fully sequential
-//! build with the `threads` feature disabled.
+//! identical regardless of thread count.
 
 #![forbid(unsafe_code)]
 
 use std::thread;
 
 /// Number of worker threads the helpers will use: the machine's available
-/// parallelism, or 1 when the `threads` feature is disabled.
+/// parallelism (1 when it cannot be determined).
 pub fn max_threads() -> usize {
-    if cfg!(feature = "threads") {
-        thread::available_parallelism()
-            .map(|n| n.get())
-            .unwrap_or(1)
-    } else {
-        1
-    }
+    thread::available_parallelism().map_or(1, |n| n.get())
 }
 
 /// Parallel `(0..n).map(f).collect()`. Results come back in index order.

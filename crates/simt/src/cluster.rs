@@ -5,10 +5,8 @@
 //! Uploads to a device on node 0 (where the host data lives) cost only
 //! the PCIe copy; uploads to any other node first cross the interconnect
 //! — latency plus bytes over bandwidth — and then the target's PCIe link.
-//! The paper's multi-GPU scheme (§III-E) is the one-node case: every
-//! device hangs off the same PCIe root, the interconnect is never
-//! charged, and [`Cluster::broadcast`] copies the preprocessed graph from
-//! one card to the rest.
+//! A one-node cluster never charges the interconnect: every device hangs
+//! off the same PCIe root, as in the paper's multi-GPU scheme (§III-E).
 //!
 //! Like everything in this crate the costs are analytic and deterministic:
 //! the same bytes over the same [`Interconnect`] always charge the same
@@ -151,20 +149,6 @@ impl Cluster {
         self.devices.iter()
     }
 
-    /// Pre-create every context (outside the measured window, like the
-    /// paper's `cudaFree(NULL)`).
-    pub fn preinit_all(&mut self) {
-        for d in &mut self.devices {
-            d.preinit_context();
-        }
-    }
-
-    pub fn reset_clocks(&mut self) {
-        for d in &mut self.devices {
-            d.reset_clock();
-        }
-    }
-
     /// Upload host data to one device, charging the interconnect first
     /// when the device lives off node 0 (the shard must travel from the
     /// host holding the graph to the owning node before its PCIe copy).
@@ -179,28 +163,6 @@ impl Cluster {
             "internode: shard send",
         );
         self.devices[device].htod_copy(data)
-    }
-
-    /// Copy `buf` on device `from` to every other device. Returns one
-    /// buffer handle per device (`result[from]` is the original). Each
-    /// target pays its own upload, as [`Cluster::htod_scatter`] charges it:
-    /// distinct devices ride distinct PCIe links, so the set's wall clock
-    /// is the max of the per-device clocks.
-    pub fn broadcast<T: DeviceScalar>(
-        &mut self,
-        from: usize,
-        buf: &DeviceBuffer<T>,
-    ) -> Result<Vec<DeviceBuffer<T>>, SimtError> {
-        let data = self.devices[from].peek(buf);
-        (0..self.devices.len())
-            .map(|i| {
-                if i == from {
-                    Ok(*buf)
-                } else {
-                    self.htod_scatter(i, &data)
-                }
-            })
-            .collect()
     }
 
     /// Charge the interconnect cost of moving `bytes` to/from `device`'s
@@ -231,6 +193,17 @@ impl Cluster {
 mod tests {
     use super::*;
 
+    /// A cluster whose contexts are created and clocks zeroed, so each
+    /// device's clock counts only what a test charges.
+    fn warm_cluster(topology: ClusterTopology, cfg: &DeviceConfig) -> Cluster {
+        let mut c = Cluster::homogeneous(topology, Interconnect::default(), cfg);
+        for i in 0..c.len() {
+            c.device_mut(i).preinit_context();
+            c.device_mut(i).reset_clock();
+        }
+        c
+    }
+
     #[test]
     fn topology_maps_flat_indices_to_nodes() {
         let t = ClusterTopology::new(2, 3);
@@ -257,10 +230,7 @@ mod tests {
     #[test]
     fn scatter_to_remote_nodes_charges_the_interconnect() {
         let cfg = DeviceConfig::tesla_c2050().with_unlimited_memory();
-        let mut cluster =
-            Cluster::homogeneous(ClusterTopology::new(2, 1), Interconnect::default(), &cfg);
-        cluster.preinit_all();
-        cluster.reset_clocks();
+        let mut cluster = warm_cluster(ClusterTopology::new(2, 1), &cfg);
         let data: Vec<u32> = (0..4096).collect();
         let b0 = cluster.htod_scatter(0, &data).unwrap();
         let b1 = cluster.htod_scatter(1, &data).unwrap();
@@ -281,10 +251,7 @@ mod tests {
     fn internode_charges_are_deterministic() {
         let cfg = DeviceConfig::gtx_980().with_unlimited_memory();
         let run = || {
-            let mut c =
-                Cluster::homogeneous(ClusterTopology::new(2, 2), Interconnect::default(), &cfg);
-            c.preinit_all();
-            c.reset_clocks();
+            let mut c = warm_cluster(ClusterTopology::new(2, 2), &cfg);
             let data: Vec<u64> = (0..1000).collect();
             for i in 0..4 {
                 c.htod_scatter(i, &data).unwrap();
@@ -296,43 +263,9 @@ mod tests {
     }
 
     #[test]
-    fn broadcast_replicates_data() {
-        let cfg = DeviceConfig::tesla_c2050().with_unlimited_memory();
-        let mut c = Cluster::homogeneous(ClusterTopology::new(1, 4), Interconnect::default(), &cfg);
-        c.preinit_all();
-        c.reset_clocks();
-        let data: Vec<u32> = (0..256).collect();
-        let src = c.device_mut(0).htod_copy(&data).unwrap();
-        let bufs = c.broadcast(0, &src).unwrap();
-        assert_eq!(bufs.len(), 4);
-        for (i, b) in bufs.iter().enumerate() {
-            assert_eq!(c.device(i).peek(b), data, "device {i}");
-        }
-        // Targets were charged copy time; the source only its own upload.
-        assert!(c.device(1).elapsed() > 0.0);
-        assert!(c.elapsed_max() >= c.device(0).elapsed());
-    }
-
-    #[test]
-    fn broadcast_propagates_oom() {
-        let cfg = DeviceConfig::tesla_c2050().with_memory_capacity(2048);
-        let mut c = Cluster::homogeneous(ClusterTopology::new(1, 2), Interconnect::default(), &cfg);
-        c.preinit_all();
-        let data: Vec<u32> = (0..256).collect();
-        let src = c.device_mut(0).htod_copy(&data).unwrap();
-        // Fill the target so the 1 KB copy no longer fits.
-        c.device_mut(1).alloc::<u32>(300).unwrap();
-        assert!(matches!(
-            c.broadcast(0, &src),
-            Err(SimtError::OutOfMemory { .. })
-        ));
-    }
-
-    #[test]
     fn mem_peak_max_tracks_the_largest_device() {
         let cfg = DeviceConfig::gtx_980().with_unlimited_memory();
-        let mut c = Cluster::homogeneous(ClusterTopology::new(1, 2), Interconnect::default(), &cfg);
-        c.preinit_all();
+        let mut c = warm_cluster(ClusterTopology::new(1, 2), &cfg);
         let big: Vec<u32> = vec![0; 10_000];
         let small: Vec<u32> = vec![0; 10];
         c.htod_scatter(0, &big).unwrap();

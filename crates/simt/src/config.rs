@@ -7,8 +7,6 @@
 //! bandwidth) match the published specs, because those drive the Table II
 //! statistics directly.
 
-use crate::sanitizer::SanitizerMode;
-
 /// Static description of a simulated device.
 #[derive(Clone, Debug, PartialEq)]
 pub struct DeviceConfig {
@@ -75,15 +73,6 @@ pub struct DeviceConfig {
     /// factor as the graph suite (DESIGN.md §2) so the §III-D6 fallback
     /// triggers on the analog of the paper's over-capacity graphs.
     pub memory_capacity: u64,
-    /// Compute-sanitizer mode installed on devices built from this config
-    /// (memcheck/initcheck/racecheck over the simulated memory path).
-    /// `Off` is a true no-op — modeled statistics are byte-identical.
-    pub sanitizer: SanitizerMode,
-    /// Whether devices built from this config run the static launch
-    /// verifier (per-kernel access contracts proven in-bounds and
-    /// race-free before each launch). Host-side only: modeled timings are
-    /// byte-identical with it on or off.
-    pub verifier: bool,
 }
 
 impl DeviceConfig {
@@ -119,8 +108,6 @@ impl DeviceConfig {
             launch_overhead_us: 8.0,
             context_init_ms: 100.0,
             memory_capacity: 20 * 1024 * 1024,
-            sanitizer: SanitizerMode::Off,
-            verifier: false,
         }
     }
 
@@ -155,8 +142,6 @@ impl DeviceConfig {
             launch_overhead_us: 5.0,
             context_init_ms: 100.0,
             memory_capacity: 48 * 1024 * 1024,
-            sanitizer: SanitizerMode::Off,
-            verifier: false,
         }
     }
 
@@ -190,8 +175,6 @@ impl DeviceConfig {
             launch_overhead_us: 10.0,
             context_init_ms: 100.0,
             memory_capacity: 18 * 1024 * 1024,
-            sanitizer: SanitizerMode::Off,
-            verifier: false,
         }
     }
 
@@ -206,18 +189,6 @@ impl DeviceConfig {
     /// failure-injection tests.
     pub fn with_memory_capacity(mut self, bytes: u64) -> Self {
         self.memory_capacity = bytes;
-        self
-    }
-
-    /// A variant with the given sanitizer mode.
-    pub fn with_sanitizer(mut self, mode: SanitizerMode) -> Self {
-        self.sanitizer = mode;
-        self
-    }
-
-    /// A variant with the static launch verifier on or off.
-    pub fn with_verifier(mut self, on: bool) -> Self {
-        self.verifier = on;
         self
     }
 

@@ -83,12 +83,9 @@ pub struct Device {
 
 impl Device {
     pub fn new(cfg: DeviceConfig) -> Self {
-        let mut arena = Arena::new(cfg.memory_capacity);
-        arena.set_sanitizer(cfg.sanitizer);
         Device {
-            verifier: cfg.verifier,
+            arena: Arena::new(cfg.memory_capacity),
             cfg,
-            arena,
             now_s: 0.0,
             context_ready: false,
             log: Vec::new(),
@@ -97,6 +94,7 @@ impl Device {
             spans: Vec::new(),
             findings: Vec::new(),
             lints: Vec::new(),
+            verifier: false,
             vfindings: Vec::new(),
             launches_checked: 0,
             launches_proven: 0,
@@ -740,10 +738,8 @@ mod tests {
     /// A warm device holding `input = 0..N`, a zeroed `output` and an
     /// `other` buffer no kernel touches.
     fn add_device(sanitizer: SanitizerMode) -> (Device, AddKernel, DeviceBuffer<u32>) {
-        let cfg = DeviceConfig::gtx_980()
-            .with_unlimited_memory()
-            .with_sanitizer(sanitizer);
-        let mut dev = Device::new(cfg);
+        let mut dev = Device::new(DeviceConfig::gtx_980().with_unlimited_memory());
+        dev.set_sanitizer_mode(sanitizer);
         dev.preinit_context();
         dev.reset_clock();
         let input = dev.htod_copy(&(0..N as u32).collect::<Vec<_>>()).unwrap();

@@ -67,7 +67,7 @@ pub use error::SimtError;
 pub use executor::{KernelStats, LaunchConfig};
 pub use kernel::{Effect, Kernel, MemView};
 pub use memo::LaunchTally;
-pub use pool::{DeviceLease, DevicePool, PoolTicket};
+pub use pool::{DevicePool, PoolTicket};
 pub use profiler::{Counters, ProfileReport, Span};
 pub use sanitizer::{Finding, FindingKind, Lint, LintKind, SanitizerMode, SanitizerReport};
 pub use verifier::{

@@ -7,16 +7,12 @@
 //! returned to the pool keep their warm context and are handed out again to
 //! the next request for the same [`DeviceConfig`] preset.
 //!
-//! Two ways to hold a device:
-//!
-//! * [`DeviceLease`] — an RAII guard; the device goes back to the idle set
-//!   when the guard drops. This is what transient per-job work uses.
-//! * [`DeviceLease::detach`] — splits the lease into the raw [`Device`] and
-//!   a [`PoolTicket`]. The device can then move into a long-lived structure
-//!   (the engine's `PreparedGraph` cache keeps preprocessed graphs resident
-//!   on a device for many counts); the ticket still accounts for the pool
-//!   slot and returns it — with or without the device — when the structure
-//!   is torn down.
+//! [`DevicePool::acquire`] hands out the raw [`Device`] together with a
+//! [`PoolTicket`]. The device can move into a long-lived structure (the
+//! engine's `PreparedGraph` cache keeps preprocessed graphs resident on a
+//! device for many counts); the ticket accounts for the pool slot and
+//! returns it — with the device via [`PoolTicket::restore`], or without it
+//! on drop — when the structure is torn down.
 //!
 //! `acquire` blocks while the pool is at capacity, which is the pool-level
 //! backpressure: a fleet of workers can never hold more devices than the
@@ -29,7 +25,8 @@ use crate::device::Device;
 
 #[derive(Debug)]
 struct PoolState {
-    /// Leased or detached devices currently counted against `capacity`.
+    /// Devices handed out (tickets not yet returned), counted against
+    /// `capacity`.
     outstanding: usize,
     /// Warm devices ready for reuse.
     idle: Vec<Device>,
@@ -69,83 +66,38 @@ impl DevicePool {
         }
     }
 
-    /// A pool pre-warmed with `warm` devices of `cfg`, their contexts
-    /// already created (the cost a serving deployment pays at startup, not
-    /// per request).
-    pub fn with_warm_devices(capacity: usize, cfg: &DeviceConfig, warm: usize) -> Self {
-        let pool = DevicePool::new(capacity);
-        {
-            let mut state = pool.inner.state.lock().unwrap();
-            for _ in 0..warm.min(capacity) {
-                let mut dev = Device::new(cfg.clone());
-                dev.preinit_context();
-                state.idle.push(dev);
-                state.created += 1;
-            }
-        }
-        pool
-    }
-
-    /// Lease a device with the given config, blocking while the pool is at
-    /// capacity. An idle device with the same preset name is reused (warm
-    /// context); otherwise a fresh device is created.
-    pub fn acquire(&self, cfg: &DeviceConfig) -> DeviceLease {
+    /// Take a device with the given config and the ticket for its slot,
+    /// blocking while the pool is at capacity. An idle device with the same
+    /// preset name is reused (warm context); otherwise a fresh device is
+    /// created.
+    pub fn acquire(&self, cfg: &DeviceConfig) -> (Device, PoolTicket) {
         let mut state = self.inner.state.lock().unwrap();
-        loop {
+        let device = loop {
             if let Some(i) = state.idle.iter().position(|d| d.config().name == cfg.name) {
-                let device = state.idle.swap_remove(i);
-                state.outstanding += 1;
-                return self.lease_of(device);
+                break state.idle.swap_remove(i);
             }
             if state.outstanding + state.idle.len() < self.inner.capacity {
-                state.outstanding += 1;
                 state.created += 1;
-                drop(state);
-                return self.lease_of(Device::new(cfg.clone()));
+                break Device::new(cfg.clone());
             }
             // At capacity with no matching idle device. If idle devices of a
             // *different* preset exist, retire one to make room; otherwise
-            // wait for a lease or ticket to come back.
+            // wait for a ticket to come back.
             if let Some(i) = state.idle.iter().position(|d| d.config().name != cfg.name) {
                 state.idle.swap_remove(i);
                 continue;
             }
             state = self.inner.freed.wait(state).unwrap();
-        }
-    }
-
-    /// Non-blocking [`DevicePool::acquire`]: `None` when the pool is at
-    /// capacity with no reusable idle device.
-    pub fn try_acquire(&self, cfg: &DeviceConfig) -> Option<DeviceLease> {
-        let mut state = self.inner.state.lock().unwrap();
-        if let Some(i) = state.idle.iter().position(|d| d.config().name == cfg.name) {
-            let device = state.idle.swap_remove(i);
-            state.outstanding += 1;
-            return Some(self.lease_of(device));
-        }
-        if state.outstanding + state.idle.len() >= self.inner.capacity {
-            // At capacity: retire a mismatched idle device to make room, or
-            // give up if every slot is genuinely busy.
-            match state.idle.iter().position(|d| d.config().name != cfg.name) {
-                Some(i) => {
-                    state.idle.swap_remove(i);
-                }
-                None => return None,
-            }
-        }
+        };
         state.outstanding += 1;
-        state.created += 1;
-        Some(self.lease_of(Device::new(cfg.clone())))
-    }
-
-    fn lease_of(&self, device: Device) -> DeviceLease {
-        DeviceLease {
+        let ticket = PoolTicket {
             inner: Arc::clone(&self.inner),
-            device: Some(device),
-        }
+            done: false,
+        };
+        (device, ticket)
     }
 
-    /// Devices currently leased or detached.
+    /// Devices currently handed out.
     pub fn outstanding(&self) -> usize {
         self.inner.state.lock().unwrap().outstanding
     }
@@ -178,60 +130,8 @@ fn release(inner: &PoolInner, device: Option<Device>) {
     inner.freed.notify_one();
 }
 
-/// RAII lease of one pool device. Deref to use it; drop to return it warm.
-#[derive(Debug)]
-pub struct DeviceLease {
-    inner: Arc<PoolInner>,
-    device: Option<Device>,
-}
-
-impl DeviceLease {
-    pub fn device(&self) -> &Device {
-        self.device.as_ref().expect("lease holds a device")
-    }
-
-    pub fn device_mut(&mut self) -> &mut Device {
-        self.device.as_mut().expect("lease holds a device")
-    }
-
-    /// Split into the raw device and a slot ticket, for structures that
-    /// keep a device resident past the lease scope.
-    pub fn detach(mut self) -> (Device, PoolTicket) {
-        let device = self.device.take().expect("lease holds a device");
-        let ticket = PoolTicket {
-            inner: Arc::clone(&self.inner),
-            done: false,
-        };
-        // `self` now holds no device; its Drop must not release the slot —
-        // the ticket owns it. Forgetting the empty guard is the cleanest
-        // way to hand over responsibility without a drop flag on the lease.
-        std::mem::forget(self);
-        (device, ticket)
-    }
-}
-
-impl std::ops::Deref for DeviceLease {
-    type Target = Device;
-    fn deref(&self) -> &Device {
-        self.device()
-    }
-}
-
-impl std::ops::DerefMut for DeviceLease {
-    fn deref_mut(&mut self) -> &mut Device {
-        self.device_mut()
-    }
-}
-
-impl Drop for DeviceLease {
-    fn drop(&mut self) {
-        release(&self.inner, self.device.take());
-    }
-}
-
-/// The pool-slot half of a detached lease: returns the slot on drop, and
-/// can give the (still warm) device back for reuse via
-/// [`PoolTicket::restore`].
+/// The pool slot of an acquired device: returns the slot on drop, and can
+/// give the (still warm) device back for reuse via [`PoolTicket::restore`].
 #[derive(Debug)]
 pub struct PoolTicket {
     inner: Arc<PoolInner>,
@@ -239,7 +139,7 @@ pub struct PoolTicket {
 }
 
 impl PoolTicket {
-    /// Return the detached device to the pool's idle set and free the slot.
+    /// Return the device to the pool's idle set and free the slot.
     pub fn restore(mut self, device: Device) {
         self.done = true;
         release(&self.inner, Some(device));
@@ -257,85 +157,93 @@ impl Drop for PoolTicket {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::sync::mpsc;
+    use std::time::Duration;
 
     fn cfg() -> DeviceConfig {
         DeviceConfig::gtx_980().with_unlimited_memory()
     }
 
+    /// Acquire `cfg` on another thread; the receiver yields the device's
+    /// preset name once the acquire returns.
+    fn acquire_in_background(pool: &DevicePool, cfg: DeviceConfig) -> mpsc::Receiver<&'static str> {
+        let (tx, rx) = mpsc::channel();
+        let pool = pool.clone();
+        std::thread::spawn(move || {
+            let (dev, ticket) = pool.acquire(&cfg);
+            tx.send(dev.config().name).unwrap();
+            ticket.restore(dev);
+        });
+        rx
+    }
+
     #[test]
-    fn leases_block_capacity_and_return_warm_devices() {
+    fn acquire_blocks_at_capacity_until_a_ticket_returns() {
         let pool = DevicePool::new(1);
-        let mut lease = pool.acquire(&cfg());
-        lease.preinit_context();
+        let (dev, ticket) = pool.acquire(&cfg());
         assert_eq!(pool.outstanding(), 1);
-        assert!(pool.try_acquire(&cfg()).is_none(), "pool is exhausted");
-        drop(lease);
+        let waiter = acquire_in_background(&pool, cfg());
+        assert!(
+            waiter.recv_timeout(Duration::from_millis(50)).is_err(),
+            "pool is exhausted"
+        );
+        ticket.restore(dev);
+        assert_eq!(waiter.recv().unwrap(), "GTX 980");
+    }
+
+    #[test]
+    fn restored_devices_are_reused_warm() {
+        let pool = DevicePool::new(1);
+        let (mut dev, ticket) = pool.acquire(&cfg());
+        dev.preinit_context();
+        ticket.restore(dev);
         assert_eq!(pool.outstanding(), 0);
         assert_eq!(pool.idle(), 1);
         // The returned device is reused with its warm context: a fresh
         // allocation charges no context-init time.
-        let mut again = pool.try_acquire(&cfg()).expect("idle device reusable");
+        let (mut again, _ticket) = pool.acquire(&cfg());
+        assert_eq!(pool.devices_created(), 1);
         again.reset_clock();
         let _ = again.alloc::<u32>(8).unwrap();
         assert!(again.elapsed() < 1e-3, "warm context must not be re-paid");
     }
 
     #[test]
-    fn detach_keeps_the_slot_until_the_ticket_drops() {
-        let pool = DevicePool::new(1);
-        let lease = pool.acquire(&cfg());
-        let (device, ticket) = lease.detach();
-        assert_eq!(pool.outstanding(), 1);
-        assert!(pool.try_acquire(&cfg()).is_none());
-        ticket.restore(device);
-        assert_eq!(pool.outstanding(), 0);
-        assert_eq!(pool.idle(), 1);
-    }
-
-    #[test]
     fn dropping_a_ticket_frees_the_slot_without_a_device() {
         let pool = DevicePool::new(1);
-        let (device, ticket) = pool.acquire(&cfg()).detach();
+        let (device, ticket) = pool.acquire(&cfg());
         drop(device);
         drop(ticket);
         assert_eq!(pool.outstanding(), 0);
         assert_eq!(pool.idle(), 0);
-        assert!(pool.try_acquire(&cfg()).is_some());
+        let (_dev, _ticket) = pool.acquire(&cfg());
+        assert_eq!(pool.devices_created(), 2);
     }
 
     #[test]
     fn mismatched_idle_devices_are_retired_for_new_presets() {
-        let pool = DevicePool::with_warm_devices(1, &cfg(), 1);
+        let pool = DevicePool::new(1);
+        let (dev, ticket) = pool.acquire(&cfg());
+        ticket.restore(dev);
         assert_eq!(pool.idle(), 1);
         let other = DeviceConfig::tesla_c2050().with_unlimited_memory();
-        let lease = pool.try_acquire(&other).expect("retires the mismatch");
-        assert_eq!(lease.config().name, "Tesla C2050");
-        drop(lease);
+        let (dev, ticket) = pool.acquire(&other);
+        assert_eq!(dev.config().name, "Tesla C2050");
+        assert_eq!(pool.idle(), 0, "the GTX 980 was retired");
+        assert_eq!(pool.devices_created(), 2);
+        ticket.restore(dev);
         assert_eq!(pool.idle(), 1);
     }
 
     #[test]
-    fn acquire_unblocks_when_a_lease_returns() {
+    fn acquire_unblocks_when_a_ticket_drops() {
         let pool = DevicePool::new(1);
-        let lease = pool.acquire(&cfg());
-        let pool2 = pool;
-        let handle = std::thread::spawn(move || {
-            let l = pool2.acquire(&DeviceConfig::gtx_980().with_unlimited_memory());
-            l.config().name
-        });
+        let (dev, ticket) = pool.acquire(&cfg());
+        let waiter = acquire_in_background(&pool, cfg());
         // Give the waiter a moment to park, then free the slot.
-        std::thread::sleep(std::time::Duration::from_millis(10));
-        drop(lease);
-        assert_eq!(handle.join().unwrap(), "GTX 980");
-    }
-
-    #[test]
-    fn warm_pool_counts_idle_toward_capacity() {
-        let pool = DevicePool::with_warm_devices(2, &cfg(), 2);
-        let a = pool.acquire(&cfg());
-        let b = pool.acquire(&cfg());
-        assert!(pool.try_acquire(&cfg()).is_none());
-        drop(a);
-        drop(b);
+        std::thread::sleep(Duration::from_millis(10));
+        drop(dev);
+        drop(ticket);
+        assert_eq!(waiter.recv().unwrap(), "GTX 980");
     }
 }

@@ -969,10 +969,8 @@ pub mod selftest {
     }
 
     fn seeded_device() -> Device {
-        let cfg = DeviceConfig::nvs_5200m()
-            .with_unlimited_memory()
-            .with_sanitizer(SanitizerMode::Check);
-        let mut dev = Device::new(cfg);
+        let mut dev = Device::new(DeviceConfig::nvs_5200m().with_unlimited_memory());
+        dev.set_sanitizer_mode(SanitizerMode::Check);
         dev.preinit_context();
         dev.reset_clock();
         dev

@@ -926,11 +926,9 @@ pub mod selftest {
     /// A fresh device with the verifier on and the sanitizer in Paranoid
     /// mode: the containment check needs the dynamic lane-access trace.
     fn seeded_device() -> Device {
-        let cfg = DeviceConfig::nvs_5200m()
-            .with_unlimited_memory()
-            .with_sanitizer(SanitizerMode::Paranoid)
-            .with_verifier(true);
-        let mut dev = Device::new(cfg);
+        let mut dev = Device::new(DeviceConfig::nvs_5200m().with_unlimited_memory());
+        dev.set_sanitizer_mode(SanitizerMode::Paranoid);
+        dev.set_verifier(true);
         dev.preinit_context();
         dev.reset_clock();
         dev

@@ -3,11 +3,14 @@
 //! and cache counters are exact functions of (graph, device, schedule) —
 //! any drift is a real modeled-perf change and must be deliberate.
 //!
-//! Two snapshots: `modeled_perf.txt` pins single-device kernel stats
+//! Three snapshots: `modeled_perf.txt` pins single-device kernel stats
 //! across presets and schedules; `topology_perf.txt` pins every GPU
 //! topology (single device, multi-GPU stripes, split, both cluster
 //! partitions) bit for bit — count, modeled wall time, kernel stats,
-//! summed counters and the counting launch labels of every device.
+//! summed counters and the counting launch labels of every device;
+//! `multi_device.txt` pins the bytes of multi-device runs — the Chrome
+//! trace of every device's spans and op log, and the merged sanitizer and
+//! verifier reports.
 //!
 //! On mismatch, rerun with `TC_BLESS=1` to regenerate the snapshot, then
 //! review the diff like any other code change:
@@ -20,12 +23,14 @@ mod common;
 
 use std::fmt::Write as _;
 
+use triangles::bench::profile::request_traces;
 use triangles::core::count::{Backend, CountRequest, GpuOptions};
 use triangles::core::gpu::pipeline::RunTrace;
 use triangles::core::{GpuReport, KernelSchedule};
 use triangles::gen::suite::{full_suite, Scale};
 use triangles::graph::EdgeArray;
 use triangles::simt::DeviceConfig;
+use triangles::telemetry::chrome_trace_json;
 
 const GOLDEN_PATH: &str = "tests/golden/modeled_perf.txt";
 
@@ -191,6 +196,47 @@ fn topology_snapshot() -> String {
 #[test]
 fn topology_perf_matches_the_golden_snapshot() {
     common::assert_golden(TOPOLOGY_GOLDEN_PATH, &topology_snapshot());
+}
+
+const MULTI_DEVICE_GOLDEN_PATH: &str = "tests/golden/multi_device.txt";
+
+/// Multi-device tokens whose per-device bring-up, broadcast and merged
+/// checker reports the byte snapshot pins.
+const MULTI_DEVICE_TOKENS: [&str; 3] = [
+    "2xc2050/balanced/sanitize/verify",
+    "4xc2050/balanced+hash",
+    "cluster:2x2/gtx980/balanced/sanitize/verify",
+];
+
+/// Per token on kronecker-10: the Chrome trace `tcount --trace` writes
+/// (every device's phase spans and op log), then the merged sanitizer and
+/// verifier report JSON (`-` when the checker is off).
+fn multi_device_snapshot() -> String {
+    let g = full_suite(Scale::Smoke)
+        .into_iter()
+        .find(|r| r.name == "kronecker-10")
+        .expect("kronecker-10 in the smoke suite")
+        .graph;
+    let mut out = String::new();
+    for token in MULTI_DEVICE_TOKENS {
+        let r = gpu_run(&g, token.parse().unwrap()).unwrap_or_else(|e| panic!("{token}: {e}"));
+        let json = |report: Option<String>| report.unwrap_or_else(|| "-".into());
+        writeln!(out, "## {token}: {} triangles", r.triangles).unwrap();
+        writeln!(
+            out,
+            "trace {}",
+            chrome_trace_json(&request_traces(token, &r.traces))
+        )
+        .unwrap();
+        writeln!(out, "sanitizer {}", json(r.sanitizer.map(|s| s.to_json()))).unwrap();
+        writeln!(out, "verifier {}", json(r.verifier.map(|v| v.to_json()))).unwrap();
+    }
+    out
+}
+
+#[test]
+fn multi_device_runs_match_the_golden_bytes() {
+    common::assert_golden(MULTI_DEVICE_GOLDEN_PATH, &multi_device_snapshot());
 }
 
 /// Every GPU topology reports one `GpuReport` through `CountRequest`:

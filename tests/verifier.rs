@@ -277,11 +277,9 @@ fn proven_launches_stream_memcheck_and_initcheck_without_a_log() {
         }
     }
 
-    let cfg = DeviceConfig::gtx_980()
-        .with_unlimited_memory()
-        .with_sanitizer(SanitizerMode::Check)
-        .with_verifier(true);
-    let mut dev = Device::new(cfg);
+    let mut dev = Device::new(DeviceConfig::gtx_980().with_unlimited_memory());
+    dev.set_sanitizer_mode(SanitizerMode::Check);
+    dev.set_verifier(true);
     let src = dev.htod_copy(&[5u32; N]).unwrap();
     let blank = dev.alloc::<u32>(M).unwrap();
     let lc = LaunchConfig::new(40, 64);
