@@ -7,8 +7,8 @@
 //! *partitioning* edge ownership: each device holds only the arcs it owns
 //! plus the boundary adjacency those arcs' intersections read.
 //!
-//! This module is that scheme on the simulated cluster of
-//! [`tc_simt::cluster`]:
+//! This module is that scheme on a simulated cluster
+//! ([`tc_simt::cluster`]), one [`PreparedGraph`] per device:
 //!
 //! 1. the host orients the graph globally (the same degree order the GPU
 //!    preprocessing produces, so per-arc counts are independent of the
@@ -37,24 +37,18 @@
 use std::fmt;
 
 use tc_graph::{Csr, EdgeArray, Orientation};
-use tc_simt::profiler::{relative_spans, ProfileReport, RelSpan};
-use tc_simt::{
-    Cluster, ClusterTopology, Device, DeviceBuffer, Interconnect, KernelStats, LaunchConfig,
-    LaunchTally, SanitizerReport, VerifierReport,
-};
+use tc_simt::cluster::charge_internode;
+use tc_simt::profiler::{ProfileReport, RelSpan};
+use tc_simt::{ClusterTopology, Device, KernelStats, LaunchTally};
 
 use crate::count::GpuOptions;
 use crate::error::{CoreError, ErrorContext};
-use crate::gpu::count_kernel::KernelArrays;
 use crate::gpu::pipeline::{GpuReport, RunTrace};
-use crate::gpu::prepared::{bring_up, CountMark, PreparedCount};
+use crate::gpu::prepared::{Arrays, CountMark, PreparedCount, PreparedGraph};
 use crate::gpu::preprocess::degree_ranks;
-use crate::gpu::schedule::{
-    alloc_hash_scratch, build_plan_from_host, dispatch_bins, free_plan, BinPlan, Bins, DispatchCtx,
-    Stripe,
-};
+use crate::gpu::released_report;
+use crate::gpu::schedule::{build_plan_from_host, Bin, BinPlan, Stripe};
 use crate::gpu::EdgeLayout;
-use crate::gpu::{merge_reports, merged_profile};
 
 /// How the oriented arcs are split across the cluster's devices.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
@@ -120,6 +114,50 @@ impl HostShard {
 
     fn total_work(&self) -> u64 {
         self.work.iter().map(|&w| w as u64).sum()
+    }
+
+    /// Upload the shard to `dev` on node `on_node`, each array crossing the
+    /// interconnect first, then build its bin plan with the same static
+    /// tuner and charged binning passes as the single-device plan. An
+    /// untuned shard counts its arcs as one gathered merge bin, which
+    /// launches nothing when the shard is empty.
+    fn upload(
+        &self,
+        dev: &mut Device,
+        on_node: usize,
+        opts: &GpuOptions,
+    ) -> Result<Arrays, CoreError> {
+        let mut copy = |host: &[u32]| {
+            let bytes = std::mem::size_of_val(host) as u64;
+            charge_internode(dev, on_node, bytes, "internode: shard send");
+            dev.htod_copy(host)
+        };
+        let eu = copy(&self.eu)?;
+        let ev = copy(&self.ev)?;
+        let node = copy(&self.node)?;
+        let nbr = copy(&self.nbr)?;
+        let plan = build_plan_from_host(dev, &self.eu, &self.ev, &self.work, opts.schedule)?;
+        let (plan, held) = match plan {
+            Some(plan) => (plan, vec![eu, ev, node, nbr]),
+            None => {
+                let whole = Bin {
+                    start: 0,
+                    len: self.arcs(),
+                    width: 1,
+                    hash: false,
+                };
+                let bins = vec![whole];
+                (BinPlan { eu, ev, bins }, vec![node, nbr])
+            }
+        };
+        Ok(Arrays {
+            node,
+            nbr,
+            arcs: None,
+            m: self.arcs(),
+            plan: Some(plan),
+            held,
+        })
     }
 }
 
@@ -234,34 +272,16 @@ fn build_shards(
         .collect()
 }
 
-/// One shard resident on its device.
-#[derive(Debug)]
-struct ShardOnDevice {
-    m: usize,
-    eu: DeviceBuffer<u32>,
-    ev: DeviceBuffer<u32>,
-    node: DeviceBuffer<u32>,
-    nbr: DeviceBuffer<u32>,
-    result: DeviceBuffer<u64>,
-    plan: Option<BinPlan>,
-    hash_scratch: Option<DeviceBuffer<u32>>,
-}
-
 /// A graph sharded across a simulated cluster, ready to serve counts —
-/// the cluster analog of [`super::prepared::PreparedGraph`].
+/// one [`PreparedGraph`] per device, each holding its shard.
 #[derive(Debug)]
 pub struct PreparedCluster {
-    cluster: Cluster,
-    opts: GpuOptions,
+    shards: Vec<PreparedGraph>,
+    topology: ClusterTopology,
     partition: ClusterPartition,
-    lc: LaunchConfig,
-    shards: Vec<ShardOnDevice>,
     per_shard_arcs: Vec<usize>,
     imbalance: f64,
-    digest: u64,
-    prepare_s: f64,
     prepare_trace: Vec<RelSpan>,
-    counts_served: u64,
 }
 
 /// The topology of a `nodes` × `devices_per_node` cluster backend. The
@@ -279,11 +299,18 @@ pub fn cluster_topology(
     Ok(ClusterTopology::new(nodes, devices_per_node))
 }
 
+/// The trace-thread name of the cluster's device `i`: `node<n>/gpu<i>`.
+fn trace_name(topology: ClusterTopology, i: usize, dev: &Device) -> String {
+    let node = topology.node_of(i);
+    format!("node{node}/gpu{i} ({})", dev.config().name)
+}
+
 impl PreparedCluster {
     /// Shard `g` across a fresh `topology.num_devices()`-device cluster:
-    /// orient globally on the host, partition the oriented arcs, upload
-    /// each shard (crossing the modeled interconnect for nodes past the
-    /// first), and build per-shard bin plans.
+    /// orient globally on the host, partition the oriented arcs, and build
+    /// each shard on its own device (`PreparedGraph::upload`: uploads
+    /// crossing the modeled interconnect for nodes past the first, then
+    /// the shard's bin plan).
     pub fn prepare(
         g: &EdgeArray,
         opts: &GpuOptions,
@@ -295,13 +322,6 @@ impl PreparedCluster {
                 "the cluster path dispatches gathered endpoint arrays (SoA only)".into(),
             ));
         }
-        let mut cluster = Cluster::homogeneous(topology, Interconnect::default(), &opts.device);
-        for i in 0..cluster.len() {
-            bring_up(cluster.device_mut(i), opts);
-        }
-
-        let lc = opts.launch_config(cluster.device(0).config());
-        let total_threads = lc.active_threads(cluster.device(0).config().warp_size);
 
         // ---- global orientation on the host ----
         // The cluster front-end plays DistTC's distributed loader: the
@@ -328,64 +348,56 @@ impl PreparedCluster {
         };
 
         // ---- per-shard upload + schedule ----
-        let mut shards = Vec::with_capacity(host_shards.len());
-        for (i, hs) in host_shards.iter().enumerate() {
-            let built = upload_shard(&mut cluster, i, hs, opts, total_threads);
-            let built = built.map_err(|e| {
-                e.with_context(ErrorContext {
-                    device: Some(format!(
-                        "{} (node {}, device {})",
-                        cluster.device(i).config().name,
-                        topology.node_of(i),
-                        i
-                    )),
-                    phase: Some("shard-partition".into()),
-                    ..Default::default()
+        let digest = g.digest();
+        let shards = host_shards
+            .iter()
+            .enumerate()
+            .map(|(i, hs)| {
+                let upload = |dev: &mut Device| hs.upload(dev, topology.node_of(i), opts);
+                let shard = PreparedGraph::upload(opts, digest, "shard-partition", upload);
+                shard.map_err(|e| {
+                    e.with_context(ErrorContext {
+                        device: Some(format!(
+                            "{} (node {}, device {i})",
+                            opts.device.name,
+                            topology.node_of(i)
+                        )),
+                        phase: Some("shard-partition".into()),
+                        ..Default::default()
+                    })
                 })
-            })?;
-            shards.push(built);
-        }
-
-        let prepare_s = cluster.elapsed_max();
-        let prepare_trace: Vec<RelSpan> = (0..shards.len())
-            .flat_map(|i| {
-                let dev = cluster.device(i);
-                relative_spans(dev.spans(), dev.time_log(), 0, 0)
             })
+            .collect::<Result<Vec<PreparedGraph>, CoreError>>()?;
+
+        let prepare_trace = shards
+            .iter()
+            .flat_map(|shard| shard.prepare_trace().iter().cloned())
             .collect();
         Ok(PreparedCluster {
-            cluster,
-            opts: opts.clone(),
-            partition,
-            lc,
             shards,
+            topology,
+            partition,
             per_shard_arcs,
             imbalance,
-            digest: g.digest(),
-            prepare_s,
             prepare_trace,
-            counts_served: 0,
         })
     }
 
-    /// Run the counting phase: every shard dispatches its kernels (bin
-    /// plan or single gathered launch), reduces, and sends its partial to
-    /// the merge in flat device-index order. The count's trace holds each
-    /// shard's `shard-count/...` and `internode-merge` spans, flat device
-    /// order.
+    /// Run the counting phase: every shard counts through the same
+    /// `PreparedGraph::count_stripe` as a single device (its bin plan,
+    /// or one gathered launch; nothing on an empty shard) under
+    /// `shard-count`, then sends its partial to the merge in flat
+    /// device-index order. The count's trace holds each shard's
+    /// `shard-count/...` and `internode-merge` spans, flat device order.
     pub fn count(&mut self) -> Result<PreparedCount, CoreError> {
-        let s = self.shards.len();
-        let marks: Vec<CountMark> = self.cluster.iter().map(CountMark::of).collect();
-
         let mut triangles = 0u64;
         let mut slowest: Option<KernelStats> = None;
-        for i in 0..s {
-            self.cluster.device_mut(i).push_phase("shard-count");
-            let counted = self.count_shard(i);
-            self.cluster.device_mut(i).pop_phase();
-            let name = self.cluster.device(i).config().name;
-            let (t, stats) =
-                counted.map_err(|e| e.with_context(ErrorContext::at(name, "shard-count")))?;
+        let mut per_shard_s = Vec::with_capacity(self.shards.len());
+        let mut profiles = Vec::with_capacity(self.shards.len());
+        let mut trace = Vec::new();
+        for (i, shard) in self.shards.iter_mut().enumerate() {
+            let mark = CountMark::of(shard.device());
+            let (t, stats) = shard.count_stripe("shard-count", "shard", Stripe::WHOLE)?;
             // Deterministic merge: partials sum in flat device-index order
             // (u64 addition is associative, but the fixed order keeps the
             // *protocol* — and so every charged message — identical across
@@ -396,23 +408,14 @@ impl PreparedCluster {
                     slowest = Some(stats);
                 }
             }
-        }
-        // The merge: each shard off node 0 sends its 8-byte partial over
-        // the interconnect (one message; latency-dominated).
-        for i in 0..s {
-            self.cluster.device_mut(i).push_phase("internode-merge");
-            self.cluster
-                .charge_internode(i, 8, "internode: result send");
-            self.cluster.device_mut(i).pop_phase();
-        }
-        self.counts_served += 1;
-
-        // Per-shard windows, clock-base-free like the single-device path.
-        let mut per_shard_s = Vec::with_capacity(s);
-        let mut profiles = Vec::with_capacity(s);
-        let mut trace = Vec::new();
-        for (dev, mark) in self.cluster.iter().zip(marks) {
-            let (seconds, profile, spans) = mark.window(dev);
+            // The merge: a shard off node 0 sends its 8-byte partial over
+            // the interconnect (one message; latency-dominated). Then the
+            // shard's window, clock-base-free like the single-device path.
+            let node = self.topology.node_of(i);
+            shard.device_mut().with_phase("internode-merge", |dev| {
+                charge_internode(dev, node, 8, "internode: result send")
+            });
+            let (seconds, profile, spans) = mark.window(shard.device());
             per_shard_s.push(seconds);
             profiles.push(profile);
             trace.extend(spans);
@@ -428,73 +431,27 @@ impl PreparedCluster {
         })
     }
 
-    /// Dispatch one shard's kernels; returns its partial count and the
-    /// slowest launch (if any ran — empty shards launch nothing).
-    fn count_shard(&mut self, i: usize) -> Result<(u64, Option<KernelStats>), CoreError> {
-        let shard = &self.shards[i];
-        if shard.m == 0 {
-            return Ok((0, None));
-        }
-        // The shard's plan, or one whole-shard merge bin over its own
-        // local endpoint arrays.
-        let (eu, ev, bins) = match &shard.plan {
-            Some(plan) => (plan.eu, plan.ev, Bins::Plan(&plan.bins)),
-            None => (shard.eu, shard.ev, Bins::Whole(shard.m)),
-        };
-        let arrays = KernelArrays::Gathered {
-            eu,
-            ev,
-            adj: shard.nbr,
-        };
-        let ctx = DispatchCtx {
-            opts: &self.opts,
-            lc: self.lc,
-            node: shard.node,
-            result: shard.result,
-            hash_scratch: shard.hash_scratch,
-            tag: "shard",
-        };
-        let dev = self.cluster.device_mut(i);
-        dispatch_bins(dev, arrays, bins, Stripe::WHOLE, &ctx)
-    }
-
-    /// Free every device buffer on every shard. The cluster's devices are
-    /// dropped with the session (unlike the single-device path there is no
-    /// pool to hand them back to — a cluster session owns its devices).
-    pub fn release(mut self) -> Result<(), CoreError> {
-        for i in 0..self.shards.len() {
-            let shard = &mut self.shards[i];
-            let plan = shard.plan.take();
-            let scratch = shard.hash_scratch.take();
-            let (eu, ev, node, nbr, result) =
-                (shard.eu, shard.ev, shard.node, shard.nbr, shard.result);
-            let dev = self.cluster.device_mut(i);
-            if let Some(plan) = plan {
-                free_plan(dev, &plan)?;
-            }
-            if let Some(scratch) = scratch {
-                dev.free(scratch)?;
-            }
-            dev.free(result)?;
-            dev.free(eu)?;
-            dev.free(ev)?;
-            dev.free(node)?;
-            dev.free(nbr)?;
-        }
-        Ok(())
+    /// Free every shard and hand back its device, flat device order — the
+    /// way [`PreparedGraph::release`] returns its device.
+    pub fn release(self) -> Result<Vec<Device>, CoreError> {
+        self.shards
+            .into_iter()
+            .map(PreparedGraph::release)
+            .collect()
     }
 
     /// Content digest of the sharded graph (cache key material).
     #[inline]
     pub fn digest(&self) -> u64 {
-        self.digest
+        self.shards[0].digest()
     }
 
     /// Modeled seconds of the shard-partition window (uploads + interconnect
     /// + per-shard bin plans; the slowest device).
     #[inline]
     pub fn prepare_s(&self) -> f64 {
-        self.prepare_s
+        let shards = self.shards.iter();
+        shards.map(PreparedGraph::prepare_s).fold(0.0, f64::max)
     }
 
     /// The prepare window's spans (`shard-partition` and children) across
@@ -507,30 +464,24 @@ impl PreparedCluster {
     /// How many counts this cluster session has served.
     #[inline]
     pub fn counts_served(&self) -> u64 {
-        self.counts_served
+        self.shards[0].counts_served()
     }
 
     /// Launches simulated and replayed, summed over the cluster's devices.
     pub fn launch_tally(&self) -> LaunchTally {
-        self.cluster.iter().map(Device::launch_tally).sum()
+        self.shards.iter().map(PreparedGraph::launch_tally).sum()
     }
 
     /// The cluster's shape.
     #[inline]
     pub fn topology(&self) -> ClusterTopology {
-        self.cluster.topology()
+        self.topology
     }
 
     /// The partition scheme in force.
     #[inline]
     pub fn partition(&self) -> ClusterPartition {
         self.partition
-    }
-
-    /// The options the shards were prepared under.
-    #[inline]
-    pub fn options(&self) -> &GpuOptions {
-        &self.opts
     }
 
     /// Oriented arcs per shard, flat device order.
@@ -547,90 +498,17 @@ impl PreparedCluster {
 
     /// The largest per-device peak memory footprint in bytes — the
     /// capacity each card of this topology would need.
-    #[inline]
     pub fn max_resident_bytes(&self) -> u64 {
-        self.cluster.mem_peak_max()
-    }
-
-    /// Merged sanitizer findings across every shard device, flat device
-    /// order (`None` when the sanitizer is off).
-    pub fn sanitizer_report(&self) -> Option<SanitizerReport> {
-        merge_reports(
-            self.cluster.iter().map(Device::sanitizer_report),
-            SanitizerReport::merged,
-        )
-    }
-
-    /// Merged static launch-verifier reports across every shard device,
-    /// flat device order (`None` when the verifier is off).
-    pub fn verifier_report(&self) -> Option<VerifierReport> {
-        merge_reports(
-            self.cluster.iter().map(Device::verifier_report),
-            VerifierReport::merged,
-        )
+        let peaks = self.shards.iter().map(|shard| shard.device().mem_peak());
+        peaks.max().unwrap_or(0)
     }
 
     /// Per-device traces (for `--trace` / `--profile` on cluster runs).
     pub fn run_traces(&self) -> Vec<RunTrace> {
-        let topology = self.cluster.topology();
-        self.cluster
-            .iter()
-            .enumerate()
-            .map(|(i, dev)| {
-                let node = topology.node_of(i);
-                RunTrace::of(dev, format!("node{node}/gpu{i} ({})", dev.config().name))
-            })
+        let devs = self.shards.iter().map(PreparedGraph::device).enumerate();
+        devs.map(|(i, dev)| RunTrace::of(dev, trace_name(self.topology, i, dev)))
             .collect()
     }
-}
-
-/// Upload one shard and build its device-resident state: endpoint + CSR
-/// arrays (interconnect charged for nodes past the first), the per-shard
-/// bin plan (same charged passes as the single-device scheduler), the
-/// result array, and hash scratch if the plan needs it.
-fn upload_shard(
-    cluster: &mut Cluster,
-    i: usize,
-    hs: &HostShard,
-    opts: &GpuOptions,
-    total_threads: usize,
-) -> Result<ShardOnDevice, CoreError> {
-    let m = hs.arcs();
-    cluster.device_mut(i).push_phase("shard-partition");
-    let out = upload_shard_inner(cluster, i, hs, opts, total_threads, m);
-    cluster.device_mut(i).pop_phase();
-    out
-}
-
-fn upload_shard_inner(
-    cluster: &mut Cluster,
-    i: usize,
-    hs: &HostShard,
-    opts: &GpuOptions,
-    total_threads: usize,
-    m: usize,
-) -> Result<ShardOnDevice, CoreError> {
-    let eu = cluster.htod_scatter(i, &hs.eu)?;
-    let ev = cluster.htod_scatter(i, &hs.ev)?;
-    let node = cluster.htod_scatter(i, &hs.node)?;
-    let nbr = cluster.htod_scatter(i, &hs.nbr)?;
-
-    // Per-shard bin plan: the same static tuner and the same charged
-    // binning passes as the single-device plan, over the shard's arrays.
-    let dev = cluster.device_mut(i);
-    let plan = build_plan_from_host(dev, &hs.eu, &hs.ev, &hs.work, opts.schedule)?;
-    let result = dev.alloc::<u64>(total_threads)?;
-    let hash_scratch = alloc_hash_scratch(dev, plan.as_ref(), total_threads)?;
-    Ok(ShardOnDevice {
-        m,
-        eu,
-        ev,
-        node,
-        nbr,
-        result,
-        plan,
-        hash_scratch,
-    })
 }
 
 /// One-shot cluster run: prepare, one count, release. The report's
@@ -645,22 +523,17 @@ pub(crate) fn run(
 ) -> Result<GpuReport, CoreError> {
     let mut prepared = PreparedCluster::prepare(g, opts, topology, partition)?;
     let count = prepared.count()?;
-    let traces = prepared.run_traces();
-    let report = GpuReport {
-        triangles: count.triangles,
-        total_s: prepared.prepare_s() + count.count_s,
-        preprocess_s: prepared.prepare_s(),
-        count_s: count.count_s,
-        kernel: count.kernel,
-        used_cpu_fallback: false,
-        peak_device_bytes: prepared.max_resident_bytes(),
-        sanitizer: prepared.sanitizer_report(),
-        verifier: prepared.verifier_report(),
-        profile: merged_profile(&traces),
-        traces,
-    };
-    prepared.release()?;
-    Ok(report)
+    let prepare_s = prepared.prepare_s();
+    let devs = prepared.release()?;
+    Ok(released_report(
+        &devs,
+        |i, dev| trace_name(topology, i, dev),
+        count.triangles,
+        prepare_s,
+        count.count_s,
+        count.kernel,
+        false,
+    ))
 }
 
 #[cfg(test)]
@@ -822,6 +695,60 @@ mod tests {
         assert_eq!(prepared.count().unwrap().triangles, 0);
         assert_eq!(prepared.imbalance(), 1.0);
         prepared.release().unwrap();
+    }
+
+    fn triangle() -> EdgeArray {
+        EdgeArray::from_undirected_pairs([(0, 1), (0, 2), (1, 2)])
+    }
+
+    #[test]
+    fn empty_shards_launch_nothing() {
+        // Vertex 0 owns both heavy arcs, so a 1x4 grid leaves the first
+        // three shards empty. Unlike an empty single-device graph, which
+        // still launches once, an empty shard launches no kernel at all.
+        let topology = ClusterTopology::new(1, 4);
+        let report = run(&triangle(), &opts(), topology, ClusterPartition::OneD).unwrap();
+        assert_eq!(report.triangles, 1);
+        let launches: Vec<Vec<&str>> = report
+            .traces
+            .iter()
+            .map(|t| {
+                let labels = t.log.iter().map(|op| op.label.as_str());
+                labels.filter(|l| l.starts_with("CountTriangles")).collect()
+            })
+            .collect();
+        assert_eq!(
+            launches,
+            [vec![], vec![], vec![], vec!["CountTriangles(shard)"]]
+        );
+    }
+
+    #[test]
+    fn shard_errors_name_the_device_node_and_phase() {
+        let g = triangle();
+        let topology = ClusterTopology::new(2, 2);
+        let roomy =
+            PreparedCluster::prepare(&g, &opts(), topology, ClusterPartition::OneD).unwrap();
+        let empty_peak = roomy.shards[0].device().mem_peak();
+        assert!(roomy.shards[3].device().mem_peak() > empty_peak);
+        roomy.release().unwrap();
+        // Room for an empty shard, not for device 3's, which holds the arcs.
+        let tight = GpuOptions::new(DeviceConfig::gtx_980().with_memory_capacity(empty_peak));
+        let err =
+            PreparedCluster::prepare(&g, &tight, topology, ClusterPartition::OneD).unwrap_err();
+        let context = err.context().expect("shard errors carry context");
+        assert_eq!(
+            context.device.as_deref(),
+            Some("GTX 980 (node 1, device 3)")
+        );
+        assert_eq!(context.phase.as_deref(), Some("shard-partition"));
+        assert!(
+            matches!(
+                err.root(),
+                CoreError::Device(tc_simt::SimtError::OutOfMemory { .. })
+            ),
+            "{err}"
+        );
     }
 
     #[test]

@@ -28,7 +28,7 @@ pub use pipeline::GpuReport;
 pub use schedule::KernelSchedule;
 
 use tc_graph::EdgeArray;
-use tc_simt::ProfileReport;
+use tc_simt::{Device, KernelStats, ProfileReport, SanitizerReport, VerifierReport};
 
 use crate::count::Backend;
 use crate::error::CoreError;
@@ -56,11 +56,45 @@ pub(crate) fn run(g: &EdgeArray, backend: &Backend) -> Result<GpuReport, CoreErr
     }
 }
 
-/// The whole-run profile of a multi-device run: per-device profiles
-/// merged (counters sum, spans group by path).
-pub(crate) fn merged_profile(traces: &[RunTrace]) -> ProfileReport {
+/// The report of a multi-device run — multi-GPU stripes or cluster shards
+/// — from its released devices, flat device order: one trace per device
+/// named by `trace_name`, their profiles merged (counters sum, spans group
+/// by path), the checker reports merged after release (so they cover the
+/// teardown frees, as on a single device) and the largest per-device peak.
+pub(crate) fn released_report(
+    devs: &[Device],
+    trace_name: impl Fn(usize, &Device) -> String,
+    triangles: u64,
+    preprocess_s: f64,
+    count_s: f64,
+    kernel: KernelStats,
+    used_cpu_fallback: bool,
+) -> GpuReport {
+    let traces: Vec<RunTrace> = devs
+        .iter()
+        .enumerate()
+        .map(|(i, dev)| RunTrace::of(dev, trace_name(i, dev)))
+        .collect();
     let profiles: Vec<ProfileReport> = traces.iter().map(|t| t.profile.clone()).collect();
-    ProfileReport::merged(&profiles)
+    GpuReport {
+        triangles,
+        total_s: preprocess_s + count_s,
+        preprocess_s,
+        count_s,
+        kernel,
+        used_cpu_fallback,
+        peak_device_bytes: devs.iter().map(Device::mem_peak).max().unwrap_or(0),
+        sanitizer: merge_reports(
+            devs.iter().map(Device::sanitizer_report),
+            SanitizerReport::merged,
+        ),
+        verifier: merge_reports(
+            devs.iter().map(Device::verifier_report),
+            VerifierReport::merged,
+        ),
+        profile: ProfileReport::merged(&profiles),
+        traces,
+    }
 }
 
 /// Merge per-device (or per-subproblem) reports in order with `merge`;

@@ -7,20 +7,20 @@
 //! exposes exactly the quantities needed to check that.
 
 use tc_graph::EdgeArray;
-use tc_simt::{Device, KernelStats, SanitizerReport, VerifierReport};
+use tc_simt::KernelStats;
 
 use crate::count::GpuOptions;
 use crate::error::CoreError;
-use crate::gpu::pipeline::{GpuReport, RunTrace};
+use crate::gpu::pipeline::GpuReport;
 use crate::gpu::prepared::PreparedGraph;
+use crate::gpu::released_report;
 use crate::gpu::schedule::Stripe;
 use crate::gpu::EdgeLayout;
-use crate::gpu::{merge_reports, merged_profile};
 
 /// Run the §III-E scheme on `devices` identical simulated cards, with one
-/// [`RunTrace`] per device (trace thread `gpu0`, `gpu1`, …) and their
-/// profiles merged. Device 0 is a [`PreparedGraph`]; the rest are its
-/// replicas. One host, `devices` cards: the interconnect is never charged.
+/// trace per device (trace thread `gpu0`, `gpu1`, …) and their profiles
+/// merged. Device 0 is a [`PreparedGraph`]; the rest are its replicas.
+/// One host, `devices` cards: the interconnect is never charged.
 pub(crate) fn run(
     g: &EdgeArray,
     opts: &GpuOptions,
@@ -53,7 +53,12 @@ pub(crate) fn run(
     let mut devs = Vec::with_capacity(devices);
     for (index, mut session) in std::iter::once(head).chain(replicas).enumerate() {
         let stripe = Stripe { index, of: devices };
-        let (partial, slowest) = session.count_stripe(Some(stripe))?;
+        let tag = if session.bin_plan().is_some() {
+            "bin stripe"
+        } else {
+            "stripe"
+        };
+        let (partial, slowest) = session.count_stripe("count", tag, stripe)?;
         triangles += partial;
         if index == 0 {
             kernel = slowest.unwrap_or_default();
@@ -66,32 +71,15 @@ pub(crate) fn run(
         count_s = count_s.max(dev.elapsed() - t0);
         devs.push(dev);
     }
-    let traces: Vec<RunTrace> = devs
-        .iter()
-        .enumerate()
-        .map(|(i, dev)| RunTrace::of(dev, format!("gpu{i} ({})", dev.config().name)))
-        .collect();
-    Ok(GpuReport {
+    Ok(released_report(
+        &devs,
+        |i, dev| format!("gpu{i} ({})", dev.config().name),
         triangles,
-        total_s: preprocess_s + count_s,
         preprocess_s,
         count_s,
         kernel,
-        used_cpu_fallback: head_fallback,
-        peak_device_bytes: devs.iter().map(Device::mem_peak).max().unwrap_or(0),
-        // Snapshot the checkers after release so the teardown frees are
-        // covered too, as on a single device.
-        sanitizer: merge_reports(
-            devs.iter().map(Device::sanitizer_report),
-            SanitizerReport::merged,
-        ),
-        verifier: merge_reports(
-            devs.iter().map(Device::verifier_report),
-            VerifierReport::merged,
-        ),
-        profile: merged_profile(&traces),
-        traces,
-    })
+        head_fallback,
+    ))
 }
 
 #[cfg(test)]

@@ -51,17 +51,37 @@ pub(crate) fn bring_up(dev: &mut Device, opts: &GpuOptions) {
     dev.set_verifier(opts.verify);
 }
 
-/// A graph preprocessed onto a device, ready to serve counts.
+/// The device arrays a session counts over.
+#[derive(Debug)]
+pub(crate) struct Arrays {
+    /// CSR offsets and the adjacency the intersections scan.
+    pub node: DeviceBuffer<u32>,
+    pub nbr: DeviceBuffer<u32>,
+    /// What an unplanned count launches over (`None` on a session that
+    /// always counts under its plan).
+    pub arcs: Option<KernelArrays>,
+    /// Arcs counted.
+    pub m: usize,
+    /// Balanced-scheduler bin plan (`None` under the default schedule, or
+    /// when the auto-tuner found the graph uniform).
+    pub plan: Option<BinPlan>,
+    /// A replica's or a shard's uploads that its plan does not own, freed
+    /// on release.
+    pub held: Vec<DeviceBuffer<u32>>,
+}
+
+/// A graph preprocessed onto a device, ready to serve counts — or, built
+/// from host arrays by `PreparedGraph::upload`, a multi-GPU replica or
+/// a cluster shard.
 #[derive(Debug)]
 pub struct PreparedGraph {
     dev: Device,
-    pre: Preprocessed,
+    /// Preprocessing's output (`None` on a replica or a shard).
+    pre: Option<Preprocessed>,
+    arrays: Arrays,
     opts: GpuOptions,
     lc: LaunchConfig,
     result: DeviceBuffer<u64>,
-    /// Balanced-scheduler bin plan (`None` under the default schedule, or
-    /// when the auto-tuner found the graph uniform).
-    plan: Option<BinPlan>,
     /// Global scratch backing the hash bins' per-virtual-warp table
     /// windows (`None` unless the plan has a hash bin). Allocated once at
     /// prepare so repeated counts see identical addresses.
@@ -198,13 +218,30 @@ impl PreparedGraph {
         // The recycle above zeroed the clock, span list, and op log, so the
         // whole prepare window starts at op 0 — marks (0, 0) cover it.
         let prepare_trace = relative_spans(dev.spans(), dev.time_log(), 0, 0);
+        let arcs = match opts.layout {
+            EdgeLayout::SoA => KernelArrays::SoA {
+                nbr: pre.nbr,
+                owner: pre.owner,
+            },
+            EdgeLayout::AoS => KernelArrays::AoS {
+                arcs: pre.arcs_aos.expect("AoS layout retains packed arcs"),
+            },
+        };
+        let arrays = Arrays {
+            node: pre.node,
+            nbr: pre.nbr,
+            arcs: Some(arcs),
+            m: pre.m,
+            plan,
+            held: Vec::new(),
+        };
         Ok(PreparedGraph {
             dev,
-            pre,
+            pre: Some(pre),
+            arrays,
             opts: opts.clone(),
             lc,
             result,
-            plan,
             hash_scratch,
             digest: g.digest(),
             prepare_s,
@@ -224,8 +261,12 @@ impl PreparedGraph {
     /// then reports the slowest bin's launch (the representative stripe).
     pub fn count(&mut self) -> Result<PreparedCount, CoreError> {
         let mark = CountMark::of(&self.dev);
-        let (triangles, slowest) = self.count_stripe(None)?;
-        self.counts_served += 1;
+        let tag = if self.arrays.plan.is_some() {
+            "bin"
+        } else {
+            ""
+        };
+        let (triangles, slowest) = self.count_stripe("count", tag, Stripe::WHOLE)?;
         let (count_s, profile, trace) = mark.window(&self.dev);
         Ok(PreparedCount {
             triangles,
@@ -238,121 +279,130 @@ impl PreparedGraph {
         })
     }
 
-    /// Count under a `count` phase: the whole session, or one device's
-    /// §III-E `stripe` of every bin (launch labels tagged `stripe`).
-    /// Returns the partial count and the slowest launch (`None` when
-    /// nothing launched).
+    /// Count `stripe` of every bin under `phase`, launch labels tagged
+    /// `tag` — the count of every topology: the whole session (`count`),
+    /// one device's §III-E stripe (`stripe`) or a cluster shard
+    /// (`shard-count`, `shard`). Returns the partial count and the slowest
+    /// launch (`None` when nothing launched).
     pub(crate) fn count_stripe(
         &mut self,
-        stripe: Option<Stripe>,
+        phase: &str,
+        tag: &str,
+        stripe: Stripe,
     ) -> Result<(u64, Option<KernelStats>), CoreError> {
-        let tag = match (self.plan.is_some(), stripe.is_some()) {
-            (false, false) => "",
-            (false, true) => "stripe",
-            (true, false) => "bin",
-            (true, true) => "bin stripe",
-        };
-        self.dev.push_phase("count");
-        let (arrays, bins) = match &self.plan {
-            None => {
-                let arrays = match self.opts.layout {
-                    EdgeLayout::SoA => KernelArrays::SoA {
-                        nbr: self.pre.nbr,
-                        owner: self.pre.owner,
-                    },
-                    EdgeLayout::AoS => KernelArrays::AoS {
-                        arcs: self.pre.arcs_aos.expect("AoS layout retains packed arcs"),
-                    },
-                };
-                (arrays, Bins::Whole(self.pre.m))
-            }
+        let (arrays, bins) = match &self.arrays.plan {
             Some(plan) => {
                 let arrays = KernelArrays::Gathered {
                     eu: plan.eu,
                     ev: plan.ev,
-                    adj: self.pre.nbr,
+                    adj: self.arrays.nbr,
                 };
                 (arrays, Bins::Plan(&plan.bins))
+            }
+            None => {
+                let arrays = self
+                    .arrays
+                    .arcs
+                    .expect("an unplanned session keeps its arcs");
+                (arrays, Bins::Whole(self.arrays.m))
             }
         };
         let ctx = DispatchCtx {
             opts: &self.opts,
             lc: self.lc,
-            node: self.pre.node,
+            node: self.arrays.node,
             result: self.result,
             hash_scratch: self.hash_scratch,
             tag,
         };
-        let stripe = stripe.unwrap_or(Stripe::WHOLE);
+        self.dev.push_phase(phase);
         let counted = dispatch_bins(&mut self.dev, arrays, bins, stripe, &ctx);
         self.dev.pop_phase();
-        counted.map_err(|e| e.with_context(ErrorContext::at(self.dev.config().name, "count")))
+        let name = self.dev.config().name;
+        let counted = counted.map_err(|e| e.with_context(ErrorContext::at(name, phase)))?;
+        self.counts_served += 1;
+        Ok(counted)
     }
 
     /// Replicate this session onto `replicas` fresh devices for the §III-E
-    /// stripes. Each replica is brought up like this one, receives copies
-    /// of the resident arrays (`nbr`, `owner`, `node`, and the plan's
-    /// gathered `eu`/`ev`) under its `broadcast` phase, then its own result
-    /// array and hash scratch. This device's `broadcast` span stays empty:
-    /// the arrays are already here, only read back once for the copies.
+    /// stripes, each built by [`PreparedGraph::upload`] under `broadcast`
+    /// from host copies of the resident arrays: `nbr`, `owner`, `node`,
+    /// then the plan's gathered `eu`/`ev`. This device's `broadcast` span
+    /// stays empty: the arrays are already here, only read back once for
+    /// the copies.
     pub(crate) fn replicate(&mut self, replicas: usize) -> Result<Vec<PreparedGraph>, CoreError> {
+        let pre = self.pre.as_ref().expect("replicas copy a prepared session");
+        let arrays = &self.arrays;
         self.dev.push_phase("broadcast");
-        let mut arrays = vec![
-            self.dev.peek(&self.pre.nbr),
-            self.dev.peek(&self.pre.owner),
-            self.dev.peek(&self.pre.node),
-        ];
-        if let Some(plan) = &self.plan {
-            arrays.extend([self.dev.peek(&plan.eu), self.dev.peek(&plan.ev)]);
-        }
+        let nbr = self.dev.peek(&arrays.nbr);
+        let owner = self.dev.peek(&pre.owner);
+        let node = self.dev.peek(&arrays.node);
+        let plan = arrays.plan.as_ref();
+        let plan = plan.map(|p| (self.dev.peek(&p.eu), self.dev.peek(&p.ev), &p.bins));
         self.dev.pop_phase();
+        let replica = |dev: &mut Device| -> Result<Arrays, CoreError> {
+            let (nbr, owner, node) = (
+                dev.htod_copy(&nbr)?,
+                dev.htod_copy(&owner)?,
+                dev.htod_copy(&node)?,
+            );
+            let plan = match &plan {
+                Some((eu, ev, bins)) => Some(BinPlan {
+                    eu: dev.htod_copy(eu)?,
+                    ev: dev.htod_copy(ev)?,
+                    bins: bins.to_vec(),
+                }),
+                None => None,
+            };
+            Ok(Arrays {
+                node,
+                nbr,
+                arcs: Some(KernelArrays::SoA { nbr, owner }),
+                m: arrays.m,
+                plan,
+                held: vec![nbr, owner, node],
+            })
+        };
+        let name = self.opts.device.name;
         (0..replicas)
             .map(|_| {
-                let mut dev = Device::new(self.opts.device.clone());
-                bring_up(&mut dev, &self.opts);
-                let name = dev.config().name;
-                self.replica_on(dev, &arrays)
+                PreparedGraph::upload(&self.opts, self.digest, "broadcast", replica)
                     .map_err(|e| e.with_context(ErrorContext::at(name, "broadcast")))
             })
             .collect()
     }
 
-    /// One replica of this session on the brought-up `dev`, from the
-    /// host copies of its arrays in [`PreparedGraph::replicate`] order.
-    fn replica_on(&self, mut dev: Device, arrays: &[Vec<u32>]) -> Result<PreparedGraph, CoreError> {
-        dev.push_phase("broadcast");
-        let copies = arrays
-            .iter()
-            .map(|a| dev.htod_copy(a))
-            .collect::<Result<Vec<_>, _>>()?;
-        dev.pop_phase();
-        let pre = Preprocessed {
-            nbr: copies[0],
-            owner: copies[1],
-            node: copies[2],
-            arcs_aos: None,
-            relabel: None,
-            ..self.pre
-        };
-        let plan = self.plan.as_ref().map(|plan| BinPlan {
-            eu: copies[3],
-            ev: copies[4],
-            bins: plan.bins.clone(),
-        });
-        let total_threads = self.lc.active_threads(dev.config().warp_size);
+    /// A session built from host arrays instead of by preprocessing — a
+    /// §III-E replica or a cluster shard — on a fresh device brought up
+    /// like a prepared one. Under `phase`, `upload` copies the arrays and
+    /// builds or copies the plan; the result array and the hash scratch
+    /// come last. [`PreparedGraph::prepare_s`] is the whole window.
+    pub(crate) fn upload(
+        opts: &GpuOptions,
+        digest: u64,
+        phase: &str,
+        upload: impl FnOnce(&mut Device) -> Result<Arrays, CoreError>,
+    ) -> Result<PreparedGraph, CoreError> {
+        let mut dev = Device::new(opts.device.clone());
+        bring_up(&mut dev, opts);
+        let lc = opts.launch_config(dev.config());
+        let total_threads = lc.active_threads(dev.config().warp_size);
+        dev.push_phase(phase);
+        let arrays = upload(&mut dev)?;
         let result = dev.alloc::<u64>(total_threads)?;
-        let hash_scratch = alloc_hash_scratch(&mut dev, plan.as_ref(), total_threads)?;
+        let hash_scratch = alloc_hash_scratch(&mut dev, arrays.plan.as_ref(), total_threads)?;
+        dev.pop_phase();
         Ok(PreparedGraph {
             prepare_s: dev.elapsed(),
             prepare_trace: relative_spans(dev.spans(), dev.time_log(), 0, 0),
             dev,
-            pre,
-            opts: self.opts.clone(),
-            lc: self.lc,
+            pre: None,
+            arrays,
+            opts: opts.clone(),
+            lc,
             result,
-            plan,
             hash_scratch,
-            digest: self.digest,
+            digest,
             counts_served: 0,
         })
     }
@@ -362,14 +412,19 @@ impl PreparedGraph {
     /// charge no simulated time, matching the paper's protocol where the
     /// measured window ends at the free.
     pub fn release(mut self) -> Result<Device, CoreError> {
-        if let Some(plan) = self.plan.take() {
+        if let Some(plan) = self.arrays.plan.take() {
             free_plan(&mut self.dev, &plan)?;
         }
         if let Some(scratch) = self.hash_scratch.take() {
             self.dev.free(scratch)?;
         }
         self.dev.free(self.result)?;
-        free_preprocessed(&mut self.dev, &self.pre)?;
+        if let Some(pre) = &self.pre {
+            free_preprocessed(&mut self.dev, pre)?;
+        }
+        for buf in self.arrays.held {
+            self.dev.free(buf)?;
+        }
         Ok(self.dev)
     }
 
@@ -409,25 +464,26 @@ impl PreparedGraph {
     /// Whether preprocessing needed the §III-D6 CPU fallback.
     #[inline]
     pub fn used_cpu_fallback(&self) -> bool {
-        self.pre.used_cpu_fallback
+        self.pre.is_some_and(|pre| pre.used_cpu_fallback)
     }
 
     /// Oriented arc count (= undirected edges).
     #[inline]
     pub fn m_oriented(&self) -> usize {
-        self.pre.m
+        self.arrays.m
     }
 
-    /// Vertex count.
+    /// Vertex count (a shard's: its referenced vertices).
     #[inline]
     pub fn n(&self) -> usize {
-        self.pre.n
+        self.pre
+            .map_or(self.arrays.node.len().saturating_sub(1), |pre| pre.n)
     }
 
     /// Host seconds folded into `prepare_s` when the CPU fallback ran.
     #[inline]
     pub fn host_seconds(&self) -> f64 {
-        self.pre.host_seconds
+        self.pre.map_or(0.0, |pre| pre.host_seconds)
     }
 
     /// The options this graph was prepared under.
@@ -440,13 +496,18 @@ impl PreparedGraph {
     /// the default schedule or when the auto-tuner found the graph uniform).
     #[inline]
     pub fn bin_plan(&self) -> Option<&BinPlan> {
-        self.plan.as_ref()
+        self.arrays.plan.as_ref()
     }
 
     /// The underlying device (for reports, traces, and memory stats).
     #[inline]
     pub fn device(&self) -> &Device {
         &self.dev
+    }
+
+    #[inline]
+    pub(crate) fn device_mut(&mut self) -> &mut Device {
+        &mut self.dev
     }
 
     /// Sanitizer findings accumulated across prepare and every count so

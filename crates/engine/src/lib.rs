@@ -439,7 +439,7 @@ impl CacheEntry {
                 ticket.restore(prepared.release()?);
                 Ok(())
             }
-            CacheEntry::Cluster { prepared } => prepared.release(),
+            CacheEntry::Cluster { prepared } => prepared.release().map(drop),
         }
     }
 }

@@ -31,11 +31,11 @@
 //!   sanitizer-off launch the device already simulated — same kernel
 //!   value, launch config and arena bytes — from its recorded stats and
 //!   store log instead of stepping the lanes again.
-//! * **Device sets**: one [`Cluster`] type for every multi-device run —
-//!   a multi-node topology with a latency + bandwidth interconnect cost
-//!   model ([`cluster`]) layered on the per-node PCIe model. The paper's
-//!   §III-E one-host rig is a one-node cluster; the sharded engine in
-//!   `tc-engine` uses several nodes.
+//! * **Clusters**: a multi-node [`ClusterTopology`] and the latency +
+//!   bandwidth interconnect charge ([`cluster::charge_internode`]) layered
+//!   on the per-node PCIe model. Devices stay independent: a multi-device
+//!   run is a set of [`Device`]s, and the sharded cluster counter in
+//!   `tc-core` charges each transfer off node 0 to its device's clock.
 //!
 //! Simulated time is deterministic: the same kernel on the same device
 //! preset always reports the same cycle count, cache hit rate, and DRAM
@@ -60,7 +60,7 @@ pub mod sanitizer;
 pub mod verifier;
 
 pub use arena::{DeviceBuffer, DeviceScalar};
-pub use cluster::{Cluster, ClusterTopology, Interconnect};
+pub use cluster::ClusterTopology;
 pub use config::DeviceConfig;
 pub use device::{Device, TimedOp};
 pub use error::SimtError;

@@ -87,6 +87,27 @@ find crates/*/src src -name '*.rs' -print0 | xargs -0 awk -v homes="$JSON_HOMES"
 '
 echo "one JSON escaper and one number formatter per layer"
 
+echo "==> one session type lint"
+# Every device of every GPU topology is a PreparedGraph: the single or
+# pooled device, each multi-GPU replica and each cluster shard is created,
+# brought up and counted in crates/core/src/gpu/prepared.rs. A device made
+# or a launch dispatched anywhere else in crates/core/src/gpu is a second
+# session type in the making. Flagged outside test modules: Device::new(,
+# bring_up( and dispatch_bins( outside prepared.rs, except dispatch_bins'
+# own definition in schedule.rs.
+find crates/core/src/gpu -name '*.rs' -print0 | xargs -0 awk '
+    FNR == 1 { intest = 0; n = split(FILENAME, parts, "/"); base = parts[n] }
+    /#\[cfg\(test\)\]/ { intest = 1 }
+    intest || base == "prepared.rs" { next }
+    base == "schedule.rs" && /fn dispatch_bins\(/ { next }
+    /Device::new\(|bring_up\(|dispatch_bins\(/ {
+        printf "%s:%d: device created, brought up or dispatched outside gpu/prepared.rs\n", FILENAME, FNR
+        bad = 1
+    }
+    END { exit bad }
+'
+echo "every GPU device is a PreparedGraph"
+
 echo "==> cargo build --release"
 cargo build --release --workspace
 
