@@ -326,26 +326,27 @@ impl PreparedGraph {
 
     /// Replicate this session onto `replicas` fresh devices for the §III-E
     /// stripes, each built by [`PreparedGraph::upload`] under `broadcast`
-    /// from host copies of the resident arrays: `nbr`, `owner`, `node`,
-    /// then the plan's gathered `eu`/`ev`. This device's `broadcast` span
-    /// stays empty: the arrays are already here, only read back once for
-    /// the copies.
+    /// from host copies of what this session's count reads: `nbr`, `owner`
+    /// when it counts without a plan, `node`, then the plan's gathered
+    /// `eu`/`ev`. This device's `broadcast` span stays empty: the arrays
+    /// are already here, only read back once for the copies.
     pub(crate) fn replicate(&mut self, replicas: usize) -> Result<Vec<PreparedGraph>, CoreError> {
         let pre = self.pre.as_ref().expect("replicas copy a prepared session");
         let arrays = &self.arrays;
         self.dev.push_phase("broadcast");
         let nbr = self.dev.peek(&arrays.nbr);
-        let owner = self.dev.peek(&pre.owner);
+        let owner = arrays.plan.is_none().then(|| self.dev.peek(&pre.owner));
         let node = self.dev.peek(&arrays.node);
         let plan = arrays.plan.as_ref();
         let plan = plan.map(|p| (self.dev.peek(&p.eu), self.dev.peek(&p.ev), &p.bins));
         self.dev.pop_phase();
         let replica = |dev: &mut Device| -> Result<Arrays, CoreError> {
-            let (nbr, owner, node) = (
-                dev.htod_copy(&nbr)?,
-                dev.htod_copy(&owner)?,
-                dev.htod_copy(&node)?,
-            );
+            let nbr = dev.htod_copy(&nbr)?;
+            let owner = owner
+                .as_ref()
+                .map(|owner| dev.htod_copy(owner))
+                .transpose()?;
+            let node = dev.htod_copy(&node)?;
             let plan = match &plan {
                 Some((eu, ev, bins)) => Some(BinPlan {
                     eu: dev.htod_copy(eu)?,
@@ -357,10 +358,13 @@ impl PreparedGraph {
             Ok(Arrays {
                 node,
                 nbr,
-                arcs: Some(KernelArrays::SoA { nbr, owner }),
+                arcs: owner.map(|owner| KernelArrays::SoA { nbr, owner }),
                 m: arrays.m,
                 plan,
-                held: vec![nbr, owner, node],
+                held: [Some(nbr), owner, Some(node)]
+                    .into_iter()
+                    .flatten()
+                    .collect(),
             })
         };
         let name = self.opts.device.name;
