@@ -31,8 +31,6 @@ pub struct GpuOptions {
     pub warp_split: u32,
     /// Override the launch geometry (`None` = the paper's tuned 64×8/SM).
     pub launch: Option<LaunchConfig>,
-    /// Pre-create the context before the measured window (§IV).
-    pub preinit_context: bool,
     /// Workload-balanced kernel scheduling (degree-binned dispatch; the
     /// default is the paper's thread-per-edge mapping).
     pub schedule: KernelSchedule,
@@ -60,7 +58,6 @@ impl GpuOptions {
             use_texture_cache: true,
             warp_split: 1,
             launch: None,
-            preinit_context: true,
             schedule: KernelSchedule::ThreadPerEdge,
             reorder: false,
             sanitizer: SanitizerMode::Off,
@@ -191,22 +188,10 @@ impl Backend {
         self.gpu_options().is_some()
     }
 
-    /// Set the sanitizer mode on a GPU backend. Returns whether the
-    /// backend has a sanitizer knob (CPU backends do not).
-    pub fn set_sanitizer(&mut self, mode: SanitizerMode) -> bool {
-        self.gpu_options_mut().map(|o| o.sanitizer = mode).is_some()
-    }
-
     /// The backend's sanitizer mode (`Off` for CPU backends).
     pub fn sanitizer(&self) -> SanitizerMode {
         self.gpu_options()
             .map_or(SanitizerMode::Off, |o| o.sanitizer)
-    }
-
-    /// Toggle the static launch verifier on a GPU backend. Returns whether
-    /// the backend has a verifier knob (CPU backends do not).
-    pub fn set_verify(&mut self, on: bool) -> bool {
-        self.gpu_options_mut().map(|o| o.verify = on).is_some()
     }
 
     /// Whether the backend runs the static launch verifier (`false` for
@@ -864,20 +849,16 @@ mod tests {
         let sanitized: Backend = "gtx980/sanitize".parse().unwrap();
         assert_eq!(sanitized.sanitizer(), SanitizerMode::Check);
         assert_ne!(plain.to_string(), sanitized.to_string());
-        let mut toggled = plain.clone();
-        assert!(toggled.set_sanitizer(SanitizerMode::Paranoid));
-        assert_eq!(toggled.to_string(), "gtx980/sanitize:paranoid");
-        let mut cpu = Backend::CpuForward;
-        assert!(!cpu.set_sanitizer(SanitizerMode::Check));
+        let paranoid: Backend = "gtx980/sanitize:paranoid".parse().unwrap();
+        assert_eq!(paranoid.sanitizer(), SanitizerMode::Paranoid);
+        assert_eq!(paranoid.to_string(), "gtx980/sanitize:paranoid");
+        assert_eq!(Backend::CpuForward.sanitizer(), SanitizerMode::Off);
         // And the verifier toggle: a verified run's proofs (and skipped
         // racechecks) must not leak into an unverified cache entry.
         let verified: Backend = "gtx980/verify".parse().unwrap();
         assert!(verified.verify());
         assert_ne!(plain.to_string(), verified.to_string());
-        let mut toggled_verify = plain;
-        assert!(toggled_verify.set_verify(true));
-        assert_eq!(toggled_verify.to_string(), "gtx980/verify");
-        assert!(!cpu.set_verify(true));
+        assert_eq!(verified.to_string(), "gtx980/verify");
         assert!(!Backend::CpuForward.verify());
         // Helper constructors print their canonical tokens.
         assert_eq!(Backend::gpu_gtx980().to_string(), "gtx980");

@@ -30,25 +30,20 @@ use crate::gpu::schedule::{
 };
 use crate::gpu::EdgeLayout;
 
-/// Bring `dev` up for a measured session under `opts` — the one bring-up
-/// of every device a GPU topology runs on (a single or pooled device, the
-/// multi-GPU replicas, the cluster shards): create the context when asked,
-/// recycle the device, and switch the sanitizer and the verifier to what
-/// `opts` asks for.
-pub(crate) fn bring_up(dev: &mut Device, opts: &GpuOptions) {
-    if opts.preinit_context {
-        dev.preinit_context();
-    }
-    // Recycle rather than just reset: a pooled device whose previous
-    // session freed everything rewinds its arena, so this session's
-    // addresses — and therefore its modeled cache behavior — match a cold
-    // device exactly.
-    dev.recycle();
-    // Installed after the recycle, before the first copy, the checkers
-    // cover the whole measured session — preprocessing, scheduling,
-    // counting, release.
+/// A fresh device brought up for a measured session under `opts` — the
+/// one bring-up of every device a GPU topology runs on (a single device,
+/// the multi-GPU replicas, the cluster shards): create the context, reset
+/// the stopwatch (§IV), and switch the sanitizer and the verifier to what
+/// `opts` asks for. Installed before the first copy, the checkers cover
+/// the whole measured session — preprocessing, scheduling, counting,
+/// release.
+pub(crate) fn bring_up(opts: &GpuOptions) -> Device {
+    let mut dev = Device::new(opts.device.clone());
+    dev.preinit_context();
+    dev.reset_clock();
     dev.set_sanitizer_mode(opts.sanitizer);
     dev.set_verifier(opts.verify);
+    dev
 }
 
 /// The device arrays a session counts over.
@@ -163,20 +158,7 @@ impl PreparedGraph {
     /// Run the preprocessing phase on a fresh device (context bring-up
     /// included, like the one-shot pipeline).
     pub fn prepare(g: &EdgeArray, opts: &GpuOptions) -> Result<PreparedGraph, CoreError> {
-        PreparedGraph::prepare_on(Device::new(opts.device.clone()), g, opts)
-    }
-
-    /// Run the preprocessing phase on `dev` — typically a warm device leased
-    /// from a [`tc_simt::DevicePool`], whose already-created context makes
-    /// `preinit_context` free. The device clock is reset, so
-    /// [`PreparedGraph::prepare_s`] is this graph's cost regardless of what
-    /// the device ran before.
-    pub fn prepare_on(
-        mut dev: Device,
-        g: &EdgeArray,
-        opts: &GpuOptions,
-    ) -> Result<PreparedGraph, CoreError> {
-        bring_up(&mut dev, opts);
+        let mut dev = bring_up(opts);
 
         // Launch geometry is fixed up front so preprocessing can reserve
         // room for the result array in its capacity plan.
@@ -215,8 +197,8 @@ impl PreparedGraph {
         let hash_scratch = hash_scratch.map_err(at("prepare"))?;
 
         let prepare_s = dev.elapsed() + pre.host_seconds;
-        // The recycle above zeroed the clock, span list, and op log, so the
-        // whole prepare window starts at op 0 — marks (0, 0) cover it.
+        // Bring-up zeroed the clock, span list, and op log, so the whole
+        // prepare window starts at op 0 — marks (0, 0) cover it.
         let prepare_trace = relative_spans(dev.spans(), dev.time_log(), 0, 0);
         let arcs = match opts.layout {
             EdgeLayout::SoA => KernelArrays::SoA {
@@ -387,8 +369,7 @@ impl PreparedGraph {
         phase: &str,
         upload: impl FnOnce(&mut Device) -> Result<Arrays, CoreError>,
     ) -> Result<PreparedGraph, CoreError> {
-        let mut dev = Device::new(opts.device.clone());
-        bring_up(&mut dev, opts);
+        let mut dev = bring_up(opts);
         let lc = opts.launch_config(dev.config());
         let total_threads = lc.active_threads(dev.config().warp_size);
         dev.push_phase(phase);
@@ -412,9 +393,9 @@ impl PreparedGraph {
     }
 
     /// Free every device buffer this prepared graph holds and hand the
-    /// (still warm) device back — e.g. to return it to a pool. The frees
-    /// charge no simulated time, matching the paper's protocol where the
-    /// measured window ends at the free.
+    /// device back for its report. The frees charge no simulated time,
+    /// matching the paper's protocol where the measured window ends at the
+    /// free.
     pub fn release(mut self) -> Result<Device, CoreError> {
         if let Some(plan) = self.arrays.plan.take() {
             free_plan(&mut self.dev, &plan)?;
@@ -446,7 +427,7 @@ impl PreparedGraph {
 
     /// The prepare window's phase spans (preprocess, schedule, and their
     /// children) on a clock-base-free nanosecond timeline. Byte-identical
-    /// for the same graph and options no matter which pooled device ran it.
+    /// for the same graph and options.
     #[inline]
     pub fn prepare_trace(&self) -> &[RelSpan] {
         &self.prepare_trace
@@ -582,58 +563,14 @@ mod tests {
     }
 
     #[test]
-    fn release_returns_a_clean_warm_device() {
+    fn release_frees_every_buffer() {
         let g = diamond();
         let mut prepared = PreparedGraph::prepare(&g, &opts()).unwrap();
         let _ = prepared.count().unwrap();
         let used_before_release = prepared.device().mem_used();
         assert!(used_before_release > 0);
-        let mut dev = prepared.release().unwrap();
+        let dev = prepared.release().unwrap();
         assert_eq!(dev.mem_used(), 0, "release must free all buffers");
-        // The device is reusable for another prepare without re-paying
-        // context init.
-        dev.reset_clock();
-        let _ = dev.alloc::<u32>(8).unwrap();
-        assert!(dev.elapsed() < 1e-3);
-    }
-
-    #[test]
-    fn recycled_device_sessions_are_byte_identical_to_cold_ones() {
-        let g = diamond();
-        let mut cold = PreparedGraph::prepare(&g, &opts()).unwrap();
-        let cold_count = cold.count().unwrap();
-        let cold_prepare_s = cold.prepare_s();
-        let dev = cold.release().unwrap();
-        // Same device, second session: the arena rewind makes addresses —
-        // and so every modeled statistic — identical to the cold run.
-        let mut warm = PreparedGraph::prepare_on(dev, &g, &opts()).unwrap();
-        let warm_count = warm.count().unwrap();
-        assert_eq!(warm.prepare_s(), cold_prepare_s);
-        assert_eq!(warm_count.count_s, cold_count.count_s);
-        assert_eq!(warm_count.kernel, cold_count.kernel);
-        assert_eq!(warm_count.profile.totals, cold_count.profile.totals);
-        warm.release().unwrap();
-    }
-
-    #[test]
-    fn a_recycled_device_takes_each_sessions_own_checkers() {
-        let g = diamond();
-        let mut checked = opts();
-        checked.sanitizer = tc_simt::SanitizerMode::Check;
-        checked.verify = true;
-        let mut first = PreparedGraph::prepare(&g, &checked).unwrap();
-        first.count().unwrap();
-        assert!(first.sanitizer_report().is_some() && first.verifier_report().is_some());
-        // The same device serving a plain session runs neither checker.
-        let dev = first.release().unwrap();
-        let mut plain = PreparedGraph::prepare_on(dev, &g, &opts()).unwrap();
-        plain.count().unwrap();
-        assert!(plain.sanitizer_report().is_none());
-        assert!(plain.verifier_report().is_none());
-        // And back: a checked session on it starts from empty reports.
-        let dev = plain.release().unwrap();
-        let again = PreparedGraph::prepare_on(dev, &g, &checked).unwrap();
-        assert_eq!(again.verifier_report().unwrap().launches_checked, 0);
     }
 
     #[test]

@@ -585,10 +585,10 @@ pub(crate) struct DispatchCtx<'a> {
 /// result array and the hash scratch and is reduced on its own. The hash
 /// kernel builds its tables before it probes them, so the scratch zeroing
 /// changes no count or modeled number; it makes every launch start from
-/// the same arena image whatever an earlier count, or an earlier session
-/// on a pooled device, left in the tables, so a repeated count replays
-/// from the device's launch memo from its first repeat on. Returns the
-/// partial count and the slowest launch (`None` when nothing launched).
+/// the same arena image whatever an earlier count left in the tables, so
+/// a repeated count replays from the device's launch memo from its first
+/// repeat on. Returns the partial count and the slowest launch (`None`
+/// when nothing launched).
 pub(crate) fn dispatch_bins(
     dev: &mut Device,
     arrays: KernelArrays,

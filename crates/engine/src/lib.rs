@@ -8,9 +8,9 @@
 //!   backend token — the host-to-device copy and the eight preprocessing
 //!   steps (the majority of the paper's measured window, §III-E) are paid
 //!   once per distinct (graph, backend) and every further count runs only
-//!   the kernel phases;
-//! * a **[`DevicePool`]** leasing warm simulated devices to workers, so
-//!   the ~100 ms context bring-up (§IV) is paid per device, not per job;
+//!   the kernel phases. Every session brings up its own simulated device
+//!   and drops it on release, so no state crosses from one session to the
+//!   next;
 //! * a **bounded job queue** with blocking backpressure (or load-shedding
 //!   admission), a configurable worker fleet, per-job modeled-time
 //!   budgets, and per-job [`ProfileReport`] attribution;
@@ -62,7 +62,6 @@ use tc_core::gpu::prepared::PreparedGraph;
 use tc_core::{Backend, CoreError, CountRequest, PreparedCluster, PreparedCount};
 use tc_graph::EdgeArray;
 use tc_simt::profiler::{ProfileReport, RelSpan};
-use tc_simt::{DevicePool, PoolTicket};
 use tc_telemetry::{
     chrome_trace_json, json_f64, json_string, seconds_to_ns, Determinism, MetricsRegistry,
     MetricsSnapshot, RequestTrace, Stage, TraceSpan,
@@ -208,9 +207,6 @@ pub struct BatchReport {
     /// Jobs that paid a preprocessing pass (cacheable misses and one-shot
     /// overflow).
     pub cache_misses: usize,
-    /// Devices the engine's pool has created so far (each paid context
-    /// bring-up once).
-    pub devices_created: usize,
     /// One end-to-end trace per job, in submission order (trace id =
     /// submission index). Byte-identical across runs and worker counts
     /// under [`Admission::Block`].
@@ -274,11 +270,7 @@ impl BatchReport {
         }
         out.push_str("  ],\n");
         out.push_str(&format!("  \"cache_hits\": {},\n", self.cache_hits));
-        out.push_str(&format!("  \"cache_misses\": {},\n", self.cache_misses));
-        out.push_str(&format!(
-            "  \"devices_created\": {}\n}}\n",
-            self.devices_created
-        ));
+        out.push_str(&format!("  \"cache_misses\": {}\n}}\n", self.cache_misses));
         out
     }
 
@@ -387,22 +379,13 @@ fn build_trace(id: u64, rec: &JobRecord) -> RequestTrace {
 /// orderings (the digest is order-independent).
 type CacheKey = (u64, String);
 
-/// One resident prepared session. Single-device sessions hold a device
-/// leased from the engine's pool (the ticket returns it on release);
-/// cluster sessions own their whole node × device grid outright — the
-/// pool only models single warm devices, and a cluster's interconnect
-/// charging is bound to its topology, so its devices are never shared.
+/// One resident prepared session. It owns its devices — one, or a
+/// cluster's node × device grid — and drops them on release.
 enum CacheEntry {
-    Single {
-        // Boxed so the enum stays small: a cluster entry is a slim
-        // handle while a single-device session embeds the whole
-        // prepared state.
-        prepared: Box<PreparedGraph>,
-        ticket: PoolTicket,
-    },
-    Cluster {
-        prepared: Box<PreparedCluster>,
-    },
+    // Boxed so the enum stays small: a cluster entry is a slim handle
+    // while a single-device session embeds the whole prepared state.
+    Single(Box<PreparedGraph>),
+    Cluster(Box<PreparedCluster>),
 }
 
 /// One count of a session: the count, the session's prepare cost and
@@ -414,14 +397,14 @@ impl CacheEntry {
     /// how many of the count's launches were replayed.
     fn count(&mut self) -> Result<SessionCount<'_>, CoreError> {
         Ok(match self {
-            CacheEntry::Single { prepared, .. } => {
+            CacheEntry::Single(prepared) => {
                 let before = prepared.launch_tally().replayed;
                 let counted = prepared.count()?;
                 let replays = prepared.launch_tally().replayed - before;
                 let trace = prepared.prepare_trace();
                 (counted, prepared.prepare_s(), trace, replays)
             }
-            CacheEntry::Cluster { prepared } => {
+            CacheEntry::Cluster(prepared) => {
                 let before = prepared.launch_tally().replayed;
                 let counted = prepared.count()?;
                 let replays = prepared.launch_tally().replayed - before;
@@ -431,15 +414,11 @@ impl CacheEntry {
         })
     }
 
-    /// Free the session: a single device goes back to the pool warm; a
-    /// cluster's devices belong to the session and are dropped with it.
+    /// Free the session's buffers and drop its devices.
     fn release(self) -> Result<(), CoreError> {
         match self {
-            CacheEntry::Single { prepared, ticket } => {
-                ticket.restore(prepared.release()?);
-                Ok(())
-            }
-            CacheEntry::Cluster { prepared } => prepared.release().map(drop),
+            CacheEntry::Single(prepared) => prepared.release().map(drop),
+            CacheEntry::Cluster(prepared) => prepared.release().map(drop),
         }
     }
 }
@@ -478,7 +457,7 @@ enum Plan {
     /// Cacheable: count through the shared prepared session. `hit` is true
     /// for every occurrence of a key after its first.
     Cached { key: CacheKey, hit: bool },
-    /// Run start-to-finish on a pooled device (non-GPU backends, and
+    /// Run start-to-finish on its own devices (non-session backends, and
     /// cacheable jobs beyond `cache_capacity` distinct keys).
     OneShot,
 }
@@ -486,7 +465,6 @@ enum Plan {
 /// The batched counting engine; see the crate docs.
 pub struct Engine {
     config: EngineConfig,
-    pool: DevicePool,
     cache: Mutex<HashMap<CacheKey, Arc<Mutex<Option<CacheEntry>>>>>,
     /// Keys admitted to the cache, in admission order (bounded by
     /// `cache_capacity`). Persisted across batches: an engine is a serving
@@ -499,13 +477,8 @@ pub struct Engine {
 
 impl Engine {
     pub fn new(config: EngineConfig) -> Self {
-        // Workers hold at most one transient device each; cache residents
-        // hold at most `cache_capacity` more. Sizing the pool to the sum
-        // means an acquire can always eventually succeed — no deadlock.
-        let pool = DevicePool::new(config.workers.max(1) + config.cache_capacity.max(1));
         Engine {
             config,
-            pool,
             cache: Mutex::new(HashMap::new()),
             admitted: Mutex::new(Vec::new()),
             metrics: MetricsRegistry::new(),
@@ -650,13 +623,6 @@ impl Engine {
         }
         self.metrics.set_gauge(
             Determinism::Advisory,
-            "engine_devices_created",
-            "Simulated devices the pool has created (each paid context bring-up).",
-            &[],
-            self.pool.devices_created() as f64,
-        );
-        self.metrics.set_gauge(
-            Determinism::Advisory,
             "engine_workers",
             "Configured worker threads.",
             &[],
@@ -671,7 +637,6 @@ impl Engine {
             jobs,
             cache_hits,
             cache_misses,
-            devices_created: self.pool.devices_created(),
             traces,
             metrics: self.metrics.snapshot(),
         }
@@ -852,18 +817,13 @@ impl Engine {
         Ok(result)
     }
 
-    /// Prepare a session for a cacheable (single-device or cluster) job.
-    /// Single-device sessions lease a warm device from the pool; on a
-    /// prepare error the ticket drops here, freeing the pool slot.
-    fn prepare_entry(&self, job: &Job) -> Result<CacheEntry, CoreError> {
+    /// Prepare a session for a cacheable (single-device or cluster) job on
+    /// devices of its own.
+    fn prepare_entry(job: &Job) -> Result<CacheEntry, CoreError> {
         match &job.backend {
             Backend::Gpu(opts) => {
-                let (device, ticket) = self.pool.acquire(&opts.device);
-                let prepared = PreparedGraph::prepare_on(device, &job.graph, opts)?;
-                Ok(CacheEntry::Single {
-                    prepared: Box::new(prepared),
-                    ticket,
-                })
+                let prepared = PreparedGraph::prepare(&job.graph, opts)?;
+                Ok(CacheEntry::Single(Box::new(prepared)))
             }
             Backend::Cluster {
                 options,
@@ -873,9 +833,7 @@ impl Engine {
             } => {
                 let topology = cluster_topology(*nodes, *devices_per_node)?;
                 let prepared = PreparedCluster::prepare(&job.graph, options, topology, *partition)?;
-                Ok(CacheEntry::Cluster {
-                    prepared: Box::new(prepared),
-                })
+                Ok(CacheEntry::Cluster(Box::new(prepared)))
             }
             _ => unreachable!("only GPU and cluster backends have sessions"),
         }
@@ -895,7 +853,7 @@ impl Engine {
         if entry.is_none() {
             // On a prepare error nothing is cached; the next job for this
             // key retries the prepare.
-            *entry = Some(self.prepare_entry(job)?);
+            *entry = Some(Engine::prepare_entry(job)?);
         }
         // The prepare is charged to the first-occurrence job from the
         // plan, not to whichever worker happened to run it first: the
@@ -927,9 +885,8 @@ impl Engine {
             });
         }
         // An uncached session job (overflow beyond `cache_capacity`): a
-        // full prepare/count/release on a pooled (warm) device or a
-        // transient cluster.
-        let mut entry = self.prepare_entry(job)?;
+        // full prepare/count/release on a transient device or cluster.
+        let mut entry = Engine::prepare_entry(job)?;
         let (counted, prepare_s, prepare_trace, replays) = entry.count()?;
         self.record_replays(job, replays);
         let paid = Some((prepare_s, prepare_trace.to_vec()));
@@ -937,9 +894,9 @@ impl Engine {
         Ok(job_result(counted, paid, job.profile))
     }
 
-    /// Release every prepared session, returning its warm device to the
-    /// pool (cluster sessions own their devices and simply drop them). The
-    /// engine stays usable; the next batch re-admits from scratch.
+    /// Release every prepared session and drop its devices. The engine
+    /// stays usable; the next batch re-admits from scratch and runs as a
+    /// fresh engine would.
     ///
     /// ```
     /// use std::sync::Arc;
@@ -957,8 +914,7 @@ impl Engine {
         let mut cache = self.cache.lock().unwrap();
         for (_, slot) in cache.drain() {
             if let Some(entry) = lock_slot(&slot).take() {
-                // A session that fails to release is dropped (its pool
-                // ticket frees the device slot).
+                // A session that fails to release is dropped all the same.
                 let _ = entry.release();
             }
         }
@@ -968,8 +924,8 @@ impl Engine {
 
 /// Lock a session slot. A job that panicked while holding the lock (a panic
 /// inside `count()`, say) poisons it and leaves the session in an unknown
-/// state, so the entry is dropped — its pool ticket frees the device slot —
-/// and the next job for the key prepares afresh.
+/// state, so the entry is dropped with its devices and the next job for the
+/// key prepares afresh.
 fn lock_slot(slot: &Mutex<Option<CacheEntry>>) -> MutexGuard<'_, Option<CacheEntry>> {
     slot.lock().unwrap_or_else(|poisoned| {
         let mut entry = poisoned.into_inner();
@@ -1079,8 +1035,7 @@ mod tests {
         // reused by) an unsanitized prepared session.
         let engine = Engine::new(small_config());
         let g = diamond();
-        let mut sanitized = gpu();
-        assert!(sanitized.set_sanitizer(tc_simt::SanitizerMode::Check));
+        let sanitized: Backend = "gtx980/sanitize".parse().unwrap();
         let jobs = vec![
             Job::new("plain0", Arc::clone(&g), gpu()),
             Job::new("san0", Arc::clone(&g), sanitized.clone()),
@@ -1106,8 +1061,7 @@ mod tests {
         // racechecks) never shares a prepared session with a plain run.
         let engine = Engine::new(small_config());
         let g = diamond();
-        let mut verified = gpu();
-        assert!(verified.set_verify(true));
+        let verified: Backend = "gtx980/verify".parse().unwrap();
         let jobs = vec![
             Job::new("plain", Arc::clone(&g), gpu()),
             Job::new("ver0", Arc::clone(&g), verified.clone()),

@@ -246,26 +246,6 @@ impl Arena {
         }
     }
 
-    /// Rewind the bump pointer and the high-water mark for a fresh session,
-    /// if nothing is live. Within a session addresses are never reused (live
-    /// buffers must not alias, and the cache model's address→set mapping
-    /// must stay stable), but once every allocation has been freed a rewind
-    /// is semantically clean — it makes a recycled device allocate the same
-    /// addresses a fresh one would, which keeps pooled reuse byte-identical
-    /// to cold starts. Returns whether the rewind happened.
-    pub fn reset_unused(&mut self) -> bool {
-        if !self.live.is_empty() {
-            return false;
-        }
-        self.next = 0;
-        self.used = 0;
-        self.peak = 0;
-        if let Some(sh) = self.shadow.as_deref_mut() {
-            sh.on_reset();
-        }
-        true
-    }
-
     /// Bytes currently allocated.
     #[inline]
     pub fn used(&self) -> u64 {
@@ -505,23 +485,6 @@ mod tests {
         ));
         assert_eq!(a.used(), 10, "failed free must not change accounting");
         a.free(b).unwrap();
-    }
-
-    #[test]
-    fn reset_unused_refuses_while_buffers_live() {
-        let mut a = Arena::new(1024);
-        let b1 = a.alloc(100).unwrap();
-        let b2 = a.alloc(100).unwrap();
-        assert!(!a.reset_unused(), "live buffers must block the rewind");
-        a.free(b1).unwrap();
-        assert!(!a.reset_unused(), "one live buffer still blocks it");
-        assert_eq!(a.used(), 100);
-        a.free(b2).unwrap();
-        assert!(a.reset_unused());
-        assert_eq!(a.used(), 0);
-        assert_eq!(a.peak(), 0);
-        // Post-rewind allocations start from address zero again.
-        assert_eq!(a.alloc(10).unwrap(), 0);
     }
 
     #[test]

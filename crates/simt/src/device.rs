@@ -238,19 +238,6 @@ impl Device {
         self.spans.clear();
     }
 
-    /// Prepare a (warm) device for a fresh measured session: zero the clock
-    /// and profiler state like [`Device::reset_clock`], and — when no
-    /// allocations are live — rewind the arena so the session allocates the
-    /// same addresses a cold device would. The context stays warm, which is
-    /// the point of recycling. The launch memo is emptied: a new session
-    /// never replays the previous one's launches. Returns whether the
-    /// arena rewind happened.
-    pub fn recycle(&mut self) -> bool {
-        self.reset_clock();
-        self.memo.clear();
-        self.arena.reset_unused()
-    }
-
     /// How many launches this device has simulated and how many it
     /// replayed from its launch memo, over its whole lifetime.
     #[inline]
@@ -455,7 +442,7 @@ impl Device {
     /// tail, so the device ends in the state the simulation would have
     /// left. The static verifier still checks every launch first. The memo
     /// holds at most 8 launches, one per kernel and launch config, oldest
-    /// dropped first; [`Device::recycle`] empties it.
+    /// dropped first, and lives as long as the device.
     pub fn launch<K: Kernel>(
         &mut self,
         label: &str,
@@ -877,24 +864,6 @@ mod tests {
         assert_eq!(dev.launch_tally(), LaunchTally::default());
         assert_eq!(dev.memo.len(), 0);
         assert_eq!(dev.verifier_report().unwrap().launches_checked, 2);
-    }
-
-    #[test]
-    fn recycle_empties_the_memo() {
-        let (mut dev, kernel, _) = add_device(SanitizerMode::Off);
-        zero_and_launch(&mut dev, &kernel, LC);
-        assert_eq!(dev.memo.len(), 1);
-        // Buffers are still live, so the arena keeps its bytes.
-        assert!(!dev.recycle());
-        assert_eq!(dev.memo.len(), 0);
-        zero_and_launch(&mut dev, &kernel, LC);
-        assert_eq!(
-            dev.launch_tally(),
-            LaunchTally {
-                simulated: 2,
-                replayed: 0
-            }
-        );
     }
 
     #[test]

@@ -53,7 +53,6 @@ pub mod error;
 pub mod executor;
 pub mod kernel;
 mod memo;
-pub mod pool;
 pub mod primitives;
 pub mod profiler;
 pub mod sanitizer;
@@ -67,7 +66,6 @@ pub use error::SimtError;
 pub use executor::{KernelStats, LaunchConfig};
 pub use kernel::{Effect, Kernel, MemView};
 pub use memo::LaunchTally;
-pub use pool::{DevicePool, PoolTicket};
 pub use profiler::{Counters, ProfileReport, Span};
 pub use sanitizer::{Finding, FindingKind, Lint, LintKind, SanitizerMode, SanitizerReport};
 pub use verifier::{

@@ -120,6 +120,7 @@ impl LaunchMemo {
         });
     }
 
+    #[cfg(test)]
     pub(crate) fn clear(&mut self) {
         self.entries.clear();
     }

@@ -322,8 +322,7 @@ impl RawViolation {
 
 /// One allocation's shadow record. Freed allocations are retained (live =
 /// false) so later accesses classify as use-after-free rather than plain
-/// OOB; the arena never reuses addresses within a session, so records stay
-/// unambiguous until a rewind clears them.
+/// OOB; the arena never reuses an address, so records stay unambiguous.
 #[derive(Clone, Copy, Debug)]
 struct ShadowAlloc {
     addr: u64,
@@ -440,13 +439,6 @@ impl Shadow {
             buffer: None,
             lane: None,
         });
-    }
-
-    /// The arena rewound its bump pointer: addresses will be reused, so the
-    /// old records are void.
-    pub(crate) fn on_reset(&mut self) {
-        self.allocs.clear();
-        self.init.iter_mut().for_each(|w| *w = 0);
     }
 
     /// A host-side store of `bytes` at `addr` (htod / `write_slice` /

@@ -66,7 +66,9 @@ pub enum Stage {
     QueueWait,
     /// Prepared-session cache lookup (planned hit/miss).
     CacheLookup,
-    /// Leasing a warm device from the pool.
+    /// A cache miss bringing up its session's own device (context
+    /// creation and the §IV stopwatch reset); the token keeps its
+    /// historical name.
     DeviceLease,
     /// Host-to-device copy + the eight preprocessing steps (§III-B).
     Prepare,

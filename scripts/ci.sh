@@ -88,13 +88,14 @@ find crates/*/src src -name '*.rs' -print0 | xargs -0 awk -v homes="$JSON_HOMES"
 echo "one JSON escaper and one number formatter per layer"
 
 echo "==> one session type lint"
-# Every device of every GPU topology is a PreparedGraph: the single or
-# pooled device, each multi-GPU replica and each cluster shard is created,
-# brought up and counted in crates/core/src/gpu/prepared.rs. A device made
-# or a launch dispatched anywhere else in crates/core/src/gpu is a second
-# session type in the making. Flagged outside test modules: Device::new(,
-# bring_up( and dispatch_bins( outside prepared.rs, except dispatch_bins'
-# own definition in schedule.rs.
+# Every device of every GPU topology is a PreparedGraph: the single
+# device, each multi-GPU replica and each cluster shard is created,
+# brought up and counted in crates/core/src/gpu/prepared.rs, and lives
+# exactly as long as its session. A device made or a launch dispatched
+# anywhere else in crates/core/src/gpu is a second session type in the
+# making. Flagged outside test modules: Device::new(, bring_up( and
+# dispatch_bins( outside prepared.rs, except dispatch_bins' own
+# definition in schedule.rs.
 find crates/core/src/gpu -name '*.rs' -print0 | xargs -0 awk '
     FNR == 1 { intest = 0; n = split(FILENAME, parts, "/"); base = parts[n] }
     /#\[cfg\(test\)\]/ { intest = 1 }
@@ -102,6 +103,19 @@ find crates/core/src/gpu -name '*.rs' -print0 | xargs -0 awk '
     base == "schedule.rs" && /fn dispatch_bins\(/ { next }
     /Device::new\(|bring_up\(|dispatch_bins\(/ {
         printf "%s:%d: device created, brought up or dispatched outside gpu/prepared.rs\n", FILENAME, FNR
+        bad = 1
+    }
+    END { exit bad }
+'
+# The engine makes no device of its own: its sessions are prepared by
+# PreparedGraph::prepare and PreparedCluster::prepare, so a device made in
+# crates/engine/src would outlive or be shared across sessions.
+find crates/engine/src -name '*.rs' -print0 | xargs -0 awk '
+    FNR == 1 { intest = 0 }
+    /#\[cfg\(test\)\]/ { intest = 1 }
+    intest { next }
+    /Device::new\(/ {
+        printf "%s:%d: device created in the engine instead of by its session\n", FILENAME, FNR
         bad = 1
     }
     END { exit bad }
@@ -213,7 +227,8 @@ scripts/bench_check.sh BENCH_6.json BENCH_5.json > /dev/null
 echo "==> telemetry determinism gate"
 # The engine's metrics snapshot and unified request trace must be
 # byte-identical across worker counts for the same jobfile (CI mode nulls
-# the advisory host-measured section).
+# the advisory host-measured section), and so must the batch report but
+# for the CPU row's host-measured seconds.
 cat > /tmp/tc_telemetry_jobs.txt <<'JOBS'
 graph=watts-strogatz backend=gtx980 repeat=3
 graph=kronecker-6 backend=gtx980/balanced repeat=2
@@ -221,15 +236,30 @@ graph=watts-strogatz backend=forward
 JOBS
 for w in 1 2 4; do
     TC_TELEMETRY_CI=1 ./target/release/tcount batch /tmp/tc_telemetry_jobs.txt \
-        --workers "$w" --metrics "/tmp/tc_metrics_w$w.json" \
+        --workers "$w" --json "/tmp/tc_report_w$w.json" --metrics "/tmp/tc_metrics_w$w.json" \
         --prom "/tmp/tc_metrics_w$w.prom" --trace "/tmp/tc_trace_w$w.json" > /dev/null
 done
 cmp /tmp/tc_metrics_w1.json /tmp/tc_metrics_w2.json
 cmp /tmp/tc_metrics_w1.json /tmp/tc_metrics_w4.json
 cmp /tmp/tc_trace_w1.json /tmp/tc_trace_w2.json
 cmp /tmp/tc_trace_w1.json /tmp/tc_trace_w4.json
-python3 -c "import json; json.load(open('/tmp/tc_metrics_w1.json')); json.load(open('/tmp/tc_trace_w1.json'))"
-echo "telemetry artifacts byte-identical across workers 1/2/4"
+python3 - <<'PY'
+import json, re
+json.load(open("/tmp/tc_metrics_w1.json"))
+json.load(open("/tmp/tc_trace_w1.json"))
+def report(w):
+    text = open(f"/tmp/tc_report_w{w}.json").read()
+    json.loads(text)
+    # The forward job is timed on the host: mask its two timings.
+    return [
+        re.sub(r'"(seconds|count_s)": [^,\n]+', r'"\1": host', job)
+        if '"backend": "forward"' in job else job
+        for job in text.split("\n    }")
+    ]
+for w in (2, 4):
+    assert report(w) == report(1), f"batch report depends on --workers {w}"
+PY
+echo "telemetry artifacts and batch report byte-identical across workers 1/2/4"
 
 echo "==> launch replay smoke"
 # Cache hits count through a resident session whose devices replay the
@@ -304,7 +334,7 @@ echo "==> sanitized smoke gate"
 # Kronecker rung) must run sanitizer-clean: tcount exits nonzero on any
 # memcheck/initcheck/racecheck finding.
 ./target/release/tcount suite:dblp --backend gtx980/sanitize > /dev/null
-./target/release/tcount suite:kronecker-8 --backend c2050/balanced --sanitize > /dev/null
+./target/release/tcount suite:kronecker-8 --backend c2050/balanced/sanitize > /dev/null
 # Hash-strategy + reorder token path end to end. At smoke scale the tuner
 # degrades balanced+hash to the plain balanced plan (graceful degradation);
 # the sanitizer integration test covers an actually-engaged hash bin.

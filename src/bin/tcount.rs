@@ -3,7 +3,7 @@
 //! ```text
 //! tcount <path> [--format text|binary|metis] [--backend NAME]
 //!               [--clustering] [--validate] [--trace FILE]
-//!               [--profile [FILE]] [--sanitize [paranoid]] [--verify]
+//!               [--profile [FILE]]
 //! tcount batch <jobfile> [--scale smoke|bench|large] [--workers N]
 //!                        [--json FILE] [--metrics [FILE]] [--prom FILE]
 //!                        [--trace FILE] [--shed]
@@ -40,22 +40,20 @@
 //! to generate a smoke-scale evaluation-suite graph in memory instead of
 //! reading a file.
 //!
-//! `--sanitize [paranoid]` (simulated GPU backends) is equivalent to the
-//! `/sanitize` backend suffix: the run executes with memcheck, initcheck,
-//! and racecheck shadow tracking, the finding report is printed as JSON,
-//! and the exit code is nonzero if there is at least one finding. Lints
-//! (uncoalesced loops, divergence-heavy warps) are advisory and never fail
-//! the run.
+//! With the `/sanitize[:paranoid]` backend suffix the run executes with
+//! memcheck, initcheck, and racecheck shadow tracking, the finding report
+//! is printed as JSON, and the exit code is nonzero if there is at least
+//! one finding. Lints (uncoalesced loops, divergence-heavy warps) are
+//! advisory and never fail the run.
 //!
 //! `tcount sanitize-selftest` runs the seeded-bug kernels (out-of-bounds
 //! read, uninitialized read, write-write race), prints their reports, and
 //! fails unless every seeded bug was detected — the CI gate that proves
 //! the sanitizer actually fires.
 //!
-//! `--verify` (simulated GPU backends) is equivalent to the `/verify`
-//! backend suffix: the static verifier report is printed as JSON and the
-//! exit code is nonzero if there is at least one finding. `tcount
-//! verify-selftest` runs kernels with seeded dishonest contracts
+//! With the `/verify` backend suffix the static verifier report is
+//! printed as JSON and the exit code is nonzero if there is at least one
+//! finding. `tcount verify-selftest` runs kernels with seeded dishonest contracts
 //! (footprint too narrow, false disjointness claim, shared-budget
 //! understatement, statically out-of-bounds footprint) and fails unless
 //! every lie is caught — the CI gate that proves the verifier actually
@@ -114,12 +112,6 @@ struct Args {
     /// `Some(None)` = print the profile table; `Some(Some(file))` = also
     /// write the JSON report.
     profile: Option<Option<String>>,
-    /// `--sanitize [paranoid]`: requested sanitizer mode, folded into the
-    /// backend token.
-    sanitize: Option<SanitizerMode>,
-    /// `--verify`: run the static launch verifier, folded into the backend
-    /// token.
-    verify: bool,
 }
 
 #[derive(PartialEq)]
@@ -133,7 +125,6 @@ fn usage() -> ExitCode {
     eprintln!(
         "usage: tcount <path> [--format text|binary|metis] [--backend NAME]\n\
          \x20             [--clustering] [--validate] [--trace FILE] [--profile [FILE]]\n\
-         \x20             [--sanitize [paranoid]] [--verify]\n\
          \x20      tcount batch <jobfile> [--scale smoke|bench|large] [--workers N]\n\
          \x20                             [--json FILE] [--metrics [FILE]] [--prom FILE]\n\
          \x20                             [--trace FILE] [--shed]\n\
@@ -147,7 +138,7 @@ fn usage() -> ExitCode {
          \x20         /balanced+hash for the workload-balanced kernel scheduler,\n\
          \x20         /reorder for degree-descending relabeling,\n\
          \x20         /sanitize[:paranoid] for the compute-sanitizer layer, and\n\
-         \x20         /verify for the static launch verifier (same as --verify);\n\
+         \x20         /verify for the static launch verifier;\n\
          \x20         cluster:<n>x<m> shards the graph across n nodes x m devices\n\
          \x20         (\":2d\" = 2D grid)"
     );
@@ -168,8 +159,6 @@ fn parse_args() -> Result<Args, String> {
         validate: false,
         trace: None,
         profile: None,
-        sanitize: None,
-        verify: false,
     };
     while let Some(flag) = args.next() {
         match flag.as_str() {
@@ -197,18 +186,6 @@ fn parse_args() -> Result<Args, String> {
                 };
                 parsed.profile = Some(file);
             }
-            "--sanitize" => {
-                // The mode operand is optional: absent or another flag
-                // means plain Check.
-                parsed.sanitize = Some(match args.peek().map(String::as_str) {
-                    Some("paranoid") => {
-                        args.next();
-                        SanitizerMode::Paranoid
-                    }
-                    _ => SanitizerMode::Check,
-                });
-            }
-            "--verify" => parsed.verify = true,
             other => return Err(format!("unknown flag {other}")),
         }
     }
@@ -275,15 +252,7 @@ fn suite_graph(name: &str) -> Result<EdgeArray, String> {
     ))
 }
 
-fn run(mut args: Args) -> Result<(), String> {
-    if let Some(mode) = args.sanitize {
-        if !args.backend.set_sanitizer(mode) {
-            return Err("--sanitize requires a simulated-GPU backend".into());
-        }
-    }
-    if args.verify && !args.backend.set_verify(true) {
-        return Err("--verify requires a simulated-GPU backend".into());
-    }
+fn run(args: &Args) -> Result<(), String> {
     let graph: EdgeArray = if let Some(name) = args.path.strip_prefix("suite:") {
         suite_graph(name)?
     } else {
@@ -314,7 +283,7 @@ fn run(mut args: Args) -> Result<(), String> {
         .run(&graph)
         .map_err(|e| format!("counting: {e}"))?;
     if let Some(report) = &result.gpu {
-        observe(report, &args)?;
+        observe(report, args)?;
     }
     println!(
         "triangles: {} ({} in {:.3} ms)",
@@ -487,12 +456,11 @@ fn run_batch_cmd(args: &BatchArgs) -> Result<(), String> {
         }
     }
     println!(
-        "{} ok, {} failed; {} cache hits, {} prepares; {} devices created",
+        "{} ok, {} failed; {} cache hits, {} prepares",
         report.jobs.len() - failures,
         failures,
         report.cache_hits,
-        report.cache_misses,
-        report.devices_created
+        report.cache_misses
     );
     if let Some(path) = &args.json {
         std::fs::write(path, report.to_json()).map_err(|e| format!("writing {path}: {e}"))?;
@@ -601,7 +569,7 @@ fn main() -> ExitCode {
         };
     }
     match parse_args() {
-        Ok(args) => match run(args) {
+        Ok(args) => match run(&args) {
             Ok(()) => ExitCode::SUCCESS,
             Err(e) => {
                 eprintln!("error: {e}");

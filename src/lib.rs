@@ -9,7 +9,7 @@
 //! * [`simt`] — the SIMT GPU simulator the "GPU" runs on ([`tc_simt`]).
 //! * [`core`] — the triangle-counting algorithms themselves ([`tc_core`]).
 //! * [`engine`] — the batched counting engine: prepared-session cache,
-//!   device pool, bounded queues ([`tc_engine`]).
+//!   bounded queues ([`tc_engine`]).
 //!
 //! ## Quickstart
 //!

@@ -235,8 +235,8 @@ fn usage_lists_every_subcommand_and_the_verifier() {
     assert_eq!(out.status.code(), Some(2));
     let usage = String::from_utf8_lossy(&out.stderr);
     for item in [
-        "--verify",
         "/verify",
+        "/sanitize",
         "verify-selftest",
         "sanitize-selftest",
     ] {

@@ -8,7 +8,9 @@
 use std::sync::Arc;
 
 use triangles::core::count::{Backend, GpuOptions};
+use triangles::core::PreparedGraph;
 use triangles::engine::{Admission, Engine, EngineConfig, EngineError, Job};
+use triangles::gen::classic::complete;
 use triangles::gen::suite::{full_suite, Scale};
 use triangles::graph::EdgeArray;
 use triangles::telemetry::Stage;
@@ -93,7 +95,6 @@ fn telemetry_artifacts_are_byte_identical_across_worker_counts() {
                         && !l.contains("_host_")
                         && !l.contains("queue_depth")
                         && !l.contains("engine_workers")
-                        && !l.contains("devices_created")
                 })
                 .count()
         };
@@ -128,6 +129,72 @@ fn repeated_jobs(g1: &Arc<EdgeArray>, g2: &Arc<EdgeArray>) -> Vec<Job> {
         jobs.push(Job::new(format!("h{i}"), Arc::clone(g1), hash.clone()));
     }
     jobs
+}
+
+/// Clearing the cache leaves no trace of the sessions it dropped: a batch
+/// run after `clear_cache` reports, traces and replays exactly what the
+/// same batch does on a fresh engine. Batch A's hash session (whose
+/// kernels write per-warp hash tables into device scratch) is gone before
+/// batch B prepares its own.
+#[test]
+fn a_batch_after_clear_cache_equals_a_fresh_engines_batch() {
+    let tokens = ["gtx980/balanced+hash", "gtx980"];
+    let batch = |tag: &str, hashed: &Arc<EdgeArray>, plain: &Arc<EdgeArray>| -> Vec<Job> {
+        let [hash, gpu] = tokens.map(|t| t.parse::<Backend>().unwrap());
+        vec![
+            Job::new(format!("{tag}0"), Arc::clone(hashed), hash.clone()),
+            Job::new(format!("{tag}1"), Arc::clone(hashed), hash),
+            Job::new(format!("{tag}2"), Arc::clone(plain), gpu),
+        ]
+    };
+    let replays = |engine: &Engine| {
+        tokens.map(|t| {
+            engine
+                .metrics()
+                .counter_value("engine_launch_replays_total", &[("backend", t)])
+        })
+    };
+    let cliques = [80, 72].map(|n| Arc::new(complete(n)));
+    for clique in &cliques {
+        let Ok(Backend::Gpu(opts)) = tokens[0].parse() else {
+            unreachable!("a single-device token")
+        };
+        let prepared = PreparedGraph::prepare(clique, &opts).unwrap();
+        let plan = prepared.bin_plan().expect("a clique gets a bin plan");
+        assert!(
+            plan.bins.iter().any(|b| b.hash),
+            "a clique occupies a hash bin"
+        );
+        prepared.release().unwrap();
+    }
+    let batch_a = batch("a", &cliques[0], &suite_graph("kronecker-6"));
+    let batch_b = batch("b", &cliques[1], &suite_graph("watts-strogatz"));
+    let config = || EngineConfig {
+        workers: 2,
+        queue_capacity: 4,
+        cache_capacity: 4,
+        admission: Admission::Block,
+    };
+
+    let used = Engine::new(config());
+    assert!(used
+        .run_batch(batch_a)
+        .jobs
+        .iter()
+        .all(|j| j.result.is_ok()));
+    used.clear_cache();
+    let before = replays(&used);
+    let after_clear = used.run_batch(batch_b.clone());
+    let after = replays(&used);
+
+    let fresh = Engine::new(config());
+    let reference = fresh.run_batch(batch_b);
+    assert!(reference.jobs.iter().all(|j| j.result.is_ok()));
+    assert_eq!(after_clear.to_json(), reference.to_json());
+    assert_eq!(after_clear.trace_json(), reference.trace_json());
+    let added = [0, 1].map(|i| after[i] - before[i]);
+    assert_eq!(added, replays(&fresh));
+    assert!(added[0] > 0, "the repeated hash job must replay launches");
 }
 
 /// One trace shows the whole request: engine stage spans (admission,
@@ -335,7 +402,6 @@ fn advisory_section_separates_host_measured_series() {
     for advisory in [
         "engine_queue_wait_host_ns",
         "engine_cpu_host_ns",
-        "engine_devices_created",
         "engine_workers",
     ] {
         assert!(full.contains(advisory), "{advisory} missing from full view");
