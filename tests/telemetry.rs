@@ -155,10 +155,10 @@ fn a_batch_after_clear_cache_equals_a_fresh_engines_batch() {
         })
     };
     let cliques = [80, 72].map(|n| Arc::new(complete(n)));
+    let Ok(Backend::Gpu(opts)) = tokens[0].parse() else {
+        unreachable!("a single-device token")
+    };
     for clique in &cliques {
-        let Ok(Backend::Gpu(opts)) = tokens[0].parse() else {
-            unreachable!("a single-device token")
-        };
         let prepared = PreparedGraph::prepare(clique, &opts).unwrap();
         let plan = prepared.bin_plan().expect("a clique gets a bin plan");
         assert!(
